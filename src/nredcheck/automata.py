@@ -9,9 +9,9 @@ concrete counterexample words.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Optional
 
+from . import graphs
 from .model import Action, ActionKind, ThreadTemplate
 
 Word = tuple[Action, ...]
@@ -30,15 +30,7 @@ class _Nfa:
                 self.moves.setdefault(e.src, {}).setdefault(e.action, set()).add(e.dst)
 
     def closure(self, states: Iterable[str]) -> frozenset[str]:
-        seen = set(states)
-        stack = list(seen)
-        while stack:
-            s = stack.pop()
-            for nxt in self.eps.get(s, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return frozenset(seen)
+        return frozenset(graphs.reachable(self.eps, states))
 
     def start(self) -> frozenset[str]:
         return self.closure([self.init])
@@ -73,27 +65,22 @@ def language_equivalent(
     """
     n1 = _Nfa(left, frozenset(erase_left))
     n2 = _Nfa(right, frozenset(erase_right))
-    start = (n1.start(), n2.start())
-    parents: dict[tuple[frozenset[str], frozenset[str]], tuple] = {start: ()}
-    queue = deque([start])
-    while queue:
-        s1, s2 = queue.popleft()
-        if n1.accepts(s1) != n2.accepts(s2):
-            word: list[Action] = []
-            key = (s1, s2)
-            while parents[key]:
-                prev, a = parents[key]
-                word.append(a)
-                key = prev
-            return False, tuple(reversed(word))
+
+    def successors(state: tuple[frozenset[str], frozenset[str]]):
+        s1, s2 = state
         for a in sorted(n1.labels(s1) | n2.labels(s2), key=Action.sort_key):
             nxt = (n1.step(s1, a), n2.step(s2, a))
-            if not nxt[0] and not nxt[1]:
-                continue
-            if nxt not in parents:
-                parents[nxt] = ((s1, s2), a)
-                queue.append(nxt)
-    return True, None
+            if nxt[0] or nxt[1]:
+                yield nxt, a
+
+    found = graphs.bfs_path(
+        [(n1.start(), n2.start())],
+        successors,
+        lambda state: n1.accepts(state[0]) != n2.accepts(state[1]),
+    )
+    if found is None:
+        return True, None
+    return False, tuple(found[1])
 
 
 def find_projection_collision(
@@ -116,50 +103,38 @@ def find_projection_collision(
         bucket.setdefault(e.src, []).append((e.action, e.dst))
 
     MATCHED, EXCESS, FREE = 0, 1, 2
-    start = (t.init, t.init, MATCHED)
-    # parent edge: (previous state, word1 suffix, word2 suffix)
-    parents: dict[tuple, tuple] = {start: ()}
-    queue = deque([start])
 
-    def found(state: tuple) -> tuple[Word, Word]:
-        w1: list[Action] = []
-        w2: list[Action] = []
-        key = state
-        while parents[key]:
-            prev, a1, a2 = parents[key]
-            if a1 is not None:
-                w1.append(a1)
-            if a2 is not None:
-                w2.append(a2)
-            key = prev
-        return tuple(reversed(w1)), tuple(reversed(w2))
-
-    def push(state: tuple, prev: tuple, a1: Optional[Action], a2: Optional[Action]) -> None:
-        if state not in parents:
-            parents[state] = (prev, a1, a2)
-            queue.append(state)
-
-    while queue:
-        state = queue.popleft()
+    # a step's label is the pair of suffixes it adds to the two words
+    def successors(state: tuple):
         u, v, phase = state
-        if phase != MATCHED and u == t.exit and v == t.exit:
-            return found(state)
         for a, u2 in plain_moves.get(u, ()):
             for b, v2 in plain_moves.get(v, ()):
                 if a == b:
                     nxt_phase = FREE if phase != MATCHED else MATCHED
-                    push((u2, v2, nxt_phase), state, a, b)
+                    yield (u2, v2, nxt_phase), (a, b)
         if phase == MATCHED:
             for a, u2 in erased_moves.get(u, ()):
                 for b, v2 in erased_moves.get(v, ()):
-                    push((u2, v2, MATCHED), state, a, b)
-                push((u2, v, EXCESS), state, a, None)
+                    yield (u2, v2, MATCHED), (a, b)
+                yield (u2, v, EXCESS), (a, None)
         elif phase == EXCESS:
             for a, u2 in erased_moves.get(u, ()):
-                push((u2, v, EXCESS), state, a, None)
+                yield (u2, v, EXCESS), (a, None)
         else:
             for a, u2 in erased_moves.get(u, ()):
-                push((u2, v, FREE), state, a, None)
+                yield (u2, v, FREE), (a, None)
             for b, v2 in erased_moves.get(v, ()):
-                push((u, v2, FREE), state, None, b)
-    return None
+                yield (u, v2, FREE), (None, b)
+
+    found = graphs.bfs_path(
+        [(t.init, t.init, MATCHED)],
+        successors,
+        lambda state: state[2] != MATCHED and state[0] == t.exit and state[1] == t.exit,
+    )
+    if found is None:
+        return None
+    steps = found[1]
+    return (
+        tuple(a for a, _ in steps if a is not None),
+        tuple(b for _, b in steps if b is not None),
+    )

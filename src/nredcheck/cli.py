@@ -5,9 +5,10 @@ Subcommands: `check` (decision procedures and bounded oracle), `oracle` and
 and semantic input validation), and `gen` (hardness-gadget generators).
 
 Exit codes: 0 sound/true, 1 unsound/false, 2 inconclusive or unknown,
-3 input error.  Reports are emitted as text or as JSON (schema
-`nred-report/1`); identical inputs and flags produce byte-identical JSON up
-to the wall-time field.
+3 input error, 4 internal error (an unsoundness witness failed its
+re-validation; no verdict is reported).  Reports are emitted as text or as
+JSON (schema `nred-report/1`); identical inputs and flags produce
+byte-identical JSON up to the wall-time field.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .decision import (
 from .model import (
     ActionKind,
     AtomicFusion,
+    CommutativityRelation,
     ModelError,
     SyncKind,
     ValidationError,
@@ -49,6 +51,7 @@ EXIT_SOUND = 0
 EXIT_UNSOUND = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 MODES = ("natural", "atomic", "sync", "movers", "oracle", "coverability")
 
@@ -164,7 +167,7 @@ def _base_report(mode: str, parsed: Optional[ParsedInput], args, path: str) -> d
     return report
 
 
-def _bounds_from_args(args, trace_hint: int = 0) -> Bounds:
+def _bounds_from_args(args) -> Bounds:
     return Bounds(
         max_threads=args.threads,
         max_local_len=args.max_len,
@@ -178,6 +181,18 @@ def _exit_for(verdict: Verdict) -> int:
     if verdict.result == decision.UNSOUND:
         return EXIT_UNSOUND
     return EXIT_INCONCLUSIVE
+
+
+def _witness_ok(parsed: ParsedInput, verdict: Verdict) -> bool:
+    """Re-check an unsound verdict's witness against the definitions: a
+    block witness against the fusion, a phase-pair witness against the
+    instrumentation and the relation lifted to block symbols."""
+    spec, rel = parsed.spec, parsed.relation
+    if isinstance(verdict.witness, FusionWitness):
+        return verify_fusion_witness(parsed.program.template, spec.fusion, rel, verdict.witness)
+    if spec.fusion is not None:
+        rel = lift_commutativity(rel, spec.fusion)
+    return verify_sync_witness(spec.instrumentation, rel, verdict.witness)
 
 
 def _require_bounds(args, mode: str) -> Optional[str]:
@@ -210,7 +225,6 @@ def run_check(args) -> int:
         return EXIT_INPUT_ERROR
 
     verdict: Optional[Verdict] = None
-    code = EXIT_SOUND
     try:
         if mode == "atomic":
             fusion = parsed.spec.fusion
@@ -218,11 +232,6 @@ def run_check(args) -> int:
                 verdict = Verdict(decision.SOUND, notes=("no atomic blocks declared",))
             else:
                 verdict = check_atomic_fusion(program.template, fusion, parsed.relation)
-                if verdict.is_unsound:
-                    assert verify_fusion_witness(
-                        program.template, fusion, parsed.relation, verdict.witness
-                    ), "internal error: witness failed re-validation"
-            code = _exit_for(verdict)
         elif mode == "sync":
             inst = parsed.spec.instrumentation
             if inst is None:
@@ -232,14 +241,8 @@ def run_check(args) -> int:
                 if parsed.spec.fusion is not None:
                     rel = lift_commutativity(rel, parsed.spec.fusion)
                 verdict = check_sync_instrumentation(inst, rel)
-                if verdict.is_unsound:
-                    assert verify_sync_witness(
-                        inst, rel, verdict.witness
-                    ), "internal error: witness failed re-validation"
-            code = _exit_for(verdict)
         elif mode == "natural":
             verdict = check_natural_reduction(program.template, parsed.spec, parsed.relation)
-            code = _exit_for(verdict)
         elif mode == "movers":
             return _run_movers(parsed, report, args, t0)
         elif mode == "oracle":
@@ -250,7 +253,6 @@ def run_check(args) -> int:
             verdict = oracle_check_natural(
                 program.template, parsed.spec, parsed.relation, _bounds_from_args(args)
             )
-            code = _exit_for(verdict)
         elif mode == "coverability":
             if parsed.cover is None:
                 print("error: coverability mode needs a 'cover' section", file=sys.stderr)
@@ -277,6 +279,10 @@ def run_check(args) -> int:
             return EXIT_SOUND if covered else EXIT_UNSOUND
         else:  # pragma: no cover - argparse restricts choices
             raise AssertionError(mode)
+        if mode in ("atomic", "sync", "natural") and verdict.is_unsound:
+            if not _witness_ok(parsed, verdict):
+                print("internal error: witness failed re-validation", file=sys.stderr)
+                return EXIT_INTERNAL_ERROR
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -285,7 +291,7 @@ def run_check(args) -> int:
     report["verdict"] = _verdict_json(verdict)
     report["wall_time_ms"] = round(1000 * (time.perf_counter() - t0), 3)
     _emit(report, verdict, args)
-    return code
+    return _exit_for(verdict)
 
 
 def _run_movers(parsed: ParsedInput, report: dict, args, t0: float) -> int:
@@ -378,7 +384,6 @@ def run_gen(args) -> int:
             text = _read_input(args.dimacs)
             phi = gadgets.parse_dimacs(text)
             program, cover = gadgets.sat_to_coverability(phi)
-            from .model import CommutativityRelation
             out = to_nred_text(
                 program.template,
                 relation=CommutativityRelation.full(program.template.plain_alphabet),
@@ -409,7 +414,6 @@ def run_gen(args) -> int:
                 print("error: gen thm6 needs --cover with at least two locations", file=sys.stderr)
                 return EXIT_INPUT_ERROR
             program, inst = gadgets.coverability_to_syncpoint(parsed.program, cover)
-            from .model import CommutativityRelation
             out = to_nred_text(
                 inst.base,
                 relation=CommutativityRelation.full(inst.base.plain_alphabet),
@@ -420,7 +424,6 @@ def run_gen(args) -> int:
         elif args.generator == "b2p":
             templates = [parse_input(_read_input(p)).program.template for p in args.inputs]
             combined = gadgets.bounded_to_parameterized(templates)
-            from .model import CommutativityRelation
             out = to_nred_text(
                 combined,
                 relation=CommutativityRelation.full(combined.plain_alphabet),

@@ -24,9 +24,8 @@ check is not decision-grade at all and the verdict carries a
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional
 
 from . import graphs
 from .model import (
@@ -54,6 +53,9 @@ FLAG_SYNC_NOT_APPLICABLE = "sync-check-not-applicable-under-locks"
 PROGRAM_ORDER = "program-order"
 ATOMIC_ORDER = "atomic-order"
 CONFLICT = "conflict"
+
+_LOCK_KINDS = frozenset({ActionKind.ACQUIRE, ActionKind.RELEASE})
+_SYNC_KINDS = _LOCK_KINDS | {ActionKind.SYNC_POINT}
 
 
 class ActionUnreachable(ModelError):
@@ -118,9 +120,6 @@ class SyncWitness:
     path_b: PathWitness
 
 
-Witness = Union[FusionWitness, SyncWitness, object]
-
-
 @dataclass(frozen=True)
 class Verdict:
     result: str
@@ -166,29 +165,17 @@ class EscapeRelation:
 
 
 class _Reach:
-    """Memoized location reachability for one template."""
+    """Memoized forward location reachability for one template."""
 
     def __init__(self, t: ThreadTemplate):
-        self.succ: dict[str, set[str]] = {}
-        self.pred: dict[str, set[str]] = {}
-        for e in t.edges:
-            self.succ.setdefault(e.src, set()).add(e.dst)
-            self.pred.setdefault(e.dst, set()).add(e.src)
-        self._fwd: dict[str, set[str]] = {}
-        self._bwd: dict[str, set[str]] = {}
+        self.t = t
+        self._fwd: dict[str, frozenset[str]] = {}
 
-    def forward(self, loc: str) -> set[str]:
+    def forward(self, loc: str) -> frozenset[str]:
         cached = self._fwd.get(loc)
         if cached is None:
-            cached = graphs.reachable(self.succ, [loc])
+            cached = self.t.reachable_from([loc])
             self._fwd[loc] = cached
-        return cached
-
-    def backward(self, loc: str) -> set[str]:
-        cached = self._bwd.get(loc)
-        if cached is None:
-            cached = graphs.reachable(self.pred, [loc])
-            self._bwd[loc] = cached
         return cached
 
     def reaches(self, u: str, v: str) -> bool:
@@ -232,18 +219,17 @@ def at_relation(f: AtomicFusion) -> frozenset[tuple[Action, Action]]:
     pairs: set[tuple[Action, Action]] = set()
     for _, body in f.blocks:
         reach = _Reach(body)
-        fwd = body.reachable_from([body.init])
-        bwd = body.co_reachable_to([body.exit])
-        actions = [
-            x
-            for x in sorted(body.plain_alphabet, key=Action.sort_key)
-            if body.the_edge(x).src in fwd and body.the_edge(x).dst in bwd
-        ]
+        actions = _on_path_actions(body)
         for a in actions:
             for b in actions:
                 if reach.reaches(body.the_edge(b).dst, body.the_edge(a).src):
                     pairs.add((a, b))
     return frozenset(pairs)
+
+
+# one meta-graph edge from conflict source u to conflict source w:
+# (u, a conflict target v of u, kind of the order step from v to w, w)
+_MetaHop = tuple[Action, Action, str, Action]
 
 
 class _EscapeAnalysis:
@@ -277,7 +263,7 @@ class _EscapeAnalysis:
         self.by_source: dict[Action, list[Action]] = {}
         for x, y in self.conflicts:
             self.by_source.setdefault(x, []).append(y)
-        self._meta: Optional[dict[Action, list[tuple[Action, Action, str]]]] = None
+        self._meta: Optional[dict[Action, list[_MetaHop]]] = None
 
     # -- single steps -------------------------------------------------------
 
@@ -297,19 +283,34 @@ class _EscapeAnalysis:
 
     # -- chain relation: order . (conflict . order)* -------------------------
 
-    def _meta_edges(self) -> dict[Action, list[tuple[Action, Action, str]]]:
+    def _meta_edges(self) -> dict[Action, list[_MetaHop]]:
+        """Out-edges of each conflict source u: an edge to conflict source w
+        for each conflict target v of u that order-steps to w."""
         if self._meta is None:
-            meta: dict[Action, list[tuple[Action, Action, str]]] = {}
+            meta: dict[Action, list[_MetaHop]] = {}
             for u in self.conflict_sources:
                 out = []
                 for v in self.by_source[u]:
                     for w in self.conflict_sources:
                         kind = self.order_step(v, w)
                         if kind is not None:
-                            out.append((w, v, kind))
+                            out.append((u, v, kind, w))
                 meta[u] = out
             self._meta = meta
         return self._meta
+
+    def _order_steps_to(self, x: Action) -> list[Action]:
+        """Conflict sources that x order-steps to."""
+        return [u for u in self.conflict_sources if self.order_step(x, u) is not None]
+
+    def _last_step(self, u: Action, y: Action) -> Optional[tuple[Action, str]]:
+        """The first conflict target v of u that order-steps to y, with the
+        kind of that step."""
+        for v in self.by_source.get(u, ()):
+            kind = self.order_step(v, y)
+            if kind is not None:
+                return v, kind
+        return None
 
     def chain(self, x: Action, y: Action) -> Optional[tuple[ChainLink, ...]]:
         """A shortest conflict/order chain realizing the step relation from
@@ -318,35 +319,23 @@ class _EscapeAnalysis:
         if kind is not None:
             return (ChainLink(kind, x, y),)
         meta = self._meta_edges()
-        starts = [u for u in self.conflict_sources if self.order_step(x, u) is not None]
-        if not starts:
+        found = graphs.bfs_path(
+            self._order_steps_to(x),
+            lambda u: ((hop[3], hop) for hop in meta[u]),
+            lambda u: self._last_step(u, y) is not None,
+        )
+        if found is None:
             return None
-        parents: dict[Action, Optional[tuple[Action, Action, str]]] = {u: None for u in starts}
-        queue = deque(starts)
-        order = list(starts)
-        while queue:
-            u = queue.popleft()
-            for w, via, kind2 in meta[u]:
-                if w not in parents:
-                    parents[w] = (u, via, kind2)
-                    queue.append(w)
-                    order.append(w)
-        for u in order:
-            for v in self.by_source.get(u, ()):
-                kind2 = self.order_step(v, y)
-                if kind2 is not None:
-                    links: list[ChainLink] = [ChainLink(CONFLICT, u, v), ChainLink(kind2, v, y)]
-                    node = u
-                    while parents[node] is not None:
-                        prev, via, k = parents[node]  # type: ignore[misc]
-                        links.insert(0, ChainLink(k, via, node))
-                        links.insert(0, ChainLink(CONFLICT, prev, via))
-                        node = prev
-                    first_kind = self.order_step(x, node)
-                    assert first_kind is not None
-                    links.insert(0, ChainLink(first_kind, x, node))
-                    return tuple(links)
-        return None
+        goal, hops = found
+        root = hops[0][0] if hops else goal
+        first_kind = self.order_step(x, root)
+        assert first_kind is not None
+        links = [ChainLink(first_kind, x, root)]
+        for u, via, kind, w in hops:
+            links += [ChainLink(CONFLICT, u, via), ChainLink(kind, via, w)]
+        v, last_kind = self._last_step(goal, y)  # type: ignore[misc]
+        links += [ChainLink(CONFLICT, goal, v), ChainLink(last_kind, v, y)]
+        return tuple(links)
 
 
 def escape_relation(
@@ -363,18 +352,16 @@ def escape_relation(
     if t is None:
         t = substitute_blocks(f)
     eng = _EscapeAnalysis(t, f, i)
-    targets = sorted({y for _, y in eng.conflicts}, key=Action.sort_key)
-    pairs: set[tuple[Action, Action]] = set()
-    for z in eng.conflict_sources:
-        for a in eng.by_source[z]:
-            for zp in targets:
-                if (z, zp) in pairs:
-                    continue
-                for b in {b for b, ys in eng.by_source.items() if zp in ys}:
-                    if eng.chain(a, b) is not None:
-                        pairs.add((z, zp))
-                        break
-    return EscapeRelation(frozenset(pairs))
+    # a chain from a reaches conflict source b exactly when b is reachable
+    # in the meta graph from the conflict sources a order-steps to
+    adj = {u: [hop[3] for hop in hops] for u, hops in eng._meta_edges().items()}
+    escapes: dict[Action, set[Action]] = {}
+    for a in {y for _, y in eng.conflicts}:
+        reached = graphs.reachable(adj, eng._order_steps_to(a))
+        escapes[a] = {zp for b in reached for zp in eng.by_source[b]}
+    return EscapeRelation(
+        frozenset((z, zp) for z, a in eng.conflicts for zp in escapes[a])
+    )
 
 
 @dataclass(frozen=True)
@@ -417,16 +404,16 @@ def _block_sccs(body: ThreadTemplate) -> _BlockSccs:
     return _BlockSccs(edges, scc_of, members, nontrivial, scc_adj)
 
 
-def _erase_sync(t: ThreadTemplate) -> tuple[ThreadTemplate, bool]:
-    """Replace synchronization edges with fresh, pairwise-distinct plain
-    actions (which then commute with nothing).  Returns (template, changed)."""
-    if not t.has_sync_actions:
-        return t, False
+def _erase_sync(t: ThreadTemplate, kinds: frozenset[ActionKind]) -> ThreadTemplate:
+    """Replace edges whose action is of one of `kinds` with fresh,
+    pairwise-distinct plain actions (which then commute with nothing)."""
+    if not any(a.kind in kinds for a in t.alphabet):
+        return t
     taken = {a.name for a in t.alphabet}
     edges = []
     counter = 0
     for e in t.edges:
-        if e.action.is_sync:
+        if e.action.kind in kinds:
             counter += 1
             name = f"{e.action.name}#{counter}"
             while name in taken:
@@ -435,7 +422,7 @@ def _erase_sync(t: ThreadTemplate) -> tuple[ThreadTemplate, bool]:
             edges.append((e.src, plain(name), e.dst))
         else:
             edges.append(e)
-    return ThreadTemplate.make(edges, t.init, t.exit, extra_locations=t.locations), True
+    return ThreadTemplate.make(edges, t.init, t.exit, extra_locations=t.locations)
 
 
 def _body_trace_through(
@@ -447,38 +434,15 @@ def _body_trace_through(
     the shared component is unrolled once.
     """
 
-    def shortest(src: str, dst: str, min_len: int = 0) -> list[Action]:
-        # BFS over (location, steps-so-far capped) to honor a minimum length
-        start = (src, 0)
-        parents: dict[tuple[str, int], tuple[tuple[str, int], Action]] = {start: None}  # type: ignore[dict-item]
-        queue = deque([start])
-        cap = min_len
-        while queue:
-            loc, k = queue.popleft()
-            if loc == dst and k >= min_len:
-                word: list[Action] = []
-                key = (loc, k)
-                while parents[key] is not None:
-                    prev, a = parents[key]  # type: ignore[misc]
-                    word.append(a)
-                    key = prev
-                return list(reversed(word))
-            for e in body.successors.get(loc, ()):
-                nxt = (e.dst, min(k + 1, cap))
-                if nxt not in parents:
-                    parents[nxt] = ((loc, k), e.action)
-                    queue.append(nxt)
-        raise InconsistentInputs("disconnected block body")
-
-    prefix = shortest(body.init, e1.src)
-    mid = shortest(e1.dst, e2.src, min_len=1 if (force_cycle and e1 == e2) else 0)
+    prefix = _path_words(body, body.init, e1.src)
+    mid = _path_words(body, e1.dst, e2.src, min_len=1 if (force_cycle and e1 == e2) else 0)
     if e1 == e2 and not mid:
         raise InconsistentInputs("cannot unroll a trivial component")
-    suffix = shortest(e2.dst, body.exit)
-    word = prefix + [e1.action] + mid + [e2.action] + suffix
+    suffix = _path_words(body, e2.dst, body.exit)
+    word = prefix + (e1.action,) + mid + (e2.action,) + suffix
     i = len(prefix) + 1
     j = len(prefix) + 1 + len(mid) + 1
-    return tuple(word), i, j
+    return word, i, j
 
 
 def check_atomic_fusion(
@@ -508,8 +472,7 @@ def check_atomic_fusion(
 
     work = base
     if work.has_sync_actions:
-        outer_erased, _ = _erase_sync(f.outer)
-        f = AtomicFusion(outer_erased, f.blocks)
+        f = AtomicFusion(_erase_sync(f.outer, _SYNC_KINDS), f.blocks)
         work = substitute_blocks(f)
         flags = (FLAG_LOCK_ABSTRACTION,)
 
@@ -594,161 +557,28 @@ def _sync_weight(a: Action) -> int:
     return 1 if a.kind is ActionKind.SYNC_POINT else 0
 
 
-def _min_sync_dists(g: ThreadTemplate) -> dict[str, int]:
+class _SyncCounts(NamedTuple):
+    """Fewest and greatest rendezvous counts from init to each reachable
+    location (greatest is inf when a rendezvous loop can pump the count).
+
+    `least_parent` maps a location to the (location, action) step that ends
+    a fewest-rendezvous path to it; `greatest_parent` maps it to the edge
+    that enters its strongly connected component on a greatest-count path.
+    """
+
+    least: dict[str, int]
+    least_parent: dict[str, tuple[str, Action]]
+    greatest: dict[str, float]
+    greatest_parent: dict[str, Edge]
+
+
+def _sync_counts(g: ThreadTemplate) -> _SyncCounts:
     succ = g.successors
-
-    def neighbors(loc: str):
-        return [(e.dst, _sync_weight(e.action)) for e in succ.get(loc, ())]
-
-    return graphs.zero_one_shortest(g.init, neighbors)
-
-
-def _max_sync_values(g: ThreadTemplate) -> dict[str, float]:
-    """Greatest number of rendezvous steps on any init-to-location path
-    (inf when a rendezvous loop can pump the count)."""
-    fwd = g.reachable_from([g.init])
-    adj: dict[str, set[str]] = {loc: set() for loc in fwd}
-    for e in g.edges:
-        if e.src in fwd and e.dst in fwd:
-            adj[e.src].add(e.dst)
-    comps = graphs.tarjan_scc(sorted(fwd), adj)
-    scc_of: dict[str, int] = {}
-    for idx, comp in enumerate(comps):
-        for loc in comp:
-            scc_of[loc] = idx
-    pumping = [False] * len(comps)
-    cross: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(comps))}
-    for e in g.edges:
-        if e.src not in fwd or e.dst not in fwd:
-            continue
-        s, d = scc_of[e.src], scc_of[e.dst]
-        if s == d:
-            if _sync_weight(e.action):
-                pumping[s] = True
-        else:
-            cross[s].append((d, _sync_weight(e.action)))
-    value: dict[int, float] = {scc_of[g.init]: 0.0}
-    for idx in reversed(range(len(comps))):  # Tarjan emits reverse topological order
-        if idx not in value:
-            continue
-        if pumping[idx]:
-            value[idx] = math.inf
-        base = value[idx]
-        for dst, w in cross[idx]:
-            cand = base + w
-            if dst not in value or value[dst] < cand:
-                value[dst] = cand
-    return {loc: value[scc_of[loc]] for loc in fwd if scc_of[loc] in value}
-
-
-def min_barrier_count(g: ThreadTemplate, a: Action) -> int:
-    """Fewest rendezvous steps that can precede an occurrence of `a`."""
-    dists = _min_sync_dists(g)
-    bwd = g.co_reachable_to([g.exit])
-    best: Optional[int] = None
-    for e in g.edges_labeled(a):
-        if e.src in dists and e.dst in bwd:
-            d = dists[e.src]
-            best = d if best is None else min(best, d)
-    if best is None:
-        raise ActionUnreachable(f"{a} lies on no init-to-exit path")
-    return best
-
-
-def max_barrier_count(g: ThreadTemplate, a: Action) -> float:
-    """Greatest (possibly infinite) rendezvous count before an occurrence of `a`."""
-    values = _max_sync_values(g)
-    bwd = g.co_reachable_to([g.exit])
-    best: Optional[float] = None
-    for e in g.edges_labeled(a):
-        if e.src in values and e.dst in bwd:
-            v = values[e.src]
-            best = v if best is None else max(best, v)
-    if best is None:
-        raise ActionUnreachable(f"{a} lies on no init-to-exit path")
-    return best
-
-
-def phase_bounds(g: ThreadTemplate) -> PhaseBounds:
-    dists = _min_sync_dists(g)
-    values = _max_sync_values(g)
-    bwd = g.co_reachable_to([g.exit])
-    min_count: dict[Action, int] = {}
-    max_count: dict[Action, float] = {}
-    for a in sorted(g.plain_alphabet, key=Action.sort_key):
-        e = g.the_edge(a)
-        if e.src in dists and e.src in values and e.dst in bwd:
-            min_count[a] = dists[e.src]
-            max_count[a] = values[e.src]
-    return PhaseBounds(min_count, max_count)
-
-
-def phase_order(g: ThreadTemplate) -> frozenset[tuple[Action, Action]]:
-    """Pairs (a, b) where some run sees `a` after strictly more rendezvous
-    steps than another run sees `b`."""
-    pb = phase_bounds(g)
-    return frozenset(
-        (a, b)
-        for a in pb.min_count
-        for b in pb.min_count
-        if pb.min_count[a] < pb.max_count[b]
+    least, least_parent = graphs.zero_one_shortest(
+        g.init,
+        lambda loc: [(e.dst, _sync_weight(e.action), e.action) for e in succ.get(loc, ())],
     )
-
-
-def _min_sync_path(g: ThreadTemplate, a: Action) -> PathWitness:
-    succ = g.successors
-    start = g.init
-    dist: dict[str, int] = {start: 0}
-    parent: dict[str, tuple[str, Action]] = {}
-    dq: deque[str] = deque([start])
-    while dq:
-        loc = dq.popleft()
-        for e in succ.get(loc, ()):
-            nd = dist[loc] + _sync_weight(e.action)
-            if e.dst not in dist or nd < dist[e.dst]:
-                dist[e.dst] = nd
-                parent[e.dst] = (loc, e.action)
-                if _sync_weight(e.action):
-                    dq.append(e.dst)
-                else:
-                    dq.appendleft(e.dst)
-    target = g.the_edge(a).src
-    word: list[Action] = []
-    loc = target
-    while loc != start:
-        loc, act = parent[loc]
-        word.append(act)
-    prefix = tuple(reversed(word))
-    return PathWitness(prefix, a, sum(_sync_weight(x) for x in prefix))
-
-
-def _path_words(g: ThreadTemplate, src: str, dst: str) -> tuple[Action, ...]:
-    if src == dst:
-        return ()
-    parents: dict[str, tuple[str, Action]] = {}
-    queue = deque([src])
-    seen = {src}
-    while queue:
-        loc = queue.popleft()
-        for e in g.successors.get(loc, ()):
-            if e.dst not in seen:
-                seen.add(e.dst)
-                parents[e.dst] = (loc, e.action)
-                if e.dst == dst:
-                    word: list[Action] = []
-                    cur = dst
-                    while cur != src:
-                        cur, act = parents[cur]
-                        word.append(act)
-                    return tuple(reversed(word))
-                queue.append(e.dst)
-    raise InconsistentInputs(f"no path {src} -> {dst}")
-
-
-def _max_sync_path(g: ThreadTemplate, b: Action, needed: int) -> PathWitness:
-    """A path to `b` with the greatest rendezvous count; when that count is
-    unbounded, a loop is pumped just past `needed`."""
-    target = g.the_edge(b).src
+    # greatest counts: longest paths over the condensation of the reachable part
     fwd = g.reachable_from([g.init])
     adj: dict[str, set[str]] = {loc: set() for loc in fwd}
     for e in g.edges:
@@ -772,12 +602,10 @@ def _max_sync_path(g: ThreadTemplate, b: Action, needed: int) -> PathWitness:
             cross[s].append((d, _sync_weight(e.action), e))
     value: dict[int, float] = {scc_of[g.init]: 0.0}
     parent: dict[int, Edge] = {}
-    infinite: set[int] = set()
-    for idx in reversed(range(len(comps))):  # topological order of the condensation
+    for idx in reversed(range(len(comps))):  # Tarjan emits reverse topological order
         if idx not in value:
             continue
         if pumping[idx]:
-            infinite.add(idx)
             value[idx] = math.inf
         base = value[idx]
         for dst, w, e in cross[idx]:
@@ -785,18 +613,97 @@ def _max_sync_path(g: ThreadTemplate, b: Action, needed: int) -> PathWitness:
             if dst not in value or value[dst] < cand:
                 value[dst] = cand
                 parent[dst] = e
-                if base is math.inf:
-                    infinite.add(dst)
+    greatest = {loc: value[scc_of[loc]] for loc in fwd if scc_of[loc] in value}
+    greatest_parent = {loc: parent[scc_of[loc]] for loc in fwd if scc_of[loc] in parent}
+    return _SyncCounts(least, least_parent, greatest, greatest_parent)
 
-    if value[scc_of[target]] is not math.inf:
+
+def _phase_bounds(g: ThreadTemplate, counts: _SyncCounts) -> PhaseBounds:
+    bwd = g.co_reachable_to([g.exit])
+    min_count: dict[Action, int] = {}
+    max_count: dict[Action, float] = {}
+    for a in sorted(g.plain_alphabet, key=Action.sort_key):
+        e = g.the_edge(a)
+        if e.src in counts.least and e.dst in bwd:
+            min_count[a] = counts.least[e.src]
+            max_count[a] = counts.greatest[e.src]
+    return PhaseBounds(min_count, max_count)
+
+
+def phase_bounds(g: ThreadTemplate) -> PhaseBounds:
+    return _phase_bounds(g, _sync_counts(g))
+
+
+def _count_of(counts: Mapping[Action, float], a: Action) -> float:
+    if a not in counts:
+        raise ActionUnreachable(f"{a} lies on no init-to-exit path")
+    return counts[a]
+
+
+def min_barrier_count(g: ThreadTemplate, a: Action) -> int:
+    """Fewest rendezvous steps that can precede the plain or block action `a`."""
+    return int(_count_of(phase_bounds(g).min_count, a))
+
+
+def max_barrier_count(g: ThreadTemplate, a: Action) -> float:
+    """Greatest (possibly infinite) rendezvous count before the plain or
+    block action `a`."""
+    return _count_of(phase_bounds(g).max_count, a)
+
+
+def phase_order(g: ThreadTemplate) -> frozenset[tuple[Action, Action]]:
+    """Pairs (a, b) where some run sees `a` after strictly more rendezvous
+    steps than another run sees `b`."""
+    pb = phase_bounds(g)
+    return frozenset(
+        (a, b)
+        for a in pb.min_count
+        for b in pb.min_count
+        if pb.min_count[a] < pb.max_count[b]
+    )
+
+
+def _min_sync_path(g: ThreadTemplate, a: Action, counts: _SyncCounts) -> PathWitness:
+    word: list[Action] = []
+    loc = g.the_edge(a).src
+    while loc != g.init:
+        loc, act = counts.least_parent[loc]
+        word.append(act)
+    prefix = tuple(reversed(word))
+    return PathWitness(prefix, a, sum(_sync_weight(x) for x in prefix))
+
+
+def _path_words(g: ThreadTemplate, src: str, dst: str, min_len: int = 0) -> tuple[Action, ...]:
+    """Labels of a shortest path from src to dst with at least `min_len` steps."""
+    if src == dst and not min_len:
+        return ()
+    # search over (location, steps so far, capped at min_len)
+    found = graphs.bfs_path(
+        [(src, 0)],
+        lambda node: [
+            ((e.dst, min(node[1] + 1, min_len)), e.action)
+            for e in g.successors.get(node[0], ())
+        ],
+        lambda node: node[0] == dst and node[1] >= min_len,
+    )
+    if found is None:
+        raise InconsistentInputs(f"no path {src} -> {dst}")
+    return tuple(found[1])
+
+
+def _max_sync_path(g: ThreadTemplate, b: Action, needed: int, counts: _SyncCounts) -> PathWitness:
+    """A path to `b` with the greatest rendezvous count; when that count is
+    unbounded, a loop is pumped just past `needed`."""
+    target = g.the_edge(b).src
+    if counts.greatest[target] is not math.inf:
         # walk the condensation parents back; connect inside components by
         # plain BFS (finite components never contain a rendezvous edge)
         hops: list[Edge] = []
-        cur = scc_of[target]
-        while cur != scc_of[g.init]:
-            e = parent[cur]
+        cur = target
+        while cur in counts.greatest_parent:
+            e = counts.greatest_parent[cur]
             hops.append(e)
-            cur = scc_of[e.src]
+            cur = e.src
         hops.reverse()
         word: list[Action] = []
         loc = g.init
@@ -839,47 +746,28 @@ def check_sync_instrumentation(inst: SyncPointInstrumentation, i: CommutativityR
     """
     flags: tuple[str, ...] = ()
     g = inst.instrumented
-    has_locks = any(a.kind in (ActionKind.ACQUIRE, ActionKind.RELEASE) for a in g.alphabet)
-    if has_locks:
-        g, _ = _erase_sync_keep_rendezvous(g)
+    if any(a.kind in _LOCK_KINDS for a in g.alphabet):
+        g = _erase_sync(g, _LOCK_KINDS)
         flags = (FLAG_SYNC_NOT_APPLICABLE,)
-    pb = phase_bounds(g)
+    counts = _sync_counts(g)
+    pb = _phase_bounds(g, counts)
     universe = sorted(pb.min_count, key=Action.sort_key)
     for b, a in i.conflicts_over(universe):
         # (b, a) does not commute; unsound if a can be phase-later than b
         if a not in pb.min_count or b not in pb.max_count:
             continue
         if pb.min_count[a] < pb.max_count[b]:
-            path_a = _min_sync_path(g, a)
-            path_b = _max_sync_path(g, b, needed=path_a.sync_count)
+            path_a = _min_sync_path(g, a, counts)
+            path_b = _max_sync_path(g, b, path_a.sync_count, counts)
             witness = SyncWitness(pair=(a, b), path_a=path_a, path_b=path_b)
             return Verdict(UNSOUND, witness=witness, flags=flags)
     return Verdict(SOUND, flags=flags)
 
 
-def _erase_sync_keep_rendezvous(t: ThreadTemplate) -> tuple[ThreadTemplate, bool]:
-    edges = []
-    counter = 0
-    changed = False
-    for e in t.edges:
-        if e.action.kind in (ActionKind.ACQUIRE, ActionKind.RELEASE):
-            counter += 1
-            changed = True
-            edges.append((e.src, plain(f"{e.action.name}#{counter}"), e.dst))
-        else:
-            edges.append(e)
-    if not changed:
-        return t, False
-    return ThreadTemplate.make(edges, t.init, t.exit, extra_locations=t.locations), True
-
-
 def lift_commutativity(i: CommutativityRelation, f: AtomicFusion) -> CommutativityRelation:
     """Lift a relation to block symbols: a block commutes with something
     exactly when every action of its body does."""
-    outer_plain = sorted(
-        (a for a in f.outer.plain_alphabet if a.kind is not ActionKind.BLOCK),
-        key=Action.sort_key,
-    )
+    outer_plain = {a for a in f.outer.plain_alphabet if a.kind is not ActionKind.BLOCK}
     body_of: dict[Action, Action] = {}
     for sym, body in f.blocks:
         for x in body.plain_alphabet:
@@ -889,10 +777,9 @@ def lift_commutativity(i: CommutativityRelation, f: AtomicFusion) -> Commutativi
         if all(b in i.alphabet for b in body.plain_alphabet):
             alphabet.add(sym)
     conflicts: set[tuple[Action, Action]] = set()
-    relevant = set(outer_plain)
     for x, y in i.explicit_conflicts:
-        lx = body_of.get(x, x if x in relevant else None)
-        ly = body_of.get(y, y if y in relevant else None)
+        lx = body_of.get(x, x if x in outer_plain else None)
+        ly = body_of.get(y, y if y in outer_plain else None)
         if lx is None or ly is None:
             continue
         if lx in alphabet and ly in alphabet:
@@ -949,8 +836,7 @@ def verify_fusion_witness(
     if t is None:
         t = substitute_blocks(f)
     if t.has_sync_actions:
-        outer_erased, _ = _erase_sync(f.outer)
-        f = AtomicFusion(outer_erased, f.blocks)
+        f = AtomicFusion(_erase_sync(f.outer, _SYNC_KINDS), f.blocks)
         t = substitute_blocks(f)
     body = f.block_map[w.block]
     if not (1 <= w.i < w.j <= len(w.body_trace)):
@@ -985,23 +871,17 @@ def verify_fusion_witness(
 def verify_sync_witness(inst: SyncPointInstrumentation, i: CommutativityRelation, w: SyncWitness) -> bool:
     """Re-check a phase-order witness via rendezvous counts on real paths."""
     g = inst.instrumented
-    if any(x.kind in (ActionKind.ACQUIRE, ActionKind.RELEASE) for x in g.alphabet):
-        g, _ = _erase_sync_keep_rendezvous(g)
+    g = _erase_sync(g, _LOCK_KINDS)
     a, b = w.pair
     if i.commutes(b, a):
         return False
 
     def walk(pw: PathWitness) -> bool:
-        loc = g.init
+        loc: Optional[str] = g.init
         for act in pw.prefix + (pw.action,):
-            nxt = None
-            for e in g.successors.get(loc, ()):
-                if e.action == act:
-                    nxt = e.dst
-                    break
-            if nxt is None:
+            loc = next((e.dst for e in g.successors.get(loc, ()) if e.action == act), None)
+            if loc is None:
                 return False
-            loc = nxt
         return loc in g.co_reachable_to([g.exit])
 
     if not walk(w.path_a) or not walk(w.path_b):
@@ -1027,11 +907,8 @@ def induced_interleaving(
         t = substitute_blocks(f)
     body = f.block_map[w.block]
     outer_edge = f.outer.the_edge(w.block)
-
-    def embed_prefix_suffix(first_loc: str, last_loc: str) -> tuple[tuple[Action, ...], tuple[Action, ...]]:
-        return _path_words(t, t.init, first_loc), _path_words(t, last_loc, t.exit)
-
-    rho0, sigma0 = embed_prefix_suffix(outer_edge.src, outer_edge.dst)
+    rho0 = _path_words(t, t.init, outer_edge.src)
+    sigma0 = _path_words(t, outer_edge.dst, t.exit)
     thread = 1
     pre = [(x, thread) for x in rho0 + tuple(w.body_trace[: w.i])]
     post = [(x, thread) for x in tuple(w.body_trace[w.i :]) + sigma0]

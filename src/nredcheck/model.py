@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
+from . import graphs
+
 
 SYNC_POINT_NAME = "•"  # the unique rendezvous symbol, rendered as a bullet
 
@@ -226,17 +228,6 @@ class ThreadTemplate:
             self.__dict__["_successors"] = cached
         return cached
 
-    @property
-    def predecessors(self) -> Mapping[str, tuple[Edge, ...]]:
-        cached = self.__dict__.get("_predecessors")
-        if cached is None:
-            adj: dict[str, list[Edge]] = {loc: [] for loc in self.locations}
-            for e in self.edges:
-                adj.setdefault(e.dst, []).append(e)
-            cached = {k: tuple(v) for k, v in adj.items()}
-            self.__dict__["_predecessors"] = cached
-        return cached
-
     def edges_labeled(self, action: Action) -> tuple[Edge, ...]:
         index = self.__dict__.get("_by_action")
         if index is None:
@@ -264,29 +255,23 @@ class ThreadTemplate:
     def has_sync_points(self) -> bool:
         return any(a.kind is ActionKind.SYNC_POINT for a in self.alphabet)
 
+    def _location_graph(self, forward: bool) -> Mapping[str, list[str]]:
+        """Next locations of each location (previous ones when not forward)."""
+        key = "_next_locations" if forward else "_previous_locations"
+        cached = self.__dict__.get(key)
+        if cached is None:
+            cached = {}
+            for e in self.edges:
+                src, dst = (e.src, e.dst) if forward else (e.dst, e.src)
+                cached.setdefault(src, []).append(dst)
+            self.__dict__[key] = cached
+        return cached
+
     def reachable_from(self, starts: Iterable[str]) -> frozenset[str]:
-        seen = set(starts)
-        stack = list(seen)
-        succ = self.successors
-        while stack:
-            loc = stack.pop()
-            for e in succ.get(loc, ()):
-                if e.dst not in seen:
-                    seen.add(e.dst)
-                    stack.append(e.dst)
-        return frozenset(seen)
+        return frozenset(graphs.reachable(self._location_graph(forward=True), starts))
 
     def co_reachable_to(self, targets: Iterable[str]) -> frozenset[str]:
-        seen = set(targets)
-        stack = list(seen)
-        pred = self.predecessors
-        while stack:
-            loc = stack.pop()
-            for e in pred.get(loc, ()):
-                if e.src not in seen:
-                    seen.add(e.src)
-                    stack.append(e.src)
-        return frozenset(seen)
+        return frozenset(graphs.reachable(self._location_graph(forward=False), targets))
 
     def traces(self, max_len: int) -> Iterator[tuple[Action, ...]]:
         """All words labeling init-to-exit paths of length at most max_len.

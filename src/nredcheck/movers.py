@@ -9,11 +9,11 @@ not complete; the complete check lives in `decision`.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
+from . import graphs
 from .model import Action, AtomicFusion, CommutativityRelation
 
 CERTIFIED_SOUND = "certified-sound"
@@ -81,46 +81,35 @@ def lipton_check(f: AtomicFusion, i: CommutativityRelation) -> LiptonResult:
     universe = sorted(set(i.alphabet) | program, key=Action.sort_key)
     dead = tuple(a for a in universe if a in i.alphabet and a not in program)
 
-    def is_right(a: Action) -> bool:
-        return all(i.commutes(a, b) for b in universe)
-
-    def is_left(a: Action) -> bool:
-        return all(i.commutes(b, a) for b in universe)
-
+    mover = {
+        a: _mover_of(a, i, universe) for _, body in f.blocks for a in body.alphabet
+    }
     P, PQ, Q, DEAD = 0, 1, 2, 3
 
     def step(state: int, a: Action) -> int:
         if state in (P, PQ):
-            return PQ if is_right(a) else Q
+            return PQ if mover[a].is_right else Q
         if state == Q:
-            return Q if is_left(a) else DEAD
+            return Q if mover[a].is_left else DEAD
         return DEAD
 
     for sym, body in f.blocks:
         assert body.init != body.exit  # block traces are never empty
-        start = (body.init, P)
-        parents: dict[tuple[str, int], tuple] = {start: ()}
-        queue = deque([start])
-        while queue:
-            loc, st = queue.popleft()
-            if loc == body.exit and st in (P, DEAD):
-                word: list[Action] = []
-                key = (loc, st)
-                while parents[key]:
-                    prev, a = parents[key]
-                    word.append(a)
-                    key = prev
-                return LiptonResult(
-                    UNKNOWN,
-                    failing_block=sym,
-                    failing_trace=tuple(reversed(word)),
-                    dead_actions=dead,
-                )
-            for e in body.successors.get(loc, ()):
-                nxt = (e.dst, step(st, e.action))
-                if nxt not in parents:
-                    parents[nxt] = ((loc, st), e.action)
-                    queue.append(nxt)
+        found = graphs.bfs_path(
+            [(body.init, P)],
+            lambda node: [
+                ((e.dst, step(node[1], e.action)), e.action)
+                for e in body.successors.get(node[0], ())
+            ],
+            lambda node: node[0] == body.exit and node[1] in (P, DEAD),
+        )
+        if found is not None:
+            return LiptonResult(
+                UNKNOWN,
+                failing_block=sym,
+                failing_trace=tuple(found[1]),
+                dead_actions=dead,
+            )
     return LiptonResult(CERTIFIED_SOUND, dead_actions=dead)
 
 

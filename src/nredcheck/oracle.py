@@ -334,7 +334,6 @@ def is_mazurkiewicz_reduction(
     l1: Iterable[IndexedTrace],
     l2: Iterable[IndexedTrace],
     i: CommutativityRelation,
-    bounds: Optional[Bounds] = None,
 ) -> MazResult:
     """Whether every trace of `l2` is covered by some member of `l1 <= l2`.
 
@@ -597,7 +596,7 @@ def oracle_check_atomic(
         )
     except DepthExceeded as exc:
         return Verdict(INCONCLUSIVE, bounds=bounds, notes=(str(exc),))
-    return _bounded_verdict(is_mazurkiewicz_reduction(l1, l2, i, bounds), bounds)
+    return _bounded_verdict(is_mazurkiewicz_reduction(l1, l2, i), bounds)
 
 
 def oracle_check_sync(
@@ -620,7 +619,7 @@ def oracle_check_sync(
         )
     except DepthExceeded as exc:
         return Verdict(INCONCLUSIVE, bounds=bounds, notes=(str(exc),))
-    return _bounded_verdict(is_mazurkiewicz_reduction(l1, l2, i, bounds), bounds)
+    return _bounded_verdict(is_mazurkiewicz_reduction(l1, l2, i), bounds)
 
 
 def oracle_check_natural(
@@ -663,7 +662,7 @@ def oracle_check_natural(
             l1 = frozenset(project_plain(tr) for tr in l1_raw)
     except DepthExceeded as exc:
         return Verdict(INCONCLUSIVE, bounds=bounds, notes=(str(exc),))
-    return _bounded_verdict(is_mazurkiewicz_reduction(l1, l2, i, bounds), bounds)
+    return _bounded_verdict(is_mazurkiewicz_reduction(l1, l2, i), bounds)
 
 
 # -- coverability -------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.  Every tolerance is pinned here; the random corpora use
-fixed seeds.
+fixed seeds.  Criteria 3 and 6 take minutes and are marked `slow`;
+`pytest -m "not slow"` leaves them out of a quick loop.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import math
 import random
 import time
 from pathlib import Path
+
+import pytest
 
 from nredcheck.cli import main
 from nredcheck.decision import (
@@ -131,6 +134,7 @@ def test_criterion_2_fig2b_goldens():
 # -- criterion 3: algorithm vs oracle on a random corpus ------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_3_algorithm_vs_oracle_corpus():
     t0 = time.perf_counter()
     rng = random.Random(2026)
@@ -261,6 +265,7 @@ def test_criterion_5_sat_gadget_contract():
 # -- criterion 6: fusion and rendezvous gadget contracts ------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_6_gadget_contracts_desk_scale():
     t0 = time.perf_counter()
     rng = random.Random(606)

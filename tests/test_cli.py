@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from nredcheck.cli import main
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -139,6 +141,23 @@ def test_unsound_witnesses_revalidate(capsys):
     )
     found, _ = _cover_search(v3.witness, l1, parsed.relation, None, 100_000)
     assert found is False
+
+
+@pytest.mark.parametrize(
+    "mode,case,verifier",
+    [
+        ("atomic", "fig2a_iprime", "verify_fusion_witness"),
+        ("sync", "fig2b_iprime", "verify_sync_witness"),
+        ("natural", "fig2a_iprime", "verify_fusion_witness"),
+        ("natural", "fig2b_iprime", "verify_sync_witness"),
+    ],
+)
+def test_failed_witness_revalidation_exits_4(capsys, monkeypatch, mode, case, verifier):
+    monkeypatch.setattr(f"nredcheck.cli.{verifier}", lambda *args: False)
+    code, out, err = run(capsys, "check", "--mode", mode, str(CASES / f"{case}.nred"))
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: witness failed re-validation\n"
 
 
 def test_gen_3sat_pipe_matches_brute_force(capsys, tmp_path):

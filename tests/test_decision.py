@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 
@@ -168,6 +169,28 @@ def test_escape_relation_antitone_in_relation():
         small_set = escape_relation(original, fusion, bigger).pairs
         big_set = escape_relation(original, fusion, rel).pairs
         assert small_set <= big_set
+
+
+def test_escape_relation_scales_on_a_long_chain():
+    # 200 actions on one spine, two of them fused into a block, and 200
+    # seeded conflicts: one reachability pass per conflict target, not one
+    # chain search per (source, target) tuple
+    n = 200
+    xs = [plain(f"x{k}") for k in range(n)]
+    m = n // 2
+    body = ThreadTemplate.make([("u0", xs[m], "u1"), ("u1", xs[m + 1], "u2")], "u0", "u2")
+    outer = [(f"s{k}", xs[k], f"s{k + 1}") for k in range(n) if k not in (m, m + 1)]
+    outer.append((f"s{m}", B, f"s{m + 2}"))
+    fusion = AtomicFusion.make(ThreadTemplate.make(outer, "s0", f"s{n}"), {B: body})
+    rng = random.Random(2026)
+    conflicts: set = set()
+    while len(conflicts) < n:
+        conflicts.add(tuple(rng.sample(xs, 2)))
+    rel = CommutativityRelation(xs, conflicts=conflicts)
+    t0 = time.perf_counter()
+    escape_relation(None, fusion, rel)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10.0, f"escape_relation took {elapsed:.1f}s on {n} actions and {n} conflicts"
 
 
 # -- atomic fusion check ---------------------------------------------------------
