@@ -584,7 +584,9 @@ def _sync_counts(g: ThreadTemplate) -> _SyncCounts:
     for e in g.edges:
         if e.src in fwd and e.dst in fwd:
             adj[e.src].add(e.dst)
-    comps = graphs.tarjan_scc(sorted(fwd), adj)
+    # sorted successor lists keep the component order, and with it the
+    # choice between equally long greatest-count paths, off set order
+    comps = graphs.tarjan_scc(sorted(fwd), {loc: sorted(nxt) for loc, nxt in adj.items()})
     scc_of: dict[str, int] = {}
     for idx, comp in enumerate(comps):
         for loc in comp:
@@ -695,7 +697,7 @@ def _max_sync_path(g: ThreadTemplate, b: Action, needed: int, counts: _SyncCount
     """A path to `b` with the greatest rendezvous count; when that count is
     unbounded, a loop is pumped just past `needed`."""
     target = g.the_edge(b).src
-    if counts.greatest[target] is not math.inf:
+    if not math.isinf(counts.greatest[target]):
         # walk the condensation parents back; connect inside components by
         # plain BFS (finite components never contain a rendezvous edge)
         hops: list[Edge] = []

@@ -8,11 +8,16 @@ and/or by inserting global rendezvous points, and everything here is the
 structural layer: representation plus validation.
 
 All values are immutable after construction and safe to share across threads.
+Because they never change, derived views (alphabets, successor maps, the
+substituted template of a fusion) and validation reports are computed on
+first use and cached on the object they describe, so a structure handed
+from the parser to the checks is validated once.  An `Action` computes its
+hash, `is_sync` and `sort_key()` when it is made.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -30,7 +35,7 @@ class ActionKind(Enum):
     BLOCK = "block"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     """An abstract program action, identified by name.
 
@@ -41,6 +46,10 @@ class Action:
     name: str
     kind: ActionKind = ActionKind.PLAIN
     lock: Optional[str] = None
+    # derived from the three fields above when the action is made
+    _hash: int = field(init=False, repr=False, compare=False)
+    is_sync: bool = field(init=False, repr=False, compare=False)
+    _sort_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -52,14 +61,23 @@ class Action:
             raise ValueError(f"{self.kind.value} action must not carry a lock")
         if self.kind is ActionKind.SYNC_POINT and self.name != SYNC_POINT_NAME:
             raise ValueError("the rendezvous symbol is unique")
+        # actions are hashed and sorted in every inner loop, so the derived
+        # values are computed once; the hash is the generated dataclass's value
+        put = object.__setattr__
+        put(self, "_hash", hash((self.name, self.kind, self.lock)))
+        # True for synchronization actions (lock ops and the rendezvous)
+        put(self, "is_sync", self.kind in (ActionKind.ACQUIRE, ActionKind.RELEASE, ActionKind.SYNC_POINT))
+        put(self, "_sort_key", (self.kind.value, self.name, self.lock or ""))
 
-    @property
-    def is_sync(self) -> bool:
-        """True for synchronization actions (lock ops and the rendezvous)."""
-        return self.kind in (ActionKind.ACQUIRE, ActionKind.RELEASE, ActionKind.SYNC_POINT)
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # rebuild from the fields: the cached hash is only valid in this process
+        return Action, (self.name, self.kind, self.lock)
 
     def sort_key(self) -> tuple:
-        return (self.kind.value, self.name, self.lock or "")
+        return self._sort_key
 
     def __lt__(self, other: "Action") -> bool:
         if not isinstance(other, Action):
@@ -307,8 +325,17 @@ class ThreadTemplate:
 def validate_template(t: ThreadTemplate) -> ValidationReport:
     """Check every structural template invariant; violations are report entries.
 
-    An empty report means all downstream operations are defined on `t`.
+    An empty report means all downstream operations are defined on `t`.  The
+    report is cached on `t`.
     """
+    report = t.__dict__.get("_validation")
+    if report is None:
+        report = _validate_template(t)
+        t.__dict__["_validation"] = report
+    return report
+
+
+def _validate_template(t: ThreadTemplate) -> ValidationReport:
     rb = _ReportBuilder()
     if t.init == t.exit:
         rb.add("init-equals-exit", "init equals exit", (t.init,))
@@ -546,8 +573,17 @@ def substitute_blocks(fusion: AtomicFusion) -> ThreadTemplate:
     """Expand every block-symbol edge of the outer template with its body.
 
     Body locations are renamed `<blocksym>::<location>`; the body's init and
-    exit are identified with the fused edge's endpoints.
+    exit are identified with the fused edge's endpoints.  The result is
+    cached on `fusion`, so every caller gets the same template object.
     """
+    derived = fusion.__dict__.get("_substituted")
+    if derived is None:
+        derived = _substitute_blocks(fusion)
+        fusion.__dict__["_substituted"] = derived
+    return derived
+
+
+def _substitute_blocks(fusion: AtomicFusion) -> ThreadTemplate:
     edges: list[tuple[str, Action, str]] = []
     outer = fusion.outer
     block_syms = set(fusion.block_symbols)
@@ -721,6 +757,14 @@ class NaturalReductionSpec:
     instrumentation: Optional[SyncPointInstrumentation] = None
 
     def validate(self) -> ValidationReport:
+        """All fusion and instrumentation invariants; cached on the spec."""
+        report = self.__dict__.get("_validation")
+        if report is None:
+            report = self._validate()
+            self.__dict__["_validation"] = report
+        return report
+
+    def _validate(self) -> ValidationReport:
         rb = _ReportBuilder()
         if self.fusion is not None:
             for v in validate_fusion(self.fusion).entries:

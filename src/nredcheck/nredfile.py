@@ -28,6 +28,9 @@ block body for its symbol's edge.  The JSON mirror carries the same fields:
     action, dst], ...], "lock_edges": [[src, "acq"|"rel", lock, dst], ...],
     "locations": [...]}, "conflicts": [[a, b], ...] | "commutes": [...],
     "blocks": {name: {template fields}}, "syncpoints": [...], "cover": [...]}
+
+Every name in the JSON mirror is a string; a field of the wrong shape is a
+ParseError.
 """
 
 from __future__ import annotations
@@ -236,45 +239,61 @@ def _from_json(text: str) -> ParsedInput:
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
 
-    def raw_template(obj: dict, where: str) -> _RawTemplate:
+    def names(obj: dict, key: str, where: str, size: Optional[int] = None) -> list:
+        """`obj[key]` as a list of names (or of `size`-lists of names)."""
+        items = obj.get(key, [])
+        if not isinstance(items, list):
+            raise ParseError(f"{where}: '{key}' must be a list")
+        for item in items:
+            parts = [item] if size is None else item
+            shaped = size is None or (isinstance(item, list) and len(item) == size)
+            if not (shaped and all(isinstance(x, str) for x in parts)):
+                raise ParseError(f"{where}: bad {key} entry {item!r}")
+        return items
+
+    def raw_template(obj: object, where: str) -> _RawTemplate:
+        if not isinstance(obj, dict):
+            raise ParseError(f"{where} must be an object")
         raw = _RawTemplate()
+        for key in ("init", "exit"):
+            if not isinstance(obj.get(key, ""), str):
+                raise ParseError(f"{where}: '{key}' must be a location name")
         raw.init = obj.get("init")
         raw.exit = obj.get("exit")
-        raw.locations = list(obj.get("locations", ()))
-        for e in obj.get("edges", ()):
-            if len(e) != 3:
-                raise ParseError(f"{where}: bad edge {e!r}")
-            raw.edges.append((str(e[0]), str(e[1]), str(e[2])))
-        for e in obj.get("lock_edges", ()):
-            if len(e) != 4 or e[1] not in ("acq", "rel"):
+        raw.locations = names(obj, "locations", where)
+        raw.edges = [tuple(e) for e in names(obj, "edges", where, 3)]
+        for e in names(obj, "lock_edges", where, 4):
+            if e[1] not in ("acq", "rel"):
                 raise ParseError(f"{where}: bad lock edge {e!r}")
-            raw.lock_edges.append((str(e[0]), str(e[1]), str(e[2]), str(e[3])))
+            raw.lock_edges.append(tuple(e))
         return raw
 
-    if "template" not in data:
+    if not isinstance(data, dict) or "template" not in data:
         raise ParseError("JSON input needs a 'template' object")
     top = raw_template(data["template"], "template")
-    blocks = {
-        str(name): raw_template(obj, f"block {name}")
-        for name, obj in sorted(data.get("blocks", {}).items())
+    blocks = data.get("blocks", {})
+    if not isinstance(blocks, dict):
+        raise ParseError("'blocks' must be an object mapping names to templates")
+    raw_blocks = {
+        name: raw_template(obj, f"block {name}") for name, obj in sorted(blocks.items())
     }
     conflicts = None
     commutes = None
     if "conflicts" in data and "commutes" in data:
         raise ParseError("give only one of 'conflicts' and 'commutes'")
     if "conflicts" in data:
-        conflicts = [(str(a), str(b)) for a, b in data["conflicts"]]
+        conflicts = [tuple(p) for p in names(data, "conflicts", "JSON input", 2)]
     if "commutes" in data:
-        commutes = [(str(a), str(b)) for a, b in data["commutes"]]
+        commutes = [tuple(p) for p in names(data, "commutes", "JSON input", 2)]
     return _assemble(
         text,
-        [str(a) for a in data.get("actions", ())],
+        names(data, "actions", "JSON input"),
         top,
-        blocks,
+        raw_blocks,
         conflicts,
         commutes,
-        [str(s) for s in data.get("syncpoints", ())],
-        [str(s) for s in data.get("cover", ())],
+        names(data, "syncpoints", "JSON input"),
+        names(data, "cover", "JSON input"),
     )
 
 
@@ -302,9 +321,9 @@ def _assemble(
     report.raise_if_invalid()
     fusion = AtomicFusion.make(fused, bodies) if bodies else None
     if fusion is not None:
+        # a valid fusion has a valid substituted template
         validate_fusion(fusion).raise_if_invalid()
         original = substitute_blocks(fusion)
-        validate_template(original).raise_if_invalid()
     else:
         original = fused
 
@@ -345,8 +364,9 @@ def _assemble(
 
     spec = NaturalReductionSpec(fusion=fusion, instrumentation=instrumentation)
     spec.validate().raise_if_invalid()
+    # `original` is valid (see above) and its kind is inferred from its own
+    # edges, so the program is valid too
     program = ParameterizedProgram(original, infer_sync_kind(original))
-    program.validate().raise_if_invalid()
     return ParsedInput(
         program=program,
         relation=relation,

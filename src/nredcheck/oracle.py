@@ -462,13 +462,15 @@ def _shuffle(
     positions = [0] * k
     holder: dict[str, int] = {}
     acc: list[tuple[Action, int]] = []
+    # without synchronization steps a finished trace is its own projection
+    project = not keep_sync and any(a.is_sync for w in assignment for a in w)
 
     def rec(barrier: Optional[frozenset]) -> None:
         budget.spend()
         if len(acc) == total:
             done = tuple(acc)
             if barrier is None or _BarrierMachine.accepting(barrier):
-                out.add(done if keep_sync else project_plain(done))
+                out.add(project_plain(done) if project else done)
             return
         for idx in range(k):
             pos = positions[idx]

@@ -261,3 +261,78 @@ def test_input_error_paths(capsys, tmp_path):
     bad.write_text("edge l0\n", encoding="utf-8")
     code, _, err = run(capsys, "check", str(bad))
     assert code == 3 and "line 1" in err
+
+
+PUMPING_LOOP = (
+    "actions a b c d\ninit l0\nexit l3\nedge l0 c l1\nedge l1 d l0\n"
+    "edge l1 a l2\nedge l2 b l3\nconflicts { (b,a) }\nsyncpoint at l1\n"
+)
+
+
+def test_witness_past_a_pumping_loop_revalidates(capsys, tmp_path):
+    # b's location lies past the rendezvous loop l0 -c-> l1 -•-> l1^ -d-> l0,
+    # so its greatest count is infinite and its path must pump that loop
+    from nredcheck.decision import check_sync_instrumentation, verify_sync_witness
+    from nredcheck.nredfile import parse_input
+
+    f = tmp_path / "pump.nred"
+    f.write_text(PUMPING_LOOP, encoding="utf-8")
+    code, out, err = run(capsys, "check", "--mode", "natural", "--witness", str(f))
+    assert (code, err) == (1, "")
+    assert "(pumpable)" in out
+    code, _, err = run(capsys, "check", "--mode", "sync", str(f))
+    assert (code, err) == (1, "")
+    parsed = parse_input(PUMPING_LOOP)
+    v = check_sync_instrumentation(parsed.spec.instrumentation, parsed.relation)
+    assert v.is_unsound and v.witness.path_b.pumped
+    assert verify_sync_witness(parsed.spec.instrumentation, parsed.relation, v.witness)
+
+
+def test_tied_sync_witness_does_not_follow_the_hash_seed(tmp_path):
+    # two greatest-count paths of equal length reach l3: via a and via b
+    import os
+    import re
+    import subprocess
+    import sys
+
+    f = tmp_path / "diamond.nred"
+    f.write_text(
+        "actions a b c d z\ninit l0\nexit l4\nedge l0 a l1\nedge l0 b l2\n"
+        "edge l1 c l3\nedge l2 d l3\nedge l3 z l4\nconflicts { (z,a) }\n"
+        "syncpoint at l1\nsyncpoint at l2\n",
+        encoding="utf-8",
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    reports = set()
+    for seed in range(8):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", "from nredcheck.cli import entry; entry()",
+             "check", "--mode", "sync", "--witness", "--json", str(f)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1, done.stderr
+        reports.add(re.sub(r',"wall_time_ms":[0-9.e+-]+', "", done.stdout))
+    assert len(reports) == 1
+
+
+_TEMPLATE = '"template": {"init": "l0", "exit": "l1", "edges": [["l0", "x", "l1"]]}'
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"template": []}', "template must be an object"),
+        ("{%s, \"conflicts\": [[\"x\"]]}" % _TEMPLATE, "bad conflicts entry"),
+        ("{%s, \"blocks\": []}" % _TEMPLATE, "'blocks' must be an object"),
+        ("{%s, \"cover\": 5}" % _TEMPLATE, "'cover' must be a list"),
+        ("{%s, \"actions\": \"xy\"}" % _TEMPLATE, "'actions' must be a list"),
+    ],
+    ids=["template-list", "conflict-singleton", "blocks-list", "cover-number", "actions-string"],
+)
+def test_malformed_json_input_is_an_input_error(capsys, tmp_path, text, message):
+    f = tmp_path / "bad.json"
+    f.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(f))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and message in err

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
+from nredcheck import model
 from nredcheck.model import (
+    Action,
+    ActionKind,
     AtomicFusion,
     BlockSymbolMissing,
     CommutativityRelation,
@@ -238,3 +242,69 @@ def test_lockset_extension_idempotent():
         twice = lockset_extension(once, must, original)
         assert once.pairs >= rel.pairs
         assert once == twice
+
+
+def test_action_hash_is_the_field_tuple_hash():
+    for act in (a, B, SYNC, acquire("m"), release("m")):
+        assert hash(act) == hash((act.name, act.kind, act.lock))
+    twin = Action("a", ActionKind.PLAIN)
+    assert twin is not a and twin == a and hash(twin) == hash(a)
+    assert {twin: 1}[a] == 1
+    assert acquire("m") == acquire("m") and acquire("m") != acquire("n")
+
+
+def test_is_sync_for_every_kind():
+    kinds = {a: False, B: False, SYNC: True, acquire("m"): True, release("m"): True}
+    assert {act.kind for act in kinds} == set(ActionKind)
+    for act, sync in kinds.items():
+        assert act.is_sync is sync
+
+
+def test_unpickled_actions_hash_in_the_receiving_process(tmp_path):
+    # the hash is cached per action, and string hashes differ per process
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    blob = tmp_path / "actions.pickle"
+    blob.write_bytes(pickle.dumps([a, acquire("m"), SYNC]))
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    check = (
+        "import pickle, sys; acts = pickle.loads(open(sys.argv[1], 'rb').read()); "
+        "assert all(hash(x) == hash((x.name, x.kind, x.lock)) for x in acts); "
+        "assert [x.is_sync for x in acts] == [False, True, True]"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", check, str(blob)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_natural_check_validates_each_template_once(monkeypatch, capsys):
+    from nredcheck.cli import main
+
+    seen: dict[int, int] = {}
+    uncached = model._validate_template
+
+    def counting(t):
+        seen[id(t)] = seen.get(id(t), 0) + 1
+        return uncached(t)
+
+    monkeypatch.setattr(model, "_validate_template", counting)
+    case = Path(__file__).resolve().parent.parent / "cases" / "fig2a.nred"
+    assert main(["check", "--mode", "natural", str(case)]) == 0
+    # the fused template, the block body and the substituted original
+    assert len(seen) == 3 and set(seen.values()) == {1}
+
+
+def test_substitution_and_spec_validation_are_cached():
+    from nredcheck.model import NaturalReductionSpec
+
+    f = fig2a_fusion()
+    assert substitute_blocks(f) is substitute_blocks(f)
+    spec = NaturalReductionSpec(fusion=f)
+    assert spec.validate() is spec.validate() and spec.validate().ok
