@@ -6,9 +6,10 @@ and semantic input validation), and `gen` (hardness-gadget generators).
 
 Exit codes: 0 sound/true, 1 unsound/false, 2 inconclusive or unknown,
 3 input error, 4 internal error (an unsoundness witness failed its
-re-validation; no verdict is reported).  Reports are emitted as text or as
-JSON (schema `nred-report/1`); identical inputs and flags produce
-byte-identical JSON up to the wall-time field.
+re-validation, or a subcommand raised an unexpected exception; no verdict
+is reported).  Reports are emitted as text or as JSON (schema
+`nred-report/1`); identical inputs and flags produce byte-identical JSON up
+to the wall-time field.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 from typing import Optional
 
@@ -502,7 +504,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # no verdict came out, so no verdict's exit code
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        place = f"{Path(where.filename).name}:{where.lineno} in {where.name}"
+        print(f"  raised at {place}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 def entry() -> None:  # console-script hook

@@ -7,7 +7,10 @@ force and independent of the polynomial procedures in `decision`; bounds are
 explicit and every verdict carries them.  When a search exhausts its budget
 the result is an honest "inconclusive", never a guess.
 
-Indexed traces are tuples of (action, thread-index) pairs.
+Indexed traces are tuples of (action, thread-index) pairs; every public
+function takes and returns them.  Inside, each oracle check runs on one
+coded core (`_Codec`): a step is a small int, a trace a tuple of them, and
+the relation a flat lookup table, and only a counterexample is decoded.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .decision import INCONCLUSIVE, SOUND, UNSOUND, Verdict
 from .model import (
@@ -39,7 +42,24 @@ Configuration = tuple[str, ...]
 
 
 class DepthExceeded(ModelError):
-    """A bounded search ran out of budget before reaching a decision."""
+    """A bounded search ran out of budget before reaching a decision.
+
+    A node budget that runs out names itself (`what`), its `cap` and the
+    steps `used` when it ran out, which can pass the cap by more than one
+    because a shuffle charges all its nodes at once; these are None for the
+    covering search.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        what: Optional[str] = None,
+        cap: Optional[int] = None,
+        used: Optional[int] = None,
+    ):
+        super().__init__(message)
+        self.what, self.cap, self.used = what, cap, used
 
 
 @dataclass(frozen=True)
@@ -48,10 +68,12 @@ class Bounds:
 
     `max_local_len` caps the number of non-rendezvous steps on each thread's
     path (rendezvous steps ride along with a structural allowance).  The swap
-    depth defaults to the squared trace length.  The two budgets keep a whole
-    check finite: `max_enum_nodes` is shared by path/interleaving enumeration
-    and block expansion, `max_cover_states` by all covering searches of one
-    reduction check.  Hitting either surfaces as an inconclusive result.
+    depth defaults to the squared trace length.  The budgets keep a whole
+    check finite: `max_enum_nodes` is shared by the path and interleaving
+    enumeration of the programs and by block expansion, while each block
+    body's path enumeration gets a fresh budget of the same size;
+    `max_cover_states` is shared by all covering searches of one reduction
+    check.  Hitting any of them surfaces as an inconclusive result.
     """
 
     max_threads: int
@@ -149,9 +171,9 @@ class _BarrierMachine:
         return frozenset(out)
 
     @staticmethod
-    def step(states: frozenset, action: Action, thread: int) -> frozenset:
+    def step(states: frozenset, rendezvous: bool, thread: int) -> frozenset:
         out = set()
-        if action.kind is ActionKind.SYNC_POINT:
+        if rendezvous:
             for team, part in states:
                 if thread in team and thread not in part:
                     grown = part | {thread}
@@ -174,28 +196,10 @@ def barrier_feasible(tr: IndexedTrace) -> bool:
     machine = _BarrierMachine(thread_indices(tr))
     states = machine.start
     for a, t in tr:
-        states = machine.step(states, a, t)
+        states = machine.step(states, a.kind is ActionKind.SYNC_POINT, t)
         if not states:
             return False
     return machine.accepting(states)
-
-
-def _sync_feasible(tr: IndexedTrace, kind: SyncKind) -> bool:
-    """The program's synchronization predicate on a full trace.
-
-    The lock discipline judges the trace with rendezvous steps removed; the
-    rendezvous discipline judges the whole trace, with lock operations
-    counting as ordinary steps of their thread (a rendezvous is atomic in
-    the full trace and stopped threads stop completely).
-    """
-    if kind is SyncKind.TRIVIAL:
-        return True
-    locks_only = tuple((a, t) for a, t in tr if a.kind is not ActionKind.SYNC_POINT)
-    if not lock_feasible(locks_only):
-        return False
-    if kind is SyncKind.LOCKS_AND_SYNC_POINTS:
-        return barrier_feasible(tr)
-    return True
 
 
 # -- covering preorder --------------------------------------------------------
@@ -282,52 +286,138 @@ class MazResult:
     reason: str = ""
 
 
-def _covered_pairwise(src: IndexedTrace, dst: IndexedTrace, i: CommutativityRelation) -> bool:
-    """Exact covering test for traces with equal per-thread projections.
+# -- coded traces -----------------------------------------------------------------
+
+
+class _Codec:
+    """Small-int codes for the traces of one oracle check.
+
+    The actions are ranked by `Action.sort_key`, and the step (action, t) is
+    the int `rank * width + t`, where `width` exceeds every thread index.  So
+    tuples of codes hash as tuples of ints and sort exactly as `trace_key`
+    sorts the traces they stand for.  Per-code tables answer what the inner
+    loops ask of a step; `relation` turns a commutativity relation into a
+    flat table over pairs of ranks.
+    """
+
+    def __init__(self, actions: Iterable[Action], max_thread: int):
+        self.actions = sorted(set(actions), key=Action.sort_key)
+        self.rank = {a: r for r, a in enumerate(self.actions)}
+        self.width = width = max_thread + 1
+        pairs = [(a, t) for a in self.actions for t in range(width)]
+        self.pairs = pairs  # code -> (action, thread)
+        self.kind = [a.kind for a, _ in pairs]
+        self.lock = [a.lock for a, _ in pairs]
+        # kept by `project_plain`
+        self.plain = [not a.is_sync for a, _ in pairs]
+        # counted against the local length bound
+        self.counted = [a.kind is not ActionKind.SYNC_POINT for a, _ in pairs]
+        self._barrier_next: dict[frozenset, dict[int, frozenset]] = {}
+
+    def ranks(self, word: Iterable[Action]) -> tuple[int, ...]:
+        return tuple(map(self.rank.__getitem__, word))
+
+    def encode(self, tr: IndexedTrace) -> tuple[int, ...]:
+        width = self.width
+        out = []
+        for a, t in tr:
+            if not 0 <= t < width:
+                raise ValueError(f"thread index {t} outside 0..{width - 1}")
+            out.append(self.rank[a] * width + t)
+        return tuple(out)
+
+    def decode(self, codes: tuple[int, ...]) -> IndexedTrace:
+        return tuple(map(self.pairs.__getitem__, codes))
+
+    def project(self, codes: tuple[int, ...]) -> tuple[int, ...]:
+        """`project_plain` on codes."""
+        return tuple(itertools.compress(codes, map(self.plain.__getitem__, codes)))
+
+    def relation(self, i: CommutativityRelation) -> list[bool]:
+        """`comm[a * n + b]` is whether ranks a, b commute (n actions)."""
+        return [i.commutes(a, b) for a in self.actions for b in self.actions]
+
+    def relabel_table(self, perm: tuple[int, ...]) -> list[int]:
+        """Code map under which thread j+1 plays thread perm.index(j)+1."""
+        width = self.width
+        slot = list(range(width))
+        for j in range(len(perm)):
+            slot[j + 1] = perm.index(j) + 1
+        return [c - c % width + slot[c % width] for c in range(len(self.pairs))]
+
+    def barrier_step(self, states: frozenset, code: int) -> frozenset:
+        """`_BarrierMachine.step`, remembered per state set and step."""
+        row = self._barrier_next.get(states)
+        if row is None:
+            row = self._barrier_next[states] = {}
+        nxt = row.get(code)
+        if nxt is None:
+            rendezvous = self.kind[code] is ActionKind.SYNC_POINT
+            nxt = row[code] = _BarrierMachine.step(states, rendezvous, code % self.width)
+        return nxt
+
+
+def _trace_codec(traces: Iterable[IndexedTrace], extra: Iterable[Action] = ()) -> _Codec:
+    steps = [s for tr in traces for s in tr]
+    actions = itertools.chain((a for a, _ in steps), extra)
+    return _Codec(actions, max((t for _, t in steps), default=0))
+
+
+# -- representative check -----------------------------------------------------------
+
+
+def _covered(
+    src: tuple[int, ...], dst: tuple[int, ...], width: int, n: int, comm: list[bool]
+) -> bool:
+    """Exact covering test for coded traces with equal per-thread projections.
 
     A target is reachable by allowed swaps exactly when every occurrence
     pair whose relative order flips is a commuting cross-thread pair (each
     pair's order flips at most once along a swap sequence, so the condition
-    is both necessary and achievable by sorting toward the target).  This
-    agrees with the breadth-first `covers` search wherever that search is
-    conclusive, and is checked against it in the test suite.
+    is both necessary and achievable by sorting toward the target).  The
+    k-th step of a thread is its k-th step in both traces, so same-thread
+    pairs never flip and only the relation is tested.
     """
-    counts: dict[int, int] = {}
-    src_occ = []
-    for a, t in src:
-        src_occ.append((t, counts.get(t, 0), a))
-        counts[t] = counts.get(t, 0) + 1
-    counts.clear()
-    dst_pos = {}
-    for idx, (a, t) in enumerate(dst):
-        dst_pos[(t, counts.get(t, 0))] = idx
-        counts[t] = counts.get(t, 0) + 1
-    n = len(src_occ)
-    for p in range(n):
-        tp, kp, ap = src_occ[p]
-        pp = dst_pos[(tp, kp)]
-        for q in range(p + 1, n):
-            tq, kq, aq = src_occ[q]
-            if dst_pos[(tq, kq)] < pp:
-                if tp == tq or not i.commutes(ap, aq):
-                    return False
+    where: dict[int, list[int]] = {}
+    for pos, c in enumerate(dst):
+        where.setdefault(c % width, []).append(pos)
+    nxt = {t: iter(positions).__next__ for t, positions in where.items()}
+    moved = [nxt[c % width]() for c in src]
+    ranks = [c // width for c in src]
+    last = len(src)
+    for p in range(last - 1):
+        at = moved[p]
+        row = ranks[p] * n
+        for q in range(p + 1, last):
+            if moved[q] < at and not comm[row + ranks[q]]:
+                return False
     return True
 
 
-def _projection_key(tr: IndexedTrace) -> tuple:
-    words: dict[int, list[Action]] = {}
-    for a, t in tr:
-        words.setdefault(t, []).append(a)
-    return tuple(sorted((t, tuple(w)) for t, w in words.items()))
-
-
-def _find_representative(
-    tr: IndexedTrace, bucket: dict, i: CommutativityRelation
-) -> Optional[IndexedTrace]:
-    for cand in bucket.get(_projection_key(tr), ()):
-        if _covered_pairwise(tr, cand, i):
-            return cand
-    return None
+def _representative_check(
+    codec: _Codec,
+    l1: AbstractSet[tuple[int, ...]],
+    l2: AbstractSet[tuple[int, ...]],
+    comm: list[bool],
+) -> MazResult:
+    """`is_mazurkiewicz_reduction` on sets of coded traces; only the
+    counterexample is decoded."""
+    stray = l1 - l2
+    if stray:
+        return MazResult(False, codec.decode(min(stray)), "reduced set is not a subset")
+    width, n = codec.width, len(codec.actions)
+    # the steps in thread order stand for the per-thread projections
+    by_thread = width.__rmod__
+    bucket: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for cand in l1:
+        bucket.setdefault(tuple(sorted(cand, key=by_thread)), []).append(cand)
+    for tr in sorted(l2 - l1):
+        if not any(
+            _covered(tr, cand, width, n, comm)
+            for cand in bucket.get(tuple(sorted(tr, key=by_thread)), ())
+        ):
+            return MazResult(False, codec.decode(tr), "trace has no representative")
+    return MazResult(True)
 
 
 def is_mazurkiewicz_reduction(
@@ -339,21 +429,17 @@ def is_mazurkiewicz_reduction(
 
     Candidates are bucketed by per-thread projections (which covering
     preserves) and tested with the exact pairwise criterion, so the answer
-    on the given finite sets is never inconclusive.
+    on the given finite sets is never inconclusive.  The counterexample is
+    the least failing trace in `trace_key` order.
     """
-    set1 = frozenset(l1)
-    set2 = frozenset(l2)
-    stray = set1 - set2
-    if stray:
-        worst = min(stray, key=trace_key)
-        return MazResult(False, worst, "reduced set is not a subset")
-    bucket: dict = {}
-    for cand in sorted(set1, key=trace_key):
-        bucket.setdefault(_projection_key(cand), []).append(cand)
-    for tr in sorted(set2 - set1, key=trace_key):
-        if _find_representative(tr, bucket, i) is None:
-            return MazResult(False, tr, "trace has no representative")
-    return MazResult(True)
+    l1, l2 = list(l1), list(l2)
+    codec = _trace_codec(itertools.chain(l1, l2))
+    return _representative_check(
+        codec,
+        frozenset(map(codec.encode, l1)),
+        frozenset(map(codec.encode, l2)),
+        codec.relation(i),
+    )
 
 
 # -- interleaving enumeration -------------------------------------------------
@@ -396,7 +482,12 @@ class _Budget:
     def spend(self, n: int = 1) -> None:
         self.used += n
         if self.used > self.cap:
-            raise DepthExceeded(f"{self.what} exceeded {self.cap} steps")
+            raise DepthExceeded(
+                f"{self.what} exceeded {self.cap} steps",
+                what=self.what,
+                cap=self.cap,
+                used=self.used,
+            )
 
 
 def enumerate_interleavings(
@@ -415,19 +506,30 @@ def enumerate_interleavings(
     still need to measure or expand them).  Raises DepthExceeded past the
     node budget.
     """
-    t = p.template
+    codec = _Codec(p.template.alphabet, bounds.max_threads)
     if budget is None:
         budget = _Budget(bounds.max_enum_nodes, "interleaving enumeration")
-    words = _local_traces(t, bounds, budget)
-    out: set[IndexedTrace] = {()}
+    return frozenset(map(codec.decode, _interleavings(codec, p, bounds, keep_sync, budget)))
+
+
+def _interleavings(
+    codec: _Codec,
+    p: ParameterizedProgram,
+    bounds: Bounds,
+    keep_sync: bool,
+    budget: _Budget,
+) -> set[tuple[int, ...]]:
+    """`enumerate_interleavings` on codes."""
+    words = [codec.ranks(w) for w in _local_traces(p.template, bounds, budget)]
+    out: set[tuple[int, ...]] = {()}
     use_locks = p.sync_kind is not SyncKind.TRIVIAL
     use_barrier = p.sync_kind is SyncKind.LOCKS_AND_SYNC_POINTS
+    tables: dict[tuple[int, ...], list[int]] = {}
     # the synchronization predicates are invariant under thread renaming, so
     # each multiset of local words is shuffled once and relabeled
     for k in range(1, bounds.max_threads + 1):
         for combo in itertools.combinations_with_replacement(words, k):
-            base: set[IndexedTrace] = set()
-            _shuffle(combo, use_locks, use_barrier, budget, base, keep_sync)
+            base = _shuffle(codec, combo, use_locks, use_barrier, budget, keep_sync)
             seen_perms = set()
             for perm in itertools.permutations(range(k)):
                 arranged = tuple(combo[j] for j in perm)
@@ -437,77 +539,174 @@ def enumerate_interleavings(
                 if arranged == combo:
                     out.update(base)
                     continue
-                # thread i+1 of the base run plays thread slot[i]+1 here
-                slot = {i + 1: perm.index(i) + 1 for i in range(k)}
-                for tr in base:
-                    budget.spend()
-                    out.add(tuple((a, slot[th]) for a, th in tr))
-    return frozenset(out)
+                table = tables.get(perm)
+                if table is None:
+                    table = tables[perm] = codec.relabel_table(perm)
+                relabel = table.__getitem__
+                budget.spend(len(base))  # one step per relabelled trace
+                out.update(tuple(map(relabel, tr)) for tr in base)
+    return out
 
 
 def _shuffle(
-    assignment: tuple[tuple[Action, ...], ...],
+    codec: _Codec,
+    assignment: tuple[tuple[int, ...], ...],
     use_locks: bool,
     use_barrier: bool,
     budget: _Budget,
-    out: set[IndexedTrace],
     keep_sync: bool,
-) -> None:
+) -> set[tuple[int, ...]]:
+    """Every synchronization-feasible interleaving of the ranked local
+    words, thread j+1 running `assignment[j]`.
+
+    The search runs level by level over states: the steps each thread has
+    taken, and the rendezvous state set.  The locks held are a function of
+    the steps taken, since each thread holds what its own prefix acquired
+    and did not release.  The budget is charged one step per feasible
+    prefix (the node count of a depth-first search over them), counted as
+    the number of paths into each state and charged before any trace is
+    built.
+    """
     k = len(assignment)
-    lengths = [len(w) for w in assignment]
-    total = sum(lengths)
-    barrier_start: Optional[frozenset] = None
-    if use_barrier:
-        barrier_start = _BarrierMachine(frozenset(range(1, k + 1))).start
-    positions = [0] * k
-    holder: dict[str, int] = {}
-    acc: list[tuple[Action, int]] = []
-    # without synchronization steps a finished trace is its own projection
-    project = not keep_sync and any(a.is_sync for w in assignment for a in w)
+    width = codec.width
+    steps = [tuple(r * width + j for r in w) for j, w in enumerate(assignment, 1)]
+    lengths = [len(w) for w in steps]
+    kind, lock = codec.kind, codec.lock
+    barrier_step = codec.barrier_step
+    held = []  # held[j][p]: the locks thread j+1 holds after p steps
+    for w in steps:
+        now: frozenset = frozenset()
+        row = [now]
+        for c in w:
+            if kind[c] is ActionKind.ACQUIRE:
+                now = now | {lock[c]}
+            elif kind[c] is ActionKind.RELEASE:
+                now = now - {lock[c]}
+            row.append(now)
+        held.append(row)
 
-    def rec(barrier: Optional[frozenset]) -> None:
-        budget.spend()
-        if len(acc) == total:
-            done = tuple(acc)
-            if barrier is None or _BarrierMachine.accepting(barrier):
-                out.add(project_plain(done) if project else done)
-            return
-        for idx in range(k):
-            pos = positions[idx]
-            if pos >= lengths[idx]:
-                continue
-            a = assignment[idx][pos]
-            thread = idx + 1
-            released = False
-            if use_locks and a.kind is ActionKind.ACQUIRE:
-                if a.lock in holder:
+    barrier = _BarrierMachine(frozenset(range(1, k + 1))).start if use_barrier else None
+    start = ((0,) * k, barrier)
+    level = {start: 1}
+    nodes = 1
+    moves_by_level = []
+    for _ in range(sum(lengths)):
+        nxt: dict = {}
+        moves = []
+        for state, paths in level.items():
+            pos, barrier = state
+            for j in range(k):
+                p = pos[j]
+                if p == lengths[j]:
                     continue
-                holder[a.lock] = thread
-            elif use_locks and a.kind is ActionKind.RELEASE:
-                if holder.get(a.lock) != thread:
-                    continue
-                del holder[a.lock]
-                released = True
-            new_barrier = barrier
-            if barrier is not None:
-                new_barrier = _BarrierMachine.step(barrier, a, thread)
-                if not new_barrier:
-                    if use_locks and a.kind is ActionKind.ACQUIRE:
-                        del holder[a.lock]
-                    elif released:
-                        holder[a.lock] = thread
-                    continue
-            positions[idx] = pos + 1
-            acc.append((a, thread))
-            rec(new_barrier)
-            acc.pop()
-            positions[idx] = pos
-            if use_locks and a.kind is ActionKind.ACQUIRE:
-                del holder[a.lock]
-            elif released:
-                holder[a.lock] = thread
+                c = steps[j][p]
+                op = kind[c] if use_locks else None
+                if op is ActionKind.ACQUIRE:
+                    if any(lock[c] in held[i][pos[i]] for i in range(k)):
+                        continue
+                elif op is ActionKind.RELEASE:
+                    if lock[c] not in held[j][p]:
+                        continue
+                after = None
+                if barrier is not None:
+                    after = barrier_step(barrier, c)
+                    if not after:
+                        continue
+                to = (pos[:j] + (p + 1,) + pos[j + 1 :], after)
+                nxt[to] = nxt.get(to, 0) + paths
+                moves.append((state, c, to))
+        moves_by_level.append(moves)
+        level = nxt
+        nodes += sum(nxt.values())
+    budget.spend(nodes)
 
-    rec(barrier_start)
+    # build prefixes only along moves that lead to an accepted full trace
+    alive = {s for s in level if s[1] is None or _BarrierMachine.accepting(s[1])}
+    for moves in reversed(moves_by_level):
+        moves[:] = [m for m in moves if m[2] in alive]
+        alive = {m[0] for m in moves}
+    # without synchronization steps a trace is its own projection
+    keep = codec.plain
+    project = not keep_sync and not all(keep[c] for w in steps for c in w)
+    prefixes: dict = {start: {()}}
+    for moves in moves_by_level:
+        grown: dict = {}
+        for state, c, to in moves:
+            before = prefixes[state]
+            longer = before if project and not keep[c] else {tr + (c,) for tr in before}
+            into = grown.get(to)
+            if into is not None:
+                into |= longer
+            else:  # a set of the level before is shared, never grown in place
+                grown[to] = set(before) if longer is before else longer
+        prefixes = grown
+    out: set[tuple[int, ...]] = set()
+    for traces in prefixes.values():
+        out |= traces
+    return out
+
+
+# -- block expansion ------------------------------------------------------------
+
+
+BlockWords = dict[int, list[tuple[tuple[int, ...], int]]]
+
+
+def _block_words(
+    codec: _Codec, blocks: Iterable[tuple[Action, ThreadTemplate]], bounds: Bounds
+) -> BlockWords:
+    """Each block body's local words, enumerated once (each body under its
+    own path budget) and coded for every thread: the code of a block step
+    maps to its expansions, each with its count of non-rendezvous steps."""
+    width = codec.width
+    out: BlockWords = {}
+    for sym, body in blocks:
+        words = [
+            (codec.ranks(w), sum(a.kind is not ActionKind.SYNC_POINT for a in w))
+            for w in _local_traces(body, bounds)
+        ]
+        for t in range(width):
+            out[codec.rank[sym] * width + t] = [
+                (tuple(r * width + t for r in w), n) for w, n in words
+            ]
+    return out
+
+
+def _expansions(
+    codec: _Codec,
+    tr: tuple[int, ...],
+    block_words: BlockWords,
+    bounds: Bounds,
+    budget: Optional[_Budget],
+) -> Iterator[tuple[int, ...]]:
+    """`_expand_blocks` on codes; one budget step per choice of expansions."""
+    width, counted = codec.width, codec.counted
+    room = [bounds.max_local_len] * width  # non-rendezvous steps left per thread
+    slots = []
+    for idx, c in enumerate(tr):
+        if c in block_words:
+            slots.append(idx)
+        else:
+            room[c % width] -= counted[c]
+    if not slots:
+        if min(room) >= 0:
+            yield tr
+        return
+    cuts = [-1, *slots, len(tr)]
+    pieces = [tr[lo + 1 : hi] for lo, hi in zip(cuts, cuts[1:])]
+    threads = [tr[idx] % width for idx in slots]
+    for choice in itertools.product(*(block_words[tr[idx]] for idx in slots)):
+        if budget is not None:
+            budget.spend()
+        left = room.copy()
+        for t, (_, n) in zip(threads, choice):
+            left[t] -= n
+        if min(left) < 0:
+            continue
+        expanded = pieces[0]
+        for (word, _), piece in zip(choice, pieces[1:]):
+            expanded += word + piece
+        yield expanded
 
 
 def _expand_blocks(
@@ -519,37 +718,27 @@ def _expand_blocks(
     `tr` must still contain its synchronization steps so the length
     accounting matches the unfused enumeration exactly.
     """
-    block_words: dict[Action, list[tuple[Action, ...]]] = {}
-    for sym, body in f.blocks:
-        block_words[sym] = _local_traces(body, bounds)
-
-    slots = [idx for idx, (a, _) in enumerate(tr) if a in block_words]
-    if not slots:
-        if _expanded_lengths_ok(tr, bounds):
-            yield tr
-        return
-    options = [block_words[tr[idx][0]] for idx in slots]
-    for choice in itertools.product(*options):
-        if budget is not None:
-            budget.spend()
-        pieces: list[tuple[Action, int]] = []
-        by_slot = dict(zip(slots, choice))
-        for idx, (a, t) in enumerate(tr):
-            if idx in by_slot:
-                pieces.extend((x, t) for x in by_slot[idx])
-            else:
-                pieces.append((a, t))
-        expanded = tuple(pieces)
-        if _expanded_lengths_ok(expanded, bounds):
-            yield expanded
+    bodies = [a for _, body in f.blocks for a in body.alphabet]
+    codec = _trace_codec([tr], itertools.chain((sym for sym, _ in f.blocks), bodies))
+    block_words = _block_words(codec, f.blocks, bounds)
+    for expanded in _expansions(codec, codec.encode(tr), block_words, bounds, budget):
+        yield codec.decode(expanded)
 
 
-def _expanded_lengths_ok(tr: IndexedTrace, bounds: Bounds) -> bool:
-    counts: Counter = Counter()
-    for a, t in tr:
-        if a.kind is not ActionKind.SYNC_POINT:
-            counts[t] += 1
-    return all(n <= bounds.max_local_len for n in counts.values())
+def _expanded_plain(
+    codec: _Codec,
+    fused: Iterable[tuple[int, ...]],
+    blocks: Iterable[tuple[Action, ThreadTemplate]],
+    bounds: Bounds,
+    budget: _Budget,
+) -> frozenset[tuple[int, ...]]:
+    """The plain projections of every block expansion of the fused traces."""
+    block_words = _block_words(codec, blocks, bounds)
+    return frozenset(
+        codec.project(expanded)
+        for tr in fused
+        for expanded in _expansions(codec, tr, block_words, bounds, budget)
+    )
 
 
 def _bounded_verdict(maz: MazResult, bounds: Bounds, notes: tuple[str, ...] = ()) -> Verdict:
@@ -570,6 +759,10 @@ def _bounded_verdict(maz: MazResult, bounds: Bounds, notes: tuple[str, ...] = ()
     )
 
 
+def _check_codec(bounds: Bounds, *templates: ThreadTemplate) -> _Codec:
+    return _Codec(itertools.chain.from_iterable(t.alphabet for t in templates), bounds.max_threads)
+
+
 def oracle_check_atomic(
     t: Optional[ThreadTemplate],
     f: AtomicFusion,
@@ -580,25 +773,17 @@ def oracle_check_atomic(
     atomic interleavings against all interleavings of the original."""
     original = t if t is not None else substitute_blocks(f)
     kind = infer_sync_kind(original)
+    codec = _check_codec(bounds, original, f.outer, *(body for _, body in f.blocks))
     budget = _Budget(bounds.max_enum_nodes, "interleaving enumeration")
     try:
-        l2 = enumerate_interleavings(
-            ParameterizedProgram(original, kind), bounds, budget=budget
+        l2 = _interleavings(codec, ParameterizedProgram(original, kind), bounds, False, budget)
+        l1_raw = _interleavings(
+            codec, ParameterizedProgram(f.outer, infer_sync_kind(f.outer)), bounds, True, budget
         )
-        l1_raw = enumerate_interleavings(
-            ParameterizedProgram(f.outer, infer_sync_kind(f.outer)),
-            bounds,
-            keep_sync=True,
-            budget=budget,
-        )
-        l1 = frozenset(
-            project_plain(expanded)
-            for tr in l1_raw
-            for expanded in _expand_blocks(tr, f, bounds, budget)
-        )
+        l1 = _expanded_plain(codec, l1_raw, f.blocks, bounds, budget)
     except DepthExceeded as exc:
         return Verdict(INCONCLUSIVE, bounds=bounds, notes=(str(exc),))
-    return _bounded_verdict(is_mazurkiewicz_reduction(l1, l2, i), bounds)
+    return _bounded_verdict(_representative_check(codec, l1, l2, codec.relation(i)), bounds)
 
 
 def oracle_check_sync(
@@ -607,21 +792,16 @@ def oracle_check_sync(
     bounds: Bounds,
 ) -> Verdict:
     """Bounded ground truth for instrumentation soundness."""
+    codec = _check_codec(bounds, inst.base, inst.instrumented)
     budget = _Budget(bounds.max_enum_nodes, "interleaving enumeration")
+    base = ParameterizedProgram(inst.base, infer_sync_kind(inst.base))
+    reduced = ParameterizedProgram(inst.instrumented, SyncKind.LOCKS_AND_SYNC_POINTS)
     try:
-        l2 = enumerate_interleavings(
-            ParameterizedProgram(inst.base, infer_sync_kind(inst.base)),
-            bounds,
-            budget=budget,
-        )
-        l1 = enumerate_interleavings(
-            ParameterizedProgram(inst.instrumented, SyncKind.LOCKS_AND_SYNC_POINTS),
-            bounds,
-            budget=budget,
-        )
+        l2 = _interleavings(codec, base, bounds, False, budget)
+        l1 = _interleavings(codec, reduced, bounds, False, budget)
     except DepthExceeded as exc:
         return Verdict(INCONCLUSIVE, bounds=bounds, notes=(str(exc),))
-    return _bounded_verdict(is_mazurkiewicz_reduction(l1, l2, i), bounds)
+    return _bounded_verdict(_representative_check(codec, l1, l2, codec.relation(i)), bounds)
 
 
 def oracle_check_natural(
@@ -643,28 +823,23 @@ def oracle_check_natural(
         if spec.instrumentation is not None
         else (fusion.outer if fusion else base)
     )
+    blocks = fusion.blocks if fusion is not None else ()
+    codec = _check_codec(bounds, base, reduced_template, *(body for _, body in blocks))
     budget = _Budget(bounds.max_enum_nodes, "interleaving enumeration")
     try:
-        l2 = enumerate_interleavings(
-            ParameterizedProgram(base, infer_sync_kind(base)), bounds, budget=budget
-        )
-        l1_raw = enumerate_interleavings(
+        program = ParameterizedProgram(base, infer_sync_kind(base))
+        l2 = _interleavings(codec, program, bounds, False, budget)
+        l1_raw = _interleavings(
+            codec,
             ParameterizedProgram(reduced_template, SyncKind.LOCKS_AND_SYNC_POINTS),
             bounds,
-            keep_sync=True,
-            budget=budget,
+            True,
+            budget,
         )
-        if fusion is not None and fusion.blocks:
-            l1 = frozenset(
-                project_plain(expanded)
-                for tr in l1_raw
-                for expanded in _expand_blocks(tr, fusion, bounds, budget)
-            )
-        else:
-            l1 = frozenset(project_plain(tr) for tr in l1_raw)
+        l1 = _expanded_plain(codec, l1_raw, blocks, bounds, budget)
     except DepthExceeded as exc:
         return Verdict(INCONCLUSIVE, bounds=bounds, notes=(str(exc),))
-    return _bounded_verdict(is_mazurkiewicz_reduction(l1, l2, i), bounds)
+    return _bounded_verdict(_representative_check(codec, l1, l2, codec.relation(i)), bounds)
 
 
 # -- coverability -------------------------------------------------------------

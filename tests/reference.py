@@ -13,11 +13,14 @@ import itertools
 import random
 from collections import Counter
 
+from nredcheck import oracle
 from nredcheck.model import (
     Action,
     ActionKind,
     AtomicFusion,
     CommutativityRelation,
+    ParameterizedProgram,
+    SyncKind,
     ThreadTemplate,
     acquire,
     block_symbol,
@@ -105,6 +108,49 @@ def barrier_feasible_ref(tr) -> bool:
         return out
 
     return feasible(tr, threads)
+
+
+def sync_feasible_ref(tr, kind: SyncKind) -> bool:
+    """The program's synchronization predicate: the lock discipline on the
+    trace without its rendezvous steps, the rendezvous discipline on all of
+    it."""
+    if kind is SyncKind.TRIVIAL:
+        return True
+    no_rendezvous = [(a, t) for a, t in tr if a.kind is not ActionKind.SYNC_POINT]
+    if not lock_feasible_ref(no_rendezvous):
+        return False
+    return kind is SyncKind.LOCKS or barrier_feasible_ref(tr)
+
+
+def enumerate_interleavings_ref(
+    p: ParameterizedProgram, bounds, keep_sync: bool = False
+) -> frozenset:
+    """Every bounded interleaving by brute force: each ordered choice of
+    local words for threads 1..k, each sequence of thread labels with the
+    right counts, kept when the whole trace meets the synchronization
+    predicate; no pruning, no thread symmetry."""
+    words = oracle._local_traces(p.template, bounds)
+
+    def label_sequences(left: list[int]):
+        if not any(left):
+            yield ()
+            return
+        for t, n in enumerate(left):
+            if n:
+                left[t] -= 1
+                for rest in label_sequences(left):
+                    yield (t + 1,) + rest
+                left[t] += 1
+
+    out = {()}
+    for k in range(1, bounds.max_threads + 1):
+        for assignment in itertools.product(words, repeat=k):
+            for labels in label_sequences([len(w) for w in assignment]):
+                steps = [iter(w) for w in assignment]
+                tr = tuple((next(steps[t - 1]), t) for t in labels)
+                if sync_feasible_ref(tr, p.sync_kind):
+                    out.add(tr if keep_sync else tuple((a, t) for a, t in tr if not a.is_sync))
+    return frozenset(out)
 
 
 # -- covering preorder ----------------------------------------------------------

@@ -160,6 +160,28 @@ def test_failed_witness_revalidation_exits_4(capsys, monkeypatch, mode, case, ve
     assert err == "internal error: witness failed re-validation\n"
 
 
+def test_unexpected_exception_exits_4_without_a_traceback(capsys, monkeypatch):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("nredcheck.cli.check_natural_reduction", boom)
+    code, out, err = run(capsys, "check", "--mode", "natural", str(CASES / "fig2a.nred"))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: RuntimeError: boom\n")
+    assert "in boom" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+def test_interrupt_and_exit_pass_the_guard(monkeypatch, exc):
+    def stop(*args):
+        raise exc()
+
+    monkeypatch.setattr("nredcheck.cli.check_natural_reduction", stop)
+    with pytest.raises(exc):
+        main(["check", "--mode", "natural", str(CASES / "fig2a.nred")])
+
+
 def test_gen_3sat_pipe_matches_brute_force(capsys, tmp_path):
     code, out, _ = run(capsys, "gen", "3sat", "--dimacs", str(CASES / "sat2.cnf"))
     assert code == 0

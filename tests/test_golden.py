@@ -25,6 +25,13 @@ RUNS += [
     (case, "oracle", ("--threads", "2", "--max-len", "2" if case.startswith("fig2a") else "3"))
     for case in CASES
 ]
+# a block run under a lock, with a rendezvous after the release: the lock
+# and rendezvous branches of the oracle's shuffle, and lock steps counted
+# around a block expansion
+RUNS += [
+    ("lock_block", "natural", ()),
+    ("lock_block", "oracle", ("--threads", "2", "--max-len", "5")),
+]
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -29,10 +30,16 @@ from nredcheck.oracle import (
     is_mazurkiewicz_reduction,
     lock_feasible,
     oracle_check_atomic,
+    oracle_check_natural,
     oracle_check_sync,
+    trace_key,
+    _local_traces,
 )
+from nredcheck.nredfile import parse_input
 
 import reference
+
+CASES = Path(__file__).resolve().parent.parent / "cases"
 
 
 a, b = plain("a"), plain("b")
@@ -198,11 +205,77 @@ def test_enumerate_lock_exclusion():
 
 def test_enumerate_node_budget_raises():
     original, _, _, _, _ = fig2a_parts()
-    with pytest.raises(DepthExceeded):
+    with pytest.raises(DepthExceeded) as info:
         enumerate_interleavings(
             ParameterizedProgram(original),
             Bounds(max_threads=3, max_local_len=2, max_enum_nodes=10),
         )
+    assert str(info.value) == "interleaving enumeration exceeded 10 steps"
+    assert (info.value.what, info.value.cap) == ("interleaving enumeration", 10)
+    assert info.value.used > 10
+
+
+def _small_programs(rng):
+    """Ten lock programs, ten lock programs with a rendezvous point, and ten
+    instrumented fusion outers, each with at least two local words (few
+    enough at three threads for the brute-force reference)."""
+    out = []
+
+    def keep(t, kind, bounds):
+        words = len(_local_traces(t, bounds))
+        if 2 <= words <= (3 if bounds.max_threads == 3 else 8):
+            out.append((ParameterizedProgram(t, kind), bounds))
+
+    while len(out) < 10:
+        t = reference.random_lock_template(rng)
+        keep(t, SyncKind.LOCKS, Bounds(max_threads=2, max_local_len=4))
+    while len(out) < 20:
+        t = reference.random_lock_template(rng)
+        t = insert_syncpoints(t, [rng.choice(sorted(t.locations))]).instrumented
+        keep(t, SyncKind.LOCKS_AND_SYNC_POINTS, Bounds(max_threads=2, max_local_len=3))
+    while len(out) < 30:
+        _, fusion, sync_locs, _ = reference.random_fusion_instance(rng)
+        t = insert_syncpoints(fusion.outer, sync_locs).instrumented
+        threads, max_len = (3, 1) if len(out) % 2 else (2, 3)
+        keep(t, SyncKind.LOCKS_AND_SYNC_POINTS, Bounds(max_threads=threads, max_local_len=max_len))
+    return out
+
+
+def test_enumeration_against_brute_force_reference():
+    sizes = {False: 0, True: 0}
+    for p, bounds in _small_programs(random.Random(41)):
+        for keep_sync in (False, True):
+            got = enumerate_interleavings(p, bounds, keep_sync=keep_sync)
+            assert got == reference.enumerate_interleavings_ref(p, bounds, keep_sync), (p, bounds)
+            sizes[keep_sync] += len(got)
+    assert sizes[False] > 1000 and sizes[True] > 3000
+
+
+# Nodes of the shared enumeration budget that `oracle_check_natural` spends on
+# the sample inputs at two threads: shuffle nodes, relabelled traces and
+# block choices, counted at the commit before the oracle ran on coded
+# traces.  `conclusive_ratio` rests on this accounting staying exact.
+EXACT_NODES = [
+    ("fig2a", 2, 129),
+    ("fig2a_iprime", 2, 129),
+    ("fig2b", 3, 266),
+    ("fig2b_iprime", 3, 266),
+    ("lock_block", 5, 440),
+]
+
+
+@pytest.mark.parametrize("case,max_len,nodes", EXACT_NODES)
+def test_enumeration_budget_accounting_is_exact(case, max_len, nodes):
+    parsed = parse_input((CASES / f"{case}.nred").read_text(encoding="utf-8"))
+
+    def check(cap):
+        bounds = Bounds(max_threads=2, max_local_len=max_len, max_enum_nodes=cap)
+        return oracle_check_natural(parsed.program.template, parsed.spec, parsed.relation, bounds)
+
+    assert check(nodes).result in ("sound", "unsound")
+    short = check(nodes - 1)
+    assert short.result == "inconclusive"
+    assert short.notes == (f"interleaving enumeration exceeded {nodes - 1} steps",)
 
 
 # -- reduction check --------------------------------------------------------------------
@@ -214,9 +287,10 @@ def test_is_maz_reflexive_and_subset_violation():
         ParameterizedProgram(original), Bounds(max_threads=2, max_local_len=2)
     )
     assert is_mazurkiewicz_reduction(l2, l2, i).value is True
-    extra = (((plain("zz"), 1),),)
-    res = is_mazurkiewicz_reduction(set(l2) | {extra[0]}, l2, i)
+    extra = (((plain("zz"), 1),), ((plain("zz"), 2), (a, 1)), ((a, 1), (plain("zz"), 1)))
+    res = is_mazurkiewicz_reduction(set(l2) | set(extra), l2, i)
     assert res.value is False and res.reason == "reduced set is not a subset"
+    assert res.counterexample == min(extra, key=trace_key)
 
 
 def test_oracle_check_atomic_fig2a():
