@@ -5,7 +5,7 @@ Subcommands: `check` (decision procedures and bounded oracle), `oracle` and
 and semantic input validation), and `gen` (hardness-gadget generators).
 
 Exit codes: 0 sound/true, 1 unsound/false, 2 inconclusive or unknown,
-3 input error, 4 internal error (an unsoundness witness failed its
+3 input or usage error, 4 internal error (an unsoundness witness failed its
 re-validation, or a subcommand raised an unexpected exception; no verdict
 is reported).  Reports are emitted as text or as JSON (schema
 `nred-report/1`); identical inputs and flags produce byte-identical JSON up
@@ -148,6 +148,8 @@ def _emit(report: dict, verdict: Optional[Verdict], args) -> None:
         lines.append(f"  condition {cond['name']}: {cond['result']}")
     if verdict is not None and verdict.witness is not None and getattr(args, "witness", False):
         _render_witness_text(verdict.witness, lines)
+    elif verdict is None and "witness" in v and getattr(args, "witness", False):
+        lines.append(f"  witness: {v['witness']['trace']}")
     for warning in report.get("warnings", ()):
         lines.append(f"  warning: {warning}")
     print("\n".join(lines))
@@ -264,7 +266,7 @@ def run_check(args) -> int:
                 return EXIT_INPUT_ERROR
             bounds = Bounds(
                 max_threads=args.threads,
-                max_local_len=args.max_len if args.max_len else 1,
+                max_local_len=args.max_len if args.max_len is not None else 1,
                 max_swap_depth=args.swap_depth,
             )
             covered, witness_trace = bounded_coverability(program, parsed.cover, bounds)
@@ -458,8 +460,17 @@ def _add_common_check_args(sp) -> None:
                     help="also dump the original template as DOT")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3 like other input errors; argparse's own exit 2
+    would read as an inconclusive verdict.  Subparsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="nredcheck",
         description="soundness checker for atomic-block and rendezvous reductions",
     )

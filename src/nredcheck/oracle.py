@@ -26,6 +26,7 @@ from .model import (
     ActionKind,
     AtomicFusion,
     CommutativityRelation,
+    InconsistentInputs,
     ModelError,
     NaturalReductionSpec,
     ParameterizedProgram,
@@ -68,12 +69,13 @@ class Bounds:
 
     `max_local_len` caps the number of non-rendezvous steps on each thread's
     path (rendezvous steps ride along with a structural allowance).  The swap
-    depth defaults to the squared trace length.  The budgets keep a whole
-    check finite: `max_enum_nodes` is shared by the path and interleaving
+    depth defaults to the squared trace length.  `max_enum_nodes` keeps a
+    whole check finite: it is shared by the path and interleaving
     enumeration of the programs and by block expansion, while each block
-    body's path enumeration gets a fresh budget of the same size;
-    `max_cover_states` is shared by all covering searches of one reduction
-    check.  Hitting any of them surfaces as an inconclusive result.
+    body's path enumeration gets a fresh budget of the same size; running
+    out surfaces as an inconclusive result.  No search reads
+    `max_cover_states` (`covers` takes its own `max_states`, and
+    `bounded_coverability` has no budget); every report lists it.
     """
 
     max_threads: int
@@ -84,9 +86,9 @@ class Bounds:
 
     def __post_init__(self) -> None:
         if self.max_threads < 1 or self.max_local_len < 1:
-            raise ValueError("bounds must be at least 1")
+            raise ModelError("thread and length bounds must be at least 1")
         if self.max_swap_depth is not None and self.max_swap_depth < 1:
-            raise ValueError("swap depth must be at least 1")
+            raise ModelError("swap depth must be at least 1")
 
     def describe(self) -> dict:
         return {
@@ -744,19 +746,8 @@ def _expanded_plain(
 def _bounded_verdict(maz: MazResult, bounds: Bounds, notes: tuple[str, ...] = ()) -> Verdict:
     if maz.value is True:
         return Verdict(SOUND, bounds=bounds, notes=notes + ("sound within bounds",))
-    if maz.value is False:
-        return Verdict(
-            UNSOUND,
-            witness=maz.counterexample,
-            bounds=bounds,
-            notes=notes + (maz.reason,),
-        )
-    return Verdict(
-        INCONCLUSIVE,
-        witness=maz.counterexample,
-        bounds=bounds,
-        notes=notes + (maz.reason,),
-    )
+    result = UNSOUND if maz.value is False else INCONCLUSIVE
+    return Verdict(result, witness=maz.counterexample, bounds=bounds, notes=notes + (maz.reason,))
 
 
 def _check_codec(bounds: Bounds, *templates: ThreadTemplate) -> _Codec:
@@ -811,13 +802,10 @@ def oracle_check_natural(
     bounds: Bounds,
 ) -> Verdict:
     """Bounded end-to-end ground truth for a whole natural reduction."""
-    fusion = spec.fusion if spec.fusion is not None else None
-    if t is None:
-        base = substitute_blocks(fusion) if fusion else None
-        if base is None:
-            raise ValueError("need either a template or a fusion")
-    else:
-        base = t
+    fusion = spec.fusion
+    if t is None and fusion is None:
+        raise ValueError("need either a template or a fusion")
+    base = t if t is not None else substitute_blocks(fusion)
     reduced_template = (
         spec.instrumentation.instrumented
         if spec.instrumentation is not None
@@ -829,13 +817,8 @@ def oracle_check_natural(
     try:
         program = ParameterizedProgram(base, infer_sync_kind(base))
         l2 = _interleavings(codec, program, bounds, False, budget)
-        l1_raw = _interleavings(
-            codec,
-            ParameterizedProgram(reduced_template, SyncKind.LOCKS_AND_SYNC_POINTS),
-            bounds,
-            True,
-            budget,
-        )
+        reduced = ParameterizedProgram(reduced_template, SyncKind.LOCKS_AND_SYNC_POINTS)
+        l1_raw = _interleavings(codec, reduced, bounds, True, budget)
         l1 = _expanded_plain(codec, l1_raw, blocks, bounds, budget)
     except DepthExceeded as exc:
         return Verdict(INCONCLUSIVE, bounds=bounds, notes=(str(exc),))
@@ -856,7 +839,11 @@ def bounded_coverability(
     finite state space; no length bound applies).  The witness is the full
     synchronization-feasible indexed trace.  Rendezvous programs are out of
     scope here; the rendezvous gadgets are checked through the interleaving
-    oracle instead.
+    oracle instead.  Each (location, held-locks) pair one thread reaches
+    alone (others can only block its acquires) is numbered in (location,
+    sorted locks) order; a state is the sorted tuple of its interchangeable
+    threads' numbers, tested for the goal when discovered.  Only the
+    witness is decoded.
     """
     t = p.template
     if t.has_sync_points:
@@ -866,65 +853,78 @@ def bounded_coverability(
         raise UnknownLocation(f"configuration uses unknown locations {sorted(unknown)}")
     n = bounds.max_threads
     if len(c) > n:
-        raise ValueError("configuration wider than the thread bound")
+        raise InconsistentInputs(f"configuration of {len(c)} locations is wider than the thread bound {n}")
     goal = Counter(c)
 
-    # Threads are interchangeable, so a state is the sorted tuple of
-    # per-thread (location, held-locks) pairs; the global lock map is their
-    # (disjoint) union.  Steps recorded for the witness name the moved pair.
-    ThreadState = tuple[str, frozenset]
+    def solo(loc: str, locks: frozenset) -> Iterator[tuple[Action, tuple]]:
+        for e in t.successors.get(loc, ()):
+            a = e.action
+            if a.lock is None:
+                yield a, (e.dst, locks)
+            elif a.kind is ActionKind.ACQUIRE and a.lock not in locks:  # not even its own
+                yield a, (e.dst, locks | {a.lock})
+            elif a.kind is ActionKind.RELEASE and a.lock in locks:
+                yield a, (e.dst, locks - {a.lock})
 
-    def canonical(pairs: Iterable[ThreadState]) -> tuple[ThreadState, ...]:
-        return tuple(sorted(pairs, key=lambda p: (p[0], sorted(p[1]))))
+    init = (t.init, frozenset())
+    solo_moves: dict[tuple, list] = {}
+    stack = [init]
+    while stack:
+        pair = stack.pop()
+        if pair not in solo_moves:
+            solo_moves[pair] = list(solo(*pair))
+            stack.extend(q for _, q in solo_moves[pair])
+    pairs = sorted(solo_moves, key=lambda q: (q[0], sorted(q[1])))
+    ident = {q: k for k, q in enumerate(pairs)}
+    bit = {lock: 1 << k for k, lock in enumerate(sorted(set().union(*(q[1] for q in pairs))))}
+    mask = [sum(bit[lock] for lock in locks) for _, locks in pairs]
+    at = [loc for loc, _ in pairs]
+    # a move: (lock bit that must be free, target, step); a step: (action, source, target)
+    steps = [(a, ident[q], ident[r]) for q in pairs for a, r in solo_moves[q]]
+    moves: list[list[tuple[int, int, int]]] = [[] for _ in pairs]
+    for number, (a, src, dst) in enumerate(steps):
+        moves[src].append((bit[a.lock] if a.kind is ActionKind.ACQUIRE else 0, dst, number))
+    start = (ident[init],) * n
+    parents = {start: -1}  # state -> the number of the step that found it
 
-    def covered(state: tuple[ThreadState, ...]) -> bool:
-        have = Counter(loc for loc, _ in state)
-        return all(have[loc] >= cnt for loc, cnt in goal.items())
+    def covered(state: tuple[int, ...]) -> bool:
+        return not goal - Counter(at[k] for k in state)
 
-    start = canonical((t.init, frozenset()) for _ in range(n))
-    parents: dict[tuple, Optional[tuple]] = {start: None}
-    queue = deque([start])
-    hit: Optional[tuple] = None
-    while queue:
-        state = queue.popleft()
-        if covered(state):
-            hit = state
-            break
-        held_elsewhere: Counter = Counter()
-        for _, locks in state:
-            held_elsewhere.update(locks)
-        for idx, (loc, locks) in enumerate(state):
-            for e in t.successors.get(loc, ()):
-                a = e.action
-                if a.kind is ActionKind.ACQUIRE:
-                    if held_elsewhere[a.lock]:
+    def search() -> Optional[tuple[int, ...]]:
+        queue = deque([start])
+        while queue:
+            state = queue.popleft()
+            held = sum(map(mask.__getitem__, state))  # the masks are disjoint
+            for i, k in enumerate(state):
+                rest = state[:i] + state[i + 1 :]
+                for free, dst, number in moves[k]:
+                    if free & held:
                         continue
-                    new_pair = (e.dst, locks | {a.lock})
-                elif a.kind is ActionKind.RELEASE:
-                    if a.lock not in locks:
-                        continue
-                    new_pair = (e.dst, locks - {a.lock})
-                else:
-                    new_pair = (e.dst, locks)
-                nxt = canonical(state[:idx] + (new_pair,) + state[idx + 1 :])
-                if nxt not in parents:
-                    parents[nxt] = (state, a, (loc, locks), new_pair)
-                    queue.append(nxt)
-    if hit is None:
+                    nxt = tuple(sorted(rest + (dst,)))
+                    if nxt not in parents:
+                        parents[nxt] = number
+                        # the state it came from covers nothing, so only a
+                        # thread entering a goal location can cover
+                        if at[dst] in goal and covered(nxt):
+                            return nxt
+                        queue.append(nxt)
+        return None
+
+    cur = start if covered(start) else search()
+    if cur is None:
         return False, None
-
-    steps: list[tuple] = []
-    cur = hit
-    while parents[cur] is not None:
-        prev, a, old_pair, new_pair = parents[cur]  # type: ignore[misc]
-        steps.append((a, old_pair, new_pair))
-        cur = prev
-    steps.reverse()
-    # replay, assigning concrete thread indices to the anonymous pairs
-    assignment: list[ThreadState] = [(t.init, frozenset()) for _ in range(n)]
-    trace: list[tuple[Action, int]] = []
-    for a, old_pair, new_pair in steps:
-        tid = assignment.index(old_pair)
-        assignment[tid] = new_pair
+    path: list[int] = []
+    while parents[cur] >= 0:
+        path.append(parents[cur])
+        _, src, dst = steps[path[-1]]
+        back = list(cur)
+        back.remove(dst)
+        cur = tuple(sorted(back + [src]))
+    # replay, assigning concrete thread indices to the anonymous states
+    assignment, trace = list(start), []
+    for number in reversed(path):
+        a, src, dst = steps[number]
+        tid = assignment.index(src)
+        assignment[tid] = dst
         trace.append((a, tid + 1))
     return True, tuple(trace)

@@ -210,6 +210,48 @@ def covers_inversion(src, dst, rel: CommutativityRelation) -> bool:
     return True
 
 
+# -- coverability ---------------------------------------------------------------
+
+
+def bounded_coverability_ref(p: ParameterizedProgram, config, threads: int) -> bool:
+    """Whether `threads` labelled threads reach a configuration covering
+    `config`: a breadth-first search over ordered tuples of per-thread
+    (location, held locks), with no symmetry reduction.  An acquire needs
+    the lock free on every thread, its own included; a release needs it
+    held by the releasing thread."""
+    t = p.template
+    goal = Counter(config)
+    start = tuple((t.init, frozenset()) for _ in range(threads))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt_frontier = []
+        for state in frontier:
+            have = Counter(loc for loc, _ in state)
+            if all(have[loc] >= k for loc, k in goal.items()):
+                return True
+            held = [lock for _, locks in state for lock in locks]
+            for idx, (loc, locks) in enumerate(state):
+                for e in t.successors.get(loc, ()):
+                    a = e.action
+                    if a.kind is ActionKind.ACQUIRE:
+                        if a.lock in held:
+                            continue
+                        moved = (e.dst, locks | {a.lock})
+                    elif a.kind is ActionKind.RELEASE:
+                        if a.lock not in locks:
+                            continue
+                        moved = (e.dst, locks - {a.lock})
+                    else:
+                        moved = (e.dst, locks)
+                    nxt = state[:idx] + (moved,) + state[idx + 1 :]
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        nxt_frontier.append(nxt)
+        frontier = nxt_frontier
+    return False
+
+
 # -- relations by bounded path enumeration ---------------------------------------
 
 

@@ -285,6 +285,70 @@ def test_input_error_paths(capsys, tmp_path):
     assert code == 3 and "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--mode", "bogus"], ["check", "--threads", "x"], []],
+    ids=["unknown-mode", "non-int-threads", "no-subcommand"],
+)
+def test_usage_errors_exit_3_not_2(capsys, argv):
+    # exit 2 is kept for inconclusive verdicts
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: nredcheck") and "error: " in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as stop:
+        main([flag])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("oracle", "fig2a", "--threads", "0", "--max-len", "2"), "bounds must be at least 1"),
+        (("oracle", "fig2a", "--threads", "2", "--max-len", "0"), "bounds must be at least 1"),
+        (
+            ("oracle", "fig2a", "--threads", "2", "--max-len", "2", "--swap-depth", "0"),
+            "swap depth must be at least 1",
+        ),
+        (("coverability", "sat2", "--threads", "0"), "bounds must be at least 1"),
+        (("coverability", "sat2", "--threads", "2", "--max-len", "0"), "bounds must be at least 1"),
+        (("coverability", "sat2", "--threads", "1"), "wider than the thread bound 1"),
+    ],
+    ids=[
+        "threads-0", "max-len-0", "swap-depth-0", "cover-threads-0", "cover-max-len-0",
+        "cover-too-wide",
+    ],
+)
+def test_bad_bounds_are_input_errors(capsys, argv, message):
+    mode, case, *rest = argv
+    code, out, err = run(capsys, "check", "--mode", mode, str(CASES / f"{case}.nred"), *rest)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_coverability_witness_in_text_mode(capsys):
+    argv = ("check", "--mode", "coverability", str(CASES / "sat2.nred"), "--threads", "2")
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, "coverability: coverable\n")
+    code, out, _ = run(capsys, *argv, "--witness")
+    assert code == 0
+    assert out == (
+        "coverability: coverable\n"
+        "  witness: acq(g1):1 acq(g2):2 acq(m1_x1):1 acq(m2_nx1):1 rel(m2_nx1):1"
+        " acq(m2_nx2):2 acq(m1_x2):2 rel(m1_x2):2\n"
+    )
+    unsat = ("check", "--mode", "coverability", str(CASES / "unsat3.nred"), "--threads", "3")
+    code, out, _ = run(capsys, *unsat, "--witness")
+    assert (code, out) == (1, "coverability: not-coverable\n")
+
+
 PUMPING_LOOP = (
     "actions a b c d\ninit l0\nexit l3\nedge l0 c l1\nedge l1 d l0\n"
     "edge l1 a l2\nedge l2 b l3\nconflicts { (b,a) }\nsyncpoint at l1\n"

@@ -32,6 +32,12 @@ RUNS += [
     ("lock_block", "natural", ()),
     ("lock_block", "oracle", ("--threads", "2", "--max-len", "5")),
 ]
+# the coverability search on the 3-SAT gadgets of cases/sat2.cnf (coverable,
+# an 8-step witness) and cases/unsat3.cnf (not coverable)
+RUNS += [
+    ("sat2", "coverability", ("--threads", "2")),
+    ("unsat3", "coverability", ("--threads", "3")),
+]
 
 
 @pytest.mark.parametrize(

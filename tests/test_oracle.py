@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -400,4 +401,24 @@ def test_coverability_witness_is_feasible():
             nxt = [e.dst for e in t.successors.get(loc, ()) if e.action == act]
             assert nxt, (witness, act, thread)
             position[thread] = nxt[0]
+        # and the final positions, idle threads still at init, cover the target
+        final = Counter(position.get(thread, t.init) for thread in (1, 2))
+        assert not Counter(config) - final, (witness, config)
     assert found >= 5
+
+
+def test_coverability_against_labelled_reference():
+    # the reference labels its threads and sorts nothing, so it shares
+    # neither the symmetry reduction nor the numbering of thread states
+    rng = random.Random(41)
+    verdicts = Counter()
+    for _ in range(40):
+        t = reference.random_lock_template(rng)
+        p = ParameterizedProgram(t, SyncKind.LOCKS)
+        locs = sorted(t.locations)
+        config = (rng.choice(locs), rng.choice(locs))
+        for n in (2, 3):
+            got, _ = bounded_coverability(p, config, Bounds(max_threads=n, max_local_len=1))
+            assert got == reference.bounded_coverability_ref(p, config, n), (t, config, n)
+            verdicts[got] += 1
+    assert verdicts[True] >= 10 and verdicts[False] >= 10, verdicts
