@@ -30,7 +30,7 @@ class _Nfa:
                 self.moves.setdefault(e.src, {}).setdefault(e.action, set()).add(e.dst)
 
     def closure(self, states: Iterable[str]) -> frozenset[str]:
-        return frozenset(graphs.reachable(self.eps, states))
+        return frozenset(graphs.reachable(lambda s: self.eps.get(s, ()), states))
 
     def start(self) -> frozenset[str]:
         return self.closure([self.init])

@@ -24,7 +24,9 @@ check is not decision-grade at all and the verdict carries a
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Mapping, NamedTuple, Optional
 
 from . import graphs
@@ -165,32 +167,32 @@ class EscapeRelation:
 
 
 class _Reach:
-    """Memoized forward location reachability for one template."""
+    """Memoized forward location reachability for one template, searched on
+    its numbered view."""
 
     def __init__(self, t: ThreadTemplate):
-        self.t = t
-        self._fwd: dict[str, frozenset[str]] = {}
-
-    def forward(self, loc: str) -> frozenset[str]:
-        cached = self._fwd.get(loc)
-        if cached is None:
-            cached = self.t.reachable_from([loc])
-            self._fwd[loc] = cached
-        return cached
+        self.view = t.numbered
+        self._fwd: dict[int, set[int]] = {}
 
     def reaches(self, u: str, v: str) -> bool:
-        return v in self.forward(u)
+        index = self.view.index
+        start = index[u]
+        fwd = self._fwd.get(start)
+        if fwd is None:
+            fwd = self._fwd[start] = self.view.reach([start])
+        return index[v] in fwd
 
 
 def _on_path_actions(t: ThreadTemplate) -> list[Action]:
-    """Plain/block actions whose unique edge lies on some init-to-exit path."""
-    fwd = t.reachable_from([t.init])
-    bwd = t.co_reachable_to([t.exit])
+    """Plain/block actions whose unique edge lies on some init-to-exit path,
+    in edge order."""
+    fwd, bwd = t.from_init, t.to_exit
     out = []
-    for a in sorted(t.plain_alphabet, key=Action.sort_key):
-        e = t.the_edge(a)
-        if e.src in fwd and e.dst in bwd:
-            out.append(a)
+    for a in (e.action for e in t.edges):
+        if not a.is_sync:
+            e = t.the_edge(a)
+            if e.src in fwd and e.dst in bwd:
+                out.append(a)
     return out
 
 
@@ -206,9 +208,8 @@ def program_order(t: ThreadTemplate) -> frozenset[tuple[Action, Action]]:
     pairs: set[tuple[Action, Action]] = set()
     for a in actions:
         pairs.add((a, a))
-        fwd = reach.forward(t.the_edge(a).dst)
         for b in actions:
-            if t.the_edge(b).src in fwd:
+            if reach.reaches(t.the_edge(a).dst, t.the_edge(b).src):
                 pairs.add((a, b))
     return frozenset(pairs)
 
@@ -244,8 +245,7 @@ class _EscapeAnalysis:
     def __init__(self, t: ThreadTemplate, fusion: AtomicFusion, rel: CommutativityRelation):
         self.t = t
         self.reach = _Reach(t)
-        self.actions = _on_path_actions(t)
-        self.action_set = set(self.actions)
+        self.action_set = set(_on_path_actions(t))
         self.body_of: dict[Action, tuple[Action, ThreadTemplate]] = {}
         self.body_reach: dict[Action, _Reach] = {}
         for sym, body in fusion.blocks:
@@ -254,7 +254,7 @@ class _EscapeAnalysis:
                 self.body_of[x] = (sym, body)
         self.conflicts = [
             (x, y)
-            for x, y in rel.conflicts_over(self.actions)
+            for x, y in rel.conflicts_over(self.action_set)
             if x in self.action_set and y in self.action_set
         ]
         self.conflict_sources: list[Action] = sorted(
@@ -357,7 +357,7 @@ def escape_relation(
     adj = {u: [hop[3] for hop in hops] for u, hops in eng._meta_edges().items()}
     escapes: dict[Action, set[Action]] = {}
     for a in {y for _, y in eng.conflicts}:
-        reached = graphs.reachable(adj, eng._order_steps_to(a))
+        reached = graphs.reachable(adj.__getitem__, eng._order_steps_to(a))
         escapes[a] = {zp for b in reached for zp in eng.by_source[b]}
     return EscapeRelation(
         frozenset((z, zp) for z, a in eng.conflicts for zp in escapes[a])
@@ -375,40 +375,55 @@ class _BlockSccs:
     def reaches(self, s1: int, s2: int) -> bool:
         if s1 == s2:
             return True
-        return s2 in graphs.reachable(self.scc_adj, [s1])
+        return s2 in graphs.reachable(self.scc_adj.__getitem__, [s1])
 
 
 def _block_sccs(body: ThreadTemplate) -> _BlockSccs:
-    edges = body.edges
-    adj: dict[Edge, list[Edge]] = {}
-    by_src: dict[str, list[Edge]] = {}
-    for e in edges:
-        by_src.setdefault(e.src, []).append(e)
-    for e in edges:
-        adj[e] = by_src.get(e.dst, [])
-    comps = graphs.tarjan_scc(edges, adj)
-    scc_of: dict[Edge, int] = {}
+    edges, v = body.edges, body.numbered
+    # the edge graph: edge k leads to each edge leaving its target, in edge order
+    offsets = array("i", accumulate((v.out_off[d + 1] - v.out_off[d] for d in v.dst), initial=0))
+    targets = array("i", chain.from_iterable(map(v.out, v.dst)))
+    comps = graphs.tarjan_scc(range(len(edges)), offsets, targets)
+    comp_of = [0] * len(edges)
     members: list[list[Edge]] = []
     nontrivial: list[bool] = []
     for idx, comp in enumerate(comps):
-        members.append(comp)
-        nontrivial.append(len(comp) > 1 or comp[0].dst == comp[0].src)
-        for e in comp:
-            scc_of[e] = idx
+        members.append([edges[k] for k in comp])
+        nontrivial.append(len(comp) > 1 or v.src[comp[0]] == v.dst[comp[0]])
+        for k in comp:
+            comp_of[k] = idx
     scc_adj: dict[int, set[int]] = {i: set() for i in range(len(comps))}
-    for e in edges:
-        for e2 in adj[e]:
-            a, b = scc_of[e], scc_of[e2]
-            if a != b:
-                scc_adj[a].add(b)
+    for k in range(len(edges)):
+        for k2 in targets[offsets[k] : offsets[k + 1]]:
+            if comp_of[k] != comp_of[k2]:
+                scc_adj[comp_of[k]].add(comp_of[k2])
+    scc_of = {edges[k]: comp_of[k] for k in range(len(edges))}
     return _BlockSccs(edges, scc_of, members, nontrivial, scc_adj)
 
 
 def _erase_sync(t: ThreadTemplate, kinds: frozenset[ActionKind]) -> ThreadTemplate:
     """Replace edges whose action is of one of `kinds` with fresh,
-    pairwise-distinct plain actions (which then commute with nothing)."""
+    pairwise-distinct plain actions (which then commute with nothing).
+    The erased template is cached on `t` per set of kinds."""
     if not any(a.kind in kinds for a in t.alphabet):
         return t
+    memo = t.__dict__.setdefault("_erased", {})
+    erased = memo.get(kinds)
+    if erased is None:
+        erased = memo[kinds] = _erased_template(t, kinds)
+    return erased
+
+
+def _erased_fusion(f: AtomicFusion) -> AtomicFusion:
+    """`f` with every synchronization edge of its outer template erased,
+    cached on `f`, so its substituted template is built once."""
+    erased = f.__dict__.get("_erased")
+    if erased is None:
+        erased = f.__dict__["_erased"] = AtomicFusion(_erase_sync(f.outer, _SYNC_KINDS), f.blocks)
+    return erased
+
+
+def _erased_template(t: ThreadTemplate, kinds: frozenset[ActionKind]) -> ThreadTemplate:
     taken = {a.name for a in t.alphabet}
     edges = []
     counter = 0
@@ -457,14 +472,13 @@ def check_atomic_fusion(
     """
     flags: tuple[str, ...] = ()
     derived = substitute_blocks(f)
-    if t is not None and t.plain_alphabet != derived.plain_alphabet:
+    if t is not None and t is not derived and t.plain_alphabet != derived.plain_alphabet:
         raise InconsistentInputs("template does not match the fusion's substituted form")
     fusion_alphabet = set(f.outer.plain_alphabet)
     for _, body in f.blocks:
         fusion_alphabet.update(body.plain_alphabet)
     base = t if t is not None else derived
-    covered = set(base.plain_alphabet) | set(i.alphabet) | set(f.block_symbols)
-    missing = fusion_alphabet - covered
+    missing = fusion_alphabet - base.plain_alphabet - i.alphabet - set(f.block_symbols)
     if missing:
         raise InconsistentInputs(
             f"fusion actions {sorted(a.name for a in missing)} not covered by template or relation"
@@ -472,7 +486,7 @@ def check_atomic_fusion(
 
     work = base
     if work.has_sync_actions:
-        f = AtomicFusion(_erase_sync(f.outer, _SYNC_KINDS), f.blocks)
+        f = _erased_fusion(f)
         work = substitute_blocks(f)
         flags = (FLAG_LOCK_ABSTRACTION,)
 
@@ -559,76 +573,74 @@ def _sync_weight(a: Action) -> int:
 
 class _SyncCounts(NamedTuple):
     """Fewest and greatest rendezvous counts from init to each reachable
-    location (greatest is inf when a rendezvous loop can pump the count).
+    location, by id in the template's numbered view (greatest is inf when a
+    rendezvous loop can pump the count).
 
-    `least_parent` maps a location to the (location, action) step that ends
-    a fewest-rendezvous path to it; `greatest_parent` maps it to the edge
-    that enters its strongly connected component on a greatest-count path.
+    `least_parent` maps a location to the id of the edge that ends a
+    fewest-rendezvous path to it; `greatest_parent` maps it to the id of the
+    edge that enters its strongly connected component on a greatest-count
+    path.
     """
 
-    least: dict[str, int]
-    least_parent: dict[str, tuple[str, Action]]
-    greatest: dict[str, float]
-    greatest_parent: dict[str, Edge]
+    least: dict[int, int]
+    least_parent: dict[int, int]
+    greatest: dict[int, float]
+    greatest_parent: dict[int, int]
 
 
 def _sync_counts(g: ThreadTemplate) -> _SyncCounts:
-    succ = g.successors
-    least, least_parent = graphs.zero_one_shortest(
-        g.init,
-        lambda loc: [(e.dst, _sync_weight(e.action), e.action) for e in succ.get(loc, ())],
+    v = g.numbered
+    src, dst = v.src, v.dst
+    weight = bytes(e.action.kind is ActionKind.SYNC_POINT for e in g.edges)
+    least, least_slot = graphs.zero_one_shortest(
+        v.index[g.init], v.out_off, v.out_next, bytes(map(weight.__getitem__, v.out_edges))
     )
-    # greatest counts: longest paths over the condensation of the reachable part
-    fwd = g.reachable_from([g.init])
-    adj: dict[str, set[str]] = {loc: set() for loc in fwd}
-    for e in g.edges:
-        if e.src in fwd and e.dst in fwd:
-            adj[e.src].add(e.dst)
-    # sorted successor lists keep the component order, and with it the
-    # choice between equally long greatest-count paths, off set order
-    comps = graphs.tarjan_scc(sorted(fwd), {loc: sorted(nxt) for loc, nxt in adj.items()})
-    scc_of: dict[str, int] = {}
+    least_parent = {u: v.out_edges[j] for u, j in least_slot.items()}
+    # greatest counts: longest paths over the condensation of the part
+    # reachable from init, which is the key set of `least`; roots and
+    # successor rows sorted by id (by name) keep the component order, and
+    # with it the choice between equally long greatest-count paths, off
+    # set order
+    by_target = sorted(sorted(range(len(g.edges)), key=dst.__getitem__), key=src.__getitem__)
+    comps = graphs.tarjan_scc(sorted(least), v.out_off, array("i", map(dst.__getitem__, by_target)))
+    n_comps = len(comps)
+    comp_of = [n_comps] * len(v.names)  # unreachable locations: one extra row
     for idx, comp in enumerate(comps):
-        for loc in comp:
-            scc_of[loc] = idx
-    pumping = [False] * len(comps)
-    cross: dict[int, list[tuple[int, int, Edge]]] = {i: [] for i in range(len(comps))}
-    for e in g.edges:
-        if e.src not in fwd or e.dst not in fwd:
-            continue
-        s, d = scc_of[e.src], scc_of[e.dst]
-        if s == d:
-            if _sync_weight(e.action):
-                pumping[s] = True
-        else:
-            cross[s].append((d, _sync_weight(e.action), e))
-    value: dict[int, float] = {scc_of[g.init]: 0.0}
-    parent: dict[int, Edge] = {}
-    for idx in reversed(range(len(comps))):  # Tarjan emits reverse topological order
-        if idx not in value:
-            continue
-        if pumping[idx]:
-            value[idx] = math.inf
+        for u in comp:
+            comp_of[u] = idx
+    pumping = {
+        comp_of[src[k]] for k, w in enumerate(weight) if w and comp_of[src[k]] == comp_of[dst[k]]
+    }
+    rows, row_edges = graphs.csr(n_comps + 1, [comp_of[u] for u in src])
+    value: list[Optional[float]] = [None] * n_comps
+    value[comp_of[v.index[g.init]]] = 0.0
+    parent: dict[int, int] = {}
+    for idx in reversed(range(n_comps)):  # Tarjan emits reverse topological order
         base = value[idx]
-        for dst, w, e in cross[idx]:
-            cand = base + w
-            if dst not in value or value[dst] < cand:
-                value[dst] = cand
-                parent[dst] = e
-    greatest = {loc: value[scc_of[loc]] for loc in fwd if scc_of[loc] in value}
-    greatest_parent = {loc: parent[scc_of[loc]] for loc in fwd if scc_of[loc] in parent}
-    return _SyncCounts(least, least_parent, greatest, greatest_parent)
+        if base is None:
+            continue
+        if idx in pumping:
+            base = value[idx] = math.inf
+        for k in row_edges[rows[idx] : rows[idx + 1]]:
+            d = comp_of[dst[k]]
+            if d != idx:
+                cand = base + weight[k]
+                if value[d] is None or value[d] < cand:  # type: ignore[operator]
+                    value[d] = cand
+                    parent[d] = k
+    greatest = {u: value[comp_of[u]] for u in least}
+    greatest_parent = {u: parent[comp_of[u]] for u in least if comp_of[u] in parent}
+    return _SyncCounts(least, least_parent, greatest, greatest_parent)  # type: ignore[arg-type]
 
 
 def _phase_bounds(g: ThreadTemplate, counts: _SyncCounts) -> PhaseBounds:
-    bwd = g.co_reachable_to([g.exit])
+    index = g.numbered.index
     min_count: dict[Action, int] = {}
     max_count: dict[Action, float] = {}
-    for a in sorted(g.plain_alphabet, key=Action.sort_key):
-        e = g.the_edge(a)
-        if e.src in counts.least and e.dst in bwd:
-            min_count[a] = counts.least[e.src]
-            max_count[a] = counts.greatest[e.src]
+    for a in _on_path_actions(g):
+        src = index[g.the_edge(a).src]
+        min_count[a] = counts.least[src]
+        max_count[a] = counts.greatest[src]
     return PhaseBounds(min_count, max_count)
 
 
@@ -666,11 +678,13 @@ def phase_order(g: ThreadTemplate) -> frozenset[tuple[Action, Action]]:
 
 
 def _min_sync_path(g: ThreadTemplate, a: Action, counts: _SyncCounts) -> PathWitness:
+    v = g.numbered
     word: list[Action] = []
-    loc = g.the_edge(a).src
-    while loc != g.init:
-        loc, act = counts.least_parent[loc]
-        word.append(act)
+    loc, init = v.index[g.the_edge(a).src], v.index[g.init]
+    while loc != init:
+        k = counts.least_parent[loc]
+        word.append(g.edges[k].action)
+        loc = v.src[k]
     prefix = tuple(reversed(word))
     return PathWitness(prefix, a, sum(_sync_weight(x) for x in prefix))
 
@@ -696,16 +710,17 @@ def _path_words(g: ThreadTemplate, src: str, dst: str, min_len: int = 0) -> tupl
 def _max_sync_path(g: ThreadTemplate, b: Action, needed: int, counts: _SyncCounts) -> PathWitness:
     """A path to `b` with the greatest rendezvous count; when that count is
     unbounded, a loop is pumped just past `needed`."""
+    v = g.numbered
     target = g.the_edge(b).src
-    if not math.isinf(counts.greatest[target]):
+    if not math.isinf(counts.greatest[v.index[target]]):
         # walk the condensation parents back; connect inside components by
         # plain BFS (finite components never contain a rendezvous edge)
         hops: list[Edge] = []
-        cur = target
+        cur = v.index[target]
         while cur in counts.greatest_parent:
-            e = counts.greatest_parent[cur]
-            hops.append(e)
-            cur = e.src
+            k = counts.greatest_parent[cur]
+            hops.append(g.edges[k])
+            cur = v.src[k]
         hops.reverse()
         word: list[Action] = []
         loc = g.init
@@ -719,14 +734,8 @@ def _max_sync_path(g: ThreadTemplate, b: Action, needed: int, counts: _SyncCount
     # pumped case: find a rendezvous edge on a cycle that the start reaches
     # and that reaches the target
     reach = _Reach(g)
-    for e in sorted(g.edges):
-        if e.action.kind is not ActionKind.SYNC_POINT:
-            continue
-        if (
-            e.src in reach.forward(g.init)
-            and e.src in reach.forward(e.dst)
-            and target in reach.forward(e.dst)
-        ):
+    for e in sorted(x for x in g.edges if x.action.kind is ActionKind.SYNC_POINT):
+        if e.src in g.from_init and reach.reaches(e.dst, e.src) and reach.reaches(e.dst, target):
             into = _path_words(g, g.init, e.src)
             around = (e.action,) + _path_words(g, e.dst, e.src)
             out = _path_words(g, e.dst, target)
@@ -753,8 +762,7 @@ def check_sync_instrumentation(inst: SyncPointInstrumentation, i: CommutativityR
         flags = (FLAG_SYNC_NOT_APPLICABLE,)
     counts = _sync_counts(g)
     pb = _phase_bounds(g, counts)
-    universe = sorted(pb.min_count, key=Action.sort_key)
-    for b, a in i.conflicts_over(universe):
+    for b, a in i.conflicts_over(pb.min_count):
         # (b, a) does not commute; unsound if a can be phase-later than b
         if a not in pb.min_count or b not in pb.max_count:
             continue
@@ -768,13 +776,23 @@ def check_sync_instrumentation(inst: SyncPointInstrumentation, i: CommutativityR
 
 def lift_commutativity(i: CommutativityRelation, f: AtomicFusion) -> CommutativityRelation:
     """Lift a relation to block symbols: a block commutes with something
-    exactly when every action of its body does."""
-    outer_plain = {a for a in f.outer.plain_alphabet if a.kind is not ActionKind.BLOCK}
+    exactly when every action of its body does.  The result is cached on
+    `f` for the relation lifted last, so a check and the re-check of its
+    witness share one lift."""
+    cached = f.__dict__.get("_lifted")
+    if cached is None or cached[0] is not i:
+        cached = f.__dict__["_lifted"] = (i, _lift_commutativity(i, f))
+    return cached[1]
+
+
+def _lift_commutativity(i: CommutativityRelation, f: AtomicFusion) -> CommutativityRelation:
+    plain_alphabet = f.outer.plain_alphabet
+    outer_plain = plain_alphabet - {a for a in plain_alphabet if a.kind is ActionKind.BLOCK}
     body_of: dict[Action, Action] = {}
     for sym, body in f.blocks:
         for x in body.plain_alphabet:
             body_of[x] = sym
-    alphabet: set[Action] = {a for a in outer_plain if a in i.alphabet}
+    alphabet = set(outer_plain & i.alphabet)
     for sym, body in f.blocks:
         if all(b in i.alphabet for b in body.plain_alphabet):
             alphabet.add(sym)
@@ -838,7 +856,7 @@ def verify_fusion_witness(
     if t is None:
         t = substitute_blocks(f)
     if t.has_sync_actions:
-        f = AtomicFusion(_erase_sync(f.outer, _SYNC_KINDS), f.blocks)
+        f = _erased_fusion(f)
         t = substitute_blocks(f)
     body = f.block_map[w.block]
     if not (1 <= w.i < w.j <= len(w.body_trace)):
@@ -872,19 +890,19 @@ def verify_fusion_witness(
 
 def verify_sync_witness(inst: SyncPointInstrumentation, i: CommutativityRelation, w: SyncWitness) -> bool:
     """Re-check a phase-order witness via rendezvous counts on real paths."""
-    g = inst.instrumented
-    g = _erase_sync(g, _LOCK_KINDS)
+    g = _erase_sync(inst.instrumented, _LOCK_KINDS)
+    v = g.numbered
     a, b = w.pair
     if i.commutes(b, a):
         return False
 
     def walk(pw: PathWitness) -> bool:
-        loc: Optional[str] = g.init
+        loc: Optional[int] = v.index[g.init]
         for act in pw.prefix + (pw.action,):
-            loc = next((e.dst for e in g.successors.get(loc, ()) if e.action == act), None)
+            loc = next((v.dst[k] for k in v.out(loc) if g.edges[k].action == act), None)
             if loc is None:
                 return False
-        return loc in g.co_reachable_to([g.exit])
+        return v.names[loc] in g.to_exit
 
     if not walk(w.path_a) or not walk(w.path_b):
         return False

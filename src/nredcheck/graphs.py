@@ -1,78 +1,103 @@
-"""Small graph toolbox: reachability, Tarjan SCCs, breadth-first paths,
-0/1 shortest paths.
+"""Small graph toolbox: reachability, Tarjan SCCs, breadth-first and 0/1
+shortest paths, compressed sparse rows.
 
-Everything works on generic hashable nodes with adjacency given as
-``dict[node, iterable[node]]``, or, for the path searches, as a function
-from a node to its labeled successors.  Kept dependency-free and iterative
-so deep graphs cannot hit the recursion limit.
+Reachability and breadth-first paths take the graph as a function from a
+node to its successors (labeled successors for paths), so they run on
+dicts of hashable nodes and on the int-numbered templates of `model` alike.
+Tarjan SCCs and 0/1 shortest paths, which only whole-template passes need,
+run on ints 0..n-1 with the adjacency given as compressed sparse rows
+(`csr`): node u's successors are `targets[offsets[u]:offsets[u + 1]]`.
+Kept dependency-free and iterative so deep graphs cannot hit the recursion
+limit.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from typing import Callable, Hashable, Iterable, Mapping, Optional, TypeVar
+from itertools import accumulate
+from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
 N = TypeVar("N", bound=Hashable)
 L = TypeVar("L")
 
 
-def reachable(adj: Mapping[N, Iterable[N]], starts: Iterable[N]) -> set[N]:
+def csr(n: int, keys: Sequence[int]) -> tuple[array, array]:
+    """Compressed sparse rows grouping the items 0..len(keys)-1 by their key
+    in range(n): row r is `items[offsets[r]:offsets[r + 1]]`, in increasing
+    item order."""
+    counts = [0] * n
+    for k in keys:
+        counts[k] += 1
+    offsets = array("i", accumulate(counts, initial=0))
+    items = array("i", sorted(range(len(keys)), key=keys.__getitem__))
+    return offsets, items
+
+
+def reachable(successors: Callable[[N], Iterable[N]], starts: Iterable[N]) -> set[N]:
     seen = set(starts)
     stack = list(seen)
     while stack:
-        n = stack.pop()
-        for m in adj.get(n, ()):
+        for m in successors(stack.pop()):
             if m not in seen:
                 seen.add(m)
                 stack.append(m)
     return seen
 
 
-def tarjan_scc(nodes: Iterable[N], adj: Mapping[N, Iterable[N]]) -> list[list[N]]:
-    """Strongly connected components in reverse topological order (iterative)."""
-    index: dict[N, int] = {}
-    low: dict[N, int] = {}
-    on_stack: set[N] = set()
-    stack: list[N] = []
-    sccs: list[list[N]] = []
+def tarjan_scc(roots: Iterable[int], offsets: Sequence[int], targets: Sequence[int]) -> list[list[int]]:
+    """Strongly connected components of the int graph whose node u has the
+    successors `targets[offsets[u]:offsets[u + 1]]`, searched from `roots`
+    in order and children in row order; components come in reverse
+    topological order (iterative)."""
+    n = len(offsets) - 1
+    index = [-1] * n
+    low = [0] * n
+    on_stack = bytearray(n)
+    stack: list[int] = []
+    sccs: list[list[int]] = []
     counter = 0
-
-    for root in nodes:
-        if root in index:
+    for root in roots:
+        if index[root] >= 0:
             continue
-        work: list[tuple[N, Optional[N], object]] = [(root, None, iter(adj.get(root, ())))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, parent, it = work[-1]
-            advanced = False
-            for child in it:  # type: ignore[union-attr]
-                if child not in index:
-                    index[child] = low[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, node, iter(adj.get(child, ()))))
-                    advanced = True
+        on_stack[root] = 1
+        path = [root]  # the search path, with the next row slot of each node
+        slots = [offsets[root]]
+        while path:
+            node = path[-1]
+            slot, end = slots[-1], offsets[node + 1]
+            while slot < end:
+                child = targets[slot]
+                slot += 1
+                if index[child] < 0:
                     break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
+                if on_stack[child] and index[child] < low[node]:
+                    low[node] = index[child]
+            else:
+                path.pop()
+                slots.pop()
+                if path and low[node] < low[path[-1]]:
+                    low[path[-1]] = low[node]
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = 0
+                        comp.append(w)
+                        if w == node:
+                            break
+                    sccs.append(comp)
                 continue
-            work.pop()
-            if parent is not None:
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(comp)
+            slots[-1] = slot
+            index[child] = low[child] = counter
+            counter += 1
+            stack.append(child)
+            on_stack[child] = 1
+            path.append(child)
+            slots.append(offsets[child])
     return sccs
 
 
@@ -114,26 +139,29 @@ def bfs_path(
 
 
 def zero_one_shortest(
-    source: N,
-    neighbors: Callable[[N], Iterable[tuple[N, int, L]]],
-) -> tuple[dict[N, int], dict[N, tuple[N, L]]]:
-    """Single-source shortest distances for edge weights in {0, 1} (deque BFS).
+    source: int, offsets: Sequence[int], targets: Sequence[int], weights: Sequence[int]
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Single-source shortest distances for edge weights in {0, 1} (deque
+    BFS) on the int graph whose node u has the out-slots
+    `offsets[u]..offsets[u + 1] - 1`, slot j leading to `targets[j]` at
+    weight `weights[j]`.
 
-    `neighbors(n)` yields (node, weight, label) triples.  Also returns, for
-    every node but the source, the (previous node, label) of the edge that
-    last lowered its distance, so shortest paths can be walked back.
+    Also returns, for every node but the source, the slot that last lowered
+    its distance, so shortest paths can be walked back.
     """
-    dist: dict[N, int] = {source: 0}
-    parent: dict[N, tuple[N, L]] = {}
-    dq: deque[N] = deque([source])
+    dist: dict[int, int] = {source: 0}
+    parent: dict[int, int] = {}
+    dq: deque[int] = deque([source])
     while dq:
         n = dq.popleft()
         d = dist[n]
-        for m, w, label in neighbors(n):
+        for j in range(offsets[n], offsets[n + 1]):
+            m = targets[j]
+            w = weights[j]
             nd = d + w
             if m not in dist or nd < dist[m]:
                 dist[m] = nd
-                parent[m] = (n, label)
+                parent[m] = j
                 if w == 0:
                     dq.appendleft(m)
                 else:

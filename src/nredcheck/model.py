@@ -9,16 +9,23 @@ structural layer: representation plus validation.
 
 All values are immutable after construction and safe to share across threads.
 Because they never change, derived views (alphabets, successor maps, the
-substituted template of a fusion) and validation reports are computed on
-first use and cached on the object they describe, so a structure handed
-from the parser to the checks is validated once.  An `Action` computes its
-hash, `is_sync` and `sort_key()` when it is made.
+numbered graph of a template and its reach sets, the substituted template
+of a fusion, the instrumented template at a location set) and validation
+reports are computed on first use and cached on the object they describe,
+so a structure handed from the parser to the checks is built and validated
+once.  An `Action` computes its hash, `is_sync` and `sort_key()` when it is
+made.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from . import graphs
@@ -52,22 +59,24 @@ class Action:
     _sort_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.name:
+        name, kind, lock = self.name, self.kind, self.lock
+        if not name:
             raise ValueError("action name must be non-empty")
-        if self.kind in (ActionKind.ACQUIRE, ActionKind.RELEASE):
-            if not self.lock:
-                raise ValueError(f"{self.kind.value} action needs a lock name")
-        elif self.lock is not None:
-            raise ValueError(f"{self.kind.value} action must not carry a lock")
-        if self.kind is ActionKind.SYNC_POINT and self.name != SYNC_POINT_NAME:
+        if kind is ActionKind.ACQUIRE or kind is ActionKind.RELEASE:
+            if not lock:
+                raise ValueError(f"{kind.value} action needs a lock name")
+        elif lock is not None:
+            raise ValueError(f"{kind.value} action must not carry a lock")
+        elif kind is ActionKind.SYNC_POINT and name != SYNC_POINT_NAME:
             raise ValueError("the rendezvous symbol is unique")
-        # actions are hashed and sorted in every inner loop, so the derived
-        # values are computed once; the hash is the generated dataclass's value
+        # actions are hashed and sorted in every inner loop, and a parse
+        # makes one per name, so the derived values are computed once and
+        # cheaply; the hash is the generated dataclass's value
         put = object.__setattr__
-        put(self, "_hash", hash((self.name, self.kind, self.lock)))
+        put(self, "_hash", hash((name, kind, lock)))
         # True for synchronization actions (lock ops and the rendezvous)
-        put(self, "is_sync", self.kind in (ActionKind.ACQUIRE, ActionKind.RELEASE, ActionKind.SYNC_POINT))
-        put(self, "_sort_key", (self.kind.value, self.name, self.lock or ""))
+        put(self, "is_sync", kind in (ActionKind.ACQUIRE, ActionKind.RELEASE, ActionKind.SYNC_POINT))
+        put(self, "_sort_key", (kind._value_, name, lock or ""))  # `.value` is a slow property
 
     def __hash__(self) -> int:
         return self._hash
@@ -116,6 +125,52 @@ class Edge(NamedTuple):
     src: str
     action: Action
     dst: str
+
+
+class NumberedView:
+    """A template's graph on ints.
+
+    Locations are numbered 0..n-1 in sorted-name order, so sorted ids are
+    sorted names and a search that orders its work by id orders it as it
+    would by name.  Every name the template mentions is numbered, undeclared
+    ones too, so validation can run on it.  Edge k is `template.edges[k]`;
+    `src` and `dst` hold its endpoints.  The edges leaving each location
+    are compressed sparse rows (`graphs.csr`) of edge ids, in edge order,
+    with their targets in `out_next`; `in_prev` holds the sources of the
+    edges entering each location, in rows of the same kind.
+    """
+
+    __slots__ = ("names", "index", "src", "dst", "out_off", "out_edges", "out_next", "in_off", "in_prev")
+
+    def __init__(self, t: "ThreadTemplate") -> None:
+        names = set(t.locations)
+        names.update((t.init, t.exit))
+        names.update(map(itemgetter(0), t.edges))
+        names.update(map(itemgetter(2), t.edges))
+        self.names = sorted(names)
+        index = self.index = {name: k for k, name in enumerate(self.names)}
+        self.src = src = array("i", map(index.__getitem__, map(itemgetter(0), t.edges)))
+        self.dst = dst = array("i", map(index.__getitem__, map(itemgetter(2), t.edges)))
+        self.out_off, self.out_edges = graphs.csr(len(self.names), src)
+        self.out_next = array("i", map(dst.__getitem__, self.out_edges))
+        self.in_off, in_edges = graphs.csr(len(self.names), dst)
+        self.in_prev = array("i", map(src.__getitem__, in_edges))
+
+    def out(self, u: int) -> array:
+        """Ids of the edges leaving location `u`."""
+        return self.out_edges[self.out_off[u] : self.out_off[u + 1]]
+
+    def reach(self, starts: Iterable[int], forward: bool = True) -> set[int]:
+        """Ids reachable from `starts` (that reach them when not forward)."""
+        off, nxt = (self.out_off, self.out_next) if forward else (self.in_off, self.in_prev)
+        return graphs.reachable(lambda u: nxt[off[u] : off[u + 1]], starts)
+
+    def reach_names(self, starts: Iterable[str], forward: bool) -> frozenset[str]:
+        """`reach` on names; a name the template never mentions reaches
+        only itself."""
+        starts = frozenset(starts)
+        ids = self.reach([self.index[s] for s in starts if s in self.index], forward)
+        return starts.union(map(self.names.__getitem__, ids))
 
 
 class ModelError(Exception):
@@ -204,66 +259,73 @@ class ThreadTemplate:
         extra_locations: Iterable[str] = (),
     ) -> "ThreadTemplate":
         """Build a template, inferring the location set from the edges."""
-        es = []
-        seen = set()
+        # first copy of each edge; tuple.__new__ builds an Edge without a
+        # Python-level call per edge
+        es = tuple(dict.fromkeys(map(tuple.__new__, repeat(Edge), edges)))
+        if es and set(map(len, es)) != {3}:
+            raise ValueError("an edge is a (src, action, dst) triple")
         locs = {init, exit, *extra_locations}
-        for src, action, dst in edges:
-            e = Edge(src, action, dst)
-            if e not in seen:
-                seen.add(e)
-                es.append(e)
-            locs.add(src)
-            locs.add(dst)
-        return ThreadTemplate(frozenset(locs), tuple(es), init, exit)
+        locs.update(map(itemgetter(0), es))
+        locs.update(map(itemgetter(2), es))
+        return ThreadTemplate(frozenset(locs), es, init, exit)
 
-    # -- derived views (cached lazily; safe on a frozen dataclass) ---------
+    # -- derived views (computed on first use and kept in the instance
+    # dict, which a frozen dataclass allows) ------------------------------
 
-    @property
+    @cached_property
+    def _edge_of(self) -> dict[Action, Optional[Edge]]:
+        """Each action's edge; None for an action that labels several."""
+        edge_of: dict[Action, Optional[Edge]] = {}
+        for e in self.edges:
+            edge_of[e.action] = None if e.action in edge_of else e
+        return edge_of
+
+    @cached_property
     def alphabet(self) -> frozenset[Action]:
-        cached = self.__dict__.get("_alphabet")
-        if cached is None:
-            cached = frozenset(e.action for e in self.edges)
-            self.__dict__["_alphabet"] = cached
-        return cached
+        return frozenset(self._edge_of)
 
-    @property
+    @cached_property
     def plain_alphabet(self) -> frozenset[Action]:
         """Plain and block-symbol actions (everything but synchronization)."""
-        cached = self.__dict__.get("_plain_alphabet")
-        if cached is None:
-            cached = frozenset(a for a in self.alphabet if not a.is_sync)
-            self.__dict__["_plain_alphabet"] = cached
-        return cached
+        return self.alphabet - {a for a in self.alphabet if a.is_sync}
 
-    @property
+    @cached_property
     def successors(self) -> Mapping[str, tuple[Edge, ...]]:
-        cached = self.__dict__.get("_successors")
-        if cached is None:
-            adj: dict[str, list[Edge]] = {loc: [] for loc in self.locations}
-            for e in self.edges:
-                adj.setdefault(e.src, []).append(e)
-            cached = {k: tuple(v) for k, v in adj.items()}
-            self.__dict__["_successors"] = cached
-        return cached
+        adj: dict[str, list[Edge]] = {loc: [] for loc in self.locations}
+        for e in self.edges:
+            adj.setdefault(e.src, []).append(e)
+        return {k: tuple(v) for k, v in adj.items()}
+
+    @cached_property
+    def numbered(self) -> "NumberedView":
+        """The template's graph on ints (see `NumberedView`)."""
+        return NumberedView(self)
+
+    @cached_property
+    def from_init(self) -> frozenset[str]:
+        """Locations reachable from init."""
+        return self.reachable_from([self.init])
+
+    @cached_property
+    def to_exit(self) -> frozenset[str]:
+        """Locations from which exit is reachable."""
+        return self.co_reachable_to([self.exit])
 
     def edges_labeled(self, action: Action) -> tuple[Edge, ...]:
-        index = self.__dict__.get("_by_action")
-        if index is None:
-            index = {}
-            for e in self.edges:
-                index.setdefault(e.action, []).append(e)
-            index = {k: tuple(v) for k, v in index.items()}
-            self.__dict__["_by_action"] = index
-        return index.get(action, ())
+        if action not in self._edge_of:
+            return ()
+        e = self._edge_of[action]
+        return (e,) if e is not None else tuple(x for x in self.edges if x.action == action)
 
     def the_edge(self, action: Action) -> Edge:
         """The unique edge labeled by a plain or block action."""
-        es = self.edges_labeled(action)
-        if not es:
-            raise KeyError(f"no edge labeled {action}")
-        if len(es) > 1:
+        e = self._edge_of.get(action)
+        if e is None:
+            es = self.edges_labeled(action)
+            if not es:
+                raise KeyError(f"no edge labeled {action}")
             raise InconsistentInputs(f"action {action} labels {len(es)} edges")
-        return es[0]
+        return e
 
     @property
     def has_sync_actions(self) -> bool:
@@ -273,23 +335,11 @@ class ThreadTemplate:
     def has_sync_points(self) -> bool:
         return any(a.kind is ActionKind.SYNC_POINT for a in self.alphabet)
 
-    def _location_graph(self, forward: bool) -> Mapping[str, list[str]]:
-        """Next locations of each location (previous ones when not forward)."""
-        key = "_next_locations" if forward else "_previous_locations"
-        cached = self.__dict__.get(key)
-        if cached is None:
-            cached = {}
-            for e in self.edges:
-                src, dst = (e.src, e.dst) if forward else (e.dst, e.src)
-                cached.setdefault(src, []).append(dst)
-            self.__dict__[key] = cached
-        return cached
-
     def reachable_from(self, starts: Iterable[str]) -> frozenset[str]:
-        return frozenset(graphs.reachable(self._location_graph(forward=True), starts))
+        return self.numbered.reach_names(starts, forward=True)
 
     def co_reachable_to(self, targets: Iterable[str]) -> frozenset[str]:
-        return frozenset(graphs.reachable(self._location_graph(forward=False), targets))
+        return self.numbered.reach_names(targets, forward=False)
 
     def traces(self, max_len: int) -> Iterator[tuple[Action, ...]]:
         """All words labeling init-to-exit paths of length at most max_len.
@@ -348,18 +398,15 @@ def _validate_template(t: ThreadTemplate) -> ValidationReport:
             if loc not in t.locations:
                 rb.add("unknown-location", f"edge {e} uses undeclared location {loc!r}", (loc,))
 
-    reachable = t.reachable_from([t.init])
-    for loc in sorted(t.locations - reachable):
+    for loc in sorted(t.locations - t.from_init):
         rb.add("unreachable", f"{loc!r} unreachable from init", (loc,))
-    co_reachable = t.co_reachable_to([t.exit])
-    for loc in sorted(t.locations - co_reachable):
+    for loc in sorted(t.locations - t.to_exit):
         rb.add("not-co-reachable", f"exit unreachable from {loc!r}", (loc,))
 
-    counts: dict[Action, int] = {}
-    for e in t.edges:
-        counts[e.action] = counts.get(e.action, 0) + 1
-    for a in sorted(counts, key=Action.sort_key):
-        if counts[a] > 1 and not a.is_sync:
+    dups = {a for a, e in t._edge_of.items() if e is None and not a.is_sync}
+    if dups:
+        counts = Counter(e.action for e in t.edges if e.action in dups)
+        for a in sorted(dups, key=Action.sort_key):
             rb.add("duplicate-label", f"action {a} labels {counts[a]} edges", (a.name,))
     return rb.build()
 
@@ -491,13 +538,12 @@ class CommutativityRelation:
 
         Actions outside the declared alphabet conflict with everything.
         """
-        uni = sorted(set(universe), key=Action.sort_key)
-        absent = [a for a in uni if a not in self.alphabet]
-        present = [a for a in uni if a in self.alphabet]
-        uni_set = set(uni)
+        uni_set = set(universe)
+        absent = sorted(uni_set - self.alphabet, key=Action.sort_key)
         for x, y in sorted(self.explicit_conflicts, key=lambda p: (p[0].sort_key(), p[1].sort_key())):
             if x in uni_set and y in uni_set:
                 yield (x, y)
+        uni = sorted(uni_set, key=Action.sort_key) if absent else []
         for x in absent:
             for y in uni:
                 yield (x, y)
@@ -637,7 +683,7 @@ def validate_fusion(fusion: AtomicFusion, declared_original: Optional[ThreadTemp
                 rb.add("block-in-body", f"{tag}: body contains block symbol {a}", (a.name,))
         # A valid body always has an init-to-exit path; record it explicitly
         # when the body is broken in exactly that way.
-        if body.init in body.locations and body.exit not in body.reachable_from([body.init]):
+        if body.init in body.locations and body.exit not in body.from_init:
             rb.add("empty-body-language", f"{tag}: no path from body init to body exit", (sym.name,))
     if rb.entries:
         return rb.build()
@@ -682,11 +728,23 @@ def insert_syncpoints(t: ThreadTemplate, m: Iterable[str]) -> SyncPointInstrumen
     labeled by the rendezvous symbol, and its outgoing edges move to the
     copy.  A location without outgoing edges is left untouched (a rendezvous
     there could never be passed and would only break co-reachability).
+    The instrumented template is cached on `t` per location set, so
+    rebuilding an instrumentation to compare it gives the same template.
     """
     m = frozenset(m)
     unknown = m - t.locations
     if unknown:
         raise UnknownLocation(f"locations not in template: {sorted(unknown)}")
+    memo = t.__dict__.setdefault("_instrumented", {})
+    if m not in memo:
+        memo[m] = _insert_syncpoints(t, m)
+    # a template that gains no edge is not kept in its own cache
+    return SyncPointInstrumentation(t, memo[m] or t, m)
+
+
+def _insert_syncpoints(t: ThreadTemplate, m: frozenset[str]) -> Optional[ThreadTemplate]:
+    """The instrumented template, or None when no location of `m` has an
+    outgoing edge."""
 
     def fresh_copy(loc: str) -> str:
         candidate = loc + "^"
@@ -694,17 +752,17 @@ def insert_syncpoints(t: ThreadTemplate, m: Iterable[str]) -> SyncPointInstrumen
             candidate += "^"
         return candidate
 
+    v = t.numbered
+    copies = {loc: fresh_copy(loc) for loc in m if v.out(v.index[loc])}
+    if not copies:
+        return None
     edges: list[tuple[str, Action, str]] = []
-    copies = {loc: fresh_copy(loc) for loc in m if t.successors.get(loc)}
     for e in t.edges:
         src = copies.get(e.src, e.src)
         edges.append((src, e.action, e.dst))
     for loc, copy in copies.items():
         edges.append((loc, SYNC, copy))
-    if not copies:
-        return SyncPointInstrumentation(t, t, m)
-    instrumented = ThreadTemplate.make(edges, t.init, t.exit, extra_locations=t.locations | set(copies.values()))
-    return SyncPointInstrumentation(t, instrumented, m)
+    return ThreadTemplate.make(edges, t.init, t.exit, extra_locations=t.locations | set(copies.values()))
 
 
 def validate_instrumentation(inst: SyncPointInstrumentation) -> ValidationReport:

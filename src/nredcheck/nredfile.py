@@ -90,6 +90,17 @@ class ParsedInput:
 _PAIR_RE = re.compile(r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
 
 
+class _Actions(dict):
+    """`actions[maker, name]` is `maker(name)` (`plain`, `acquire` or
+    `release`), made once per parse, so the templates and the relation
+    share their action objects."""
+
+    def __missing__(self, key: tuple) -> Action:
+        maker, name = key
+        act = self[key] = maker(name)
+        return act
+
+
 @dataclass
 class _RawTemplate:
     init: Optional[str] = None
@@ -98,7 +109,7 @@ class _RawTemplate:
     edges: list[tuple[str, str, str]] = field(default_factory=list)
     lock_edges: list[tuple[str, str, str, str]] = field(default_factory=list)
 
-    def build(self, block_names: set[str], where: str) -> ThreadTemplate:
+    def build(self, block_names: set[str], where: str, actions: _Actions) -> ThreadTemplate:
         if self.init is None:
             raise ParseError(f"{where}: missing init")
         if self.exit is None:
@@ -107,10 +118,10 @@ class _RawTemplate:
         for src, name, dst in self.edges:
             if name == SYNC_POINT_NAME:
                 raise ParseError(f"{where}: rendezvous edges are declared via 'syncpoint at'")
-            act = block_symbol(name) if name in block_names else plain(name)
+            act = block_symbol(name) if name in block_names else actions[plain, name]
             edges.append((src, act, dst))
         for src, op, lock, dst in self.lock_edges:
-            act = acquire(lock) if op == "acq" else release(lock)
+            act = actions[acquire if op == "acq" else release, lock]
             edges.append((src, act, dst))
         return ThreadTemplate.make(edges, self.init, self.exit, extra_locations=self.locations)
 
@@ -308,9 +319,10 @@ def _assemble(
     cover: list[str],
 ) -> ParsedInput:
     block_names = set(raw_blocks)
-    fused = top.build(block_names, "template")
+    made = _Actions()
+    fused = top.build(block_names, "template", made)
     bodies = {
-        block_symbol(name): raw.build(set(), f"block {name}")
+        block_symbol(name): raw.build(set(), f"block {name}", made)
         for name, raw in sorted(raw_blocks.items())
     }
     for name in sorted(block_names):
@@ -331,16 +343,15 @@ def _assemble(
     if syncpoints:
         instrumentation = insert_syncpoints(fused, syncpoints)
 
-    declared = [plain(a) for a in actions]
-    declared_set = set(declared)
+    declared = [made[plain, a] for a in actions]
     try:
         if commutes is not None:
             relation = CommutativityRelation(
-                declared, pairs=[(plain(a), plain(b)) for a, b in commutes]
+                declared, pairs=[(made[plain, a], made[plain, b]) for a, b in commutes]
             )
         else:
             relation = CommutativityRelation(
-                declared, conflicts=[(plain(a), plain(b)) for a, b in (conflicts or [])]
+                declared, conflicts=[(made[plain, a], made[plain, b]) for a, b in (conflicts or [])]
             )
     except ValueError as exc:
         raise ValidationError(
@@ -350,8 +361,8 @@ def _assemble(
     warnings = []
     undeclared = sorted(
         a.name
-        for a in original.plain_alphabet
-        if a.kind is ActionKind.PLAIN and a not in declared_set
+        for a in original.plain_alphabet - relation.alphabet
+        if a.kind is ActionKind.PLAIN
     )
     if undeclared:
         warnings.append(

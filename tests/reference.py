@@ -10,6 +10,7 @@ expected to be tiny.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -19,6 +20,7 @@ from nredcheck.model import (
     ActionKind,
     AtomicFusion,
     CommutativityRelation,
+    Edge,
     ParameterizedProgram,
     SyncKind,
     ThreadTemplate,
@@ -346,6 +348,157 @@ def phase_order_ref(instrumented: ThreadTemplate, max_len: int | None = None) ->
         for b in best_max
         if best_min[a] < best_max[b]
     )
+
+
+# -- dict-based template passes ----------------------------------------------------
+#
+# The location reachability, rendezvous counts and phase bounds as they ran
+# on names and dicts before templates had a numbered view, kept as the
+# reference the numbered passes must reproduce, tie-breaks and witness
+# parents included.
+
+
+def reach_ref(t: ThreadTemplate, starts, forward: bool = True) -> frozenset[str]:
+    adj: dict[str, list[str]] = {}
+    for e in t.edges:
+        src, dst = (e.src, e.dst) if forward else (e.dst, e.src)
+        adj.setdefault(src, []).append(dst)
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for m in adj.get(stack.pop(), ()):
+            if m not in seen:
+                seen.add(m)
+                stack.append(m)
+    return frozenset(seen)
+
+
+def validate_template_ref(t: ThreadTemplate) -> list[tuple[str, str, tuple]]:
+    """The template invariants as (code, message, subject) entries."""
+    out = []
+    if t.init == t.exit:
+        out.append(("init-equals-exit", "init equals exit", (t.init,)))
+    if t.init not in t.locations:
+        out.append(("unknown-init", f"init location {t.init!r} not declared", (t.init,)))
+    if t.exit not in t.locations:
+        out.append(("unknown-exit", f"exit location {t.exit!r} not declared", (t.exit,)))
+    for e in t.edges:
+        for loc in (e.src, e.dst):
+            if loc not in t.locations:
+                out.append(("unknown-location", f"edge {e} uses undeclared location {loc!r}", (loc,)))
+    for loc in sorted(t.locations - reach_ref(t, [t.init])):
+        out.append(("unreachable", f"{loc!r} unreachable from init", (loc,)))
+    for loc in sorted(t.locations - reach_ref(t, [t.exit], forward=False)):
+        out.append(("not-co-reachable", f"exit unreachable from {loc!r}", (loc,)))
+    counts = Counter(e.action for e in t.edges)
+    for a in sorted(counts, key=Action.sort_key):
+        if counts[a] > 1 and not a.is_sync:
+            out.append(("duplicate-label", f"action {a} labels {counts[a]} edges", (a.name,)))
+    return out
+
+
+def _tarjan_ref(nodes, adj) -> list[list]:
+    """Recursive Tarjan: components in reverse topological order."""
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    out: list[list] = []
+
+    def visit(node) -> None:
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        for child in adj.get(node, ()):
+            if child not in index:
+                visit(child)
+                low[node] = min(low[node], low[child])
+            elif child in on_stack:
+                low[node] = min(low[node], index[child])
+        if low[node] == index[node]:
+            comp = []
+            while True:
+                w = stack.pop()
+                on_stack.discard(w)
+                comp.append(w)
+                if w == node:
+                    break
+            out.append(comp)
+
+    for node in nodes:
+        if node not in index:
+            visit(node)
+    return out
+
+
+def sync_counts_ref(g: ThreadTemplate):
+    """(least, least_parent, greatest, greatest_parent) by location name:
+    the least count by 0/1 breadth-first search over `g.successors`, with
+    the (location, action) step that last lowered it; the greatest by
+    longest paths over the condensation of the part reachable from init,
+    with the edge that enters each component."""
+    def weight(a: Action) -> int:
+        return 1 if a.kind is ActionKind.SYNC_POINT else 0
+
+    least: dict[str, int] = {g.init: 0}
+    least_parent: dict[str, tuple[str, Action]] = {}
+    queue = [g.init]  # a deque by hand: 0-steps go to the front
+    while queue:
+        loc = queue.pop(0)
+        for e in g.successors.get(loc, ()):
+            d = least[loc] + weight(e.action)
+            if e.dst not in least or d < least[e.dst]:
+                least[e.dst] = d
+                least_parent[e.dst] = (loc, e.action)
+                if weight(e.action):
+                    queue.append(e.dst)
+                else:
+                    queue.insert(0, e.dst)
+    fwd = reach_ref(g, [g.init])
+    adj: dict[str, set[str]] = {loc: set() for loc in fwd}
+    for e in g.edges:
+        if e.src in fwd:
+            adj[e.src].add(e.dst)
+    comps = _tarjan_ref(sorted(fwd), {loc: sorted(nxt) for loc, nxt in adj.items()})
+    scc_of = {loc: idx for idx, comp in enumerate(comps) for loc in comp}
+    pumping = [False] * len(comps)
+    cross: dict[int, list] = {i: [] for i in range(len(comps))}
+    for e in g.edges:
+        if e.src not in fwd:
+            continue
+        s, d = scc_of[e.src], scc_of[e.dst]
+        if s == d:
+            pumping[s] = pumping[s] or bool(weight(e.action))
+        else:
+            cross[s].append((d, weight(e.action), e))
+    value: dict[int, float] = {scc_of[g.init]: 0.0}
+    parent: dict[int, Edge] = {}
+    for idx in reversed(range(len(comps))):
+        if idx not in value:
+            continue
+        if pumping[idx]:
+            value[idx] = math.inf
+        for dst, w, e in cross[idx]:
+            if dst not in value or value[dst] < value[idx] + w:
+                value[dst] = value[idx] + w
+                parent[dst] = e
+    greatest = {loc: value[scc_of[loc]] for loc in fwd if scc_of[loc] in value}
+    greatest_parent = {loc: parent[scc_of[loc]] for loc in fwd if scc_of[loc] in parent}
+    return least, least_parent, greatest, greatest_parent
+
+
+def phase_bounds_ref(g: ThreadTemplate) -> tuple[dict, dict]:
+    """(min_count, max_count) per plain or block action on an
+    init-to-exit path."""
+    least, _, greatest, _ = sync_counts_ref(g)
+    bwd = reach_ref(g, [g.exit], forward=False)
+    min_count, max_count = {}, {}
+    for a in g.plain_alphabet:
+        e = g.the_edge(a)
+        if e.src in least and e.dst in bwd:
+            min_count[a] = least[e.src]
+            max_count[a] = greatest[e.src]
+    return min_count, max_count
 
 
 # -- random instances -------------------------------------------------------------

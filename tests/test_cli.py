@@ -422,3 +422,23 @@ def test_malformed_json_input_is_an_input_error(capsys, tmp_path, text, message)
     code, out, err = run(capsys, "check", str(f))
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [(["check", "--mode", "natural", "cases/fig2a.nred"], 0), (["--help"], 0)],
+    ids=["check", "help"],
+)
+def test_python_dash_m_runs_the_cli(argv, code):
+    import os
+    import subprocess
+    import sys
+
+    root = CASES.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "nredcheck", *argv],
+        cwd=root, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == code, done.stderr
+    assert done.stdout

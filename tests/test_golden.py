@@ -7,7 +7,10 @@ that moves a witness on purpose regenerates them and says why.
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +43,11 @@ RUNS += [
 ]
 
 
+# the criterion-7 chain at n = 200: a block mid-spine, two rendezvous points
+# and a phase-pair witness along the whole spine
+RUNS += [("chain200", "natural", ("--witness",))]
+
+
 @pytest.mark.parametrize(
     "case,mode,extra", RUNS, ids=[f"{case}-{mode}" for case, mode, _ in RUNS]
 )
@@ -48,3 +56,17 @@ def test_json_report_matches_golden(case, mode, extra, capsys, monkeypatch):
     main(["check", "--mode", mode, "--json", f"cases/{case}.nred", *extra])
     out = re.sub(r',"wall_time_ms":[0-9.e+-]+', "", capsys.readouterr().out)
     assert out == (GOLDEN / f"{case}.{mode}.json").read_text(encoding="utf-8")
+
+
+def test_chain_report_does_not_follow_the_hash_seed():
+    src = str(ROOT / "src")
+    want = (GOLDEN / "chain200.natural.json").read_text(encoding="utf-8")
+    for seed in ("0", "1", "123"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "nredcheck", "check", "--mode", "natural", "--json",
+             "--witness", "cases/chain200.nred"],
+            cwd=ROOT, capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 1, done.stderr
+        assert re.sub(r',"wall_time_ms":[0-9.e+-]+', "", done.stdout) == want

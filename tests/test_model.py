@@ -308,3 +308,55 @@ def test_substitution_and_spec_validation_are_cached():
     assert substitute_blocks(f) is substitute_blocks(f)
     spec = NaturalReductionSpec(fusion=f)
     assert spec.validate() is spec.validate() and spec.validate().ok
+
+
+@pytest.mark.parametrize("case", ["lock_block", "chain200"])
+def test_natural_check_builds_each_template_once(monkeypatch, capsys, case):
+    # lock_block: a block under a lock, unsound by a block witness;
+    # chain200: a rendezvous witness, re-checked with the lifted relation
+    from collections import Counter
+
+    from nredcheck import decision
+    from nredcheck.cli import main
+
+    runs: Counter = Counter()
+    views: Counter = Counter()
+    insert, lift, view = model._insert_syncpoints, decision._lift_commutativity, model.NumberedView
+
+    class CountingView(view):
+        def __init__(self, t):
+            views[id(t)] += 1
+            super().__init__(t)
+
+    monkeypatch.setattr(model, "_insert_syncpoints", lambda t, m: runs.update(["insert"]) or insert(t, m))
+    monkeypatch.setattr(decision, "_lift_commutativity", lambda i, f: runs.update(["lift"]) or lift(i, f))
+    monkeypatch.setattr(model, "NumberedView", CountingView)
+    path = Path(__file__).resolve().parent.parent / "cases" / f"{case}.nred"
+    assert main(["check", "--mode", "natural", str(path)]) == 1
+    assert runs == {"insert": 1, "lift": 1}
+    assert views and set(views.values()) == {1}
+
+
+def test_lock_program_erases_and_substitutes_once(monkeypatch, capsys):
+    from collections import Counter
+
+    from nredcheck import decision
+    from nredcheck.cli import main
+
+    erased: Counter = Counter()
+    substituted: Counter = Counter()
+    erase, substitute = decision._erased_template, model._substitute_blocks
+    monkeypatch.setattr(
+        decision, "_erased_template", lambda t, kinds: erased.update([(id(t), kinds)]) or erase(t, kinds)
+    )
+    monkeypatch.setattr(
+        model, "_substitute_blocks", lambda f: substituted.update([id(f)]) or substitute(f)
+    )
+    path = Path(__file__).resolve().parent.parent / "cases" / "lock_block.nred"
+    assert main(["check", "--mode", "natural", str(path)]) == 1
+    # the outer template without its lock and rendezvous edges (the block
+    # check and its witness re-check), the instrumented one without its
+    # lock edges (the rendezvous check)
+    assert len(erased) == 2 and set(erased.values()) == {1}
+    # the input's fusion and the erased one
+    assert len(substituted) == 2 and set(substituted.values()) == {1}
