@@ -51,6 +51,15 @@ class _Nfa:
         return self.exit in states
 
 
+def accepts(t: ThreadTemplate, word: Iterable[Action]) -> bool:
+    """Whether `word` labels an init-to-exit path of `t`."""
+    nfa = _Nfa(t, frozenset())
+    states = nfa.start()
+    for a in word:
+        states = nfa.step(states, a)
+    return nfa.accepts(states)
+
+
 def language_equivalent(
     left: ThreadTemplate,
     right: ThreadTemplate,

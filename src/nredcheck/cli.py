@@ -26,6 +26,7 @@ from . import __version__
 from . import decision, gadgets, movers, oracle
 from .decision import (
     FusionWitness,
+    ReentryWitness,
     SyncWitness,
     Verdict,
     check_atomic_fusion,
@@ -76,6 +77,12 @@ def _witness_json(w: object) -> object:
                 for l in w.chain
             ],
         }
+    if isinstance(w, ReentryWitness):
+        return {
+            "type": "re-entry",
+            "blocks": [b.name for b in w.blocks],
+            "trace": [a.name for a in w.trace],
+        }
     if isinstance(w, SyncWitness):
         def path(p):
             return {
@@ -118,6 +125,11 @@ def _render_witness_text(w: object, out: list[str]) -> None:
         out.append(f"  witness: block {w.block.name}, body trace "
                    f"{' '.join(a.name for a in w.body_trace)} (positions {w.i} < {w.j})")
         out.append("  chain:   " + "  ".join(str(l) for l in w.chain))
+    elif isinstance(w, ReentryWitness):
+        out.append(f"  witness: one thread runs {' '.join(a.name for a in w.trace)}, "
+                   "which the fused program cannot run")
+        out.append("  body edge into init or out of exit in block "
+                   + ", ".join(b.name for b in w.blocks))
     elif isinstance(w, SyncWitness):
         a, b = w.pair
         out.append(f"  witness: ({a.name}, {b.name}) phase-ordered but ({b.name}, {a.name}) does not commute")
@@ -189,10 +201,10 @@ def _exit_for(verdict: Verdict) -> int:
 
 def _witness_ok(parsed: ParsedInput, verdict: Verdict) -> bool:
     """Re-check an unsound verdict's witness against the definitions: a
-    block witness against the fusion, a phase-pair witness against the
-    instrumentation and the relation lifted to block symbols."""
+    block or re-entry witness against the fusion, a phase-pair witness
+    against the instrumentation and the relation lifted to block symbols."""
     spec, rel = parsed.spec, parsed.relation
-    if isinstance(verdict.witness, FusionWitness):
+    if isinstance(verdict.witness, (FusionWitness, ReentryWitness)):
         return verify_fusion_witness(parsed.program.template, spec.fusion, rel, verdict.witness)
     if spec.fusion is not None:
         rel = lift_commutativity(rel, spec.fusion)

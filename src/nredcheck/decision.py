@@ -26,8 +26,9 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from . import graphs
 from .model import (
@@ -99,6 +100,21 @@ class FusionWitness:
         return tuple(
             (l.kind, l.source, l.target) for l in self.chain if l.kind != CONFLICT
         )
+
+
+@dataclass(frozen=True)
+class ReentryWitness:
+    """A one-thread trace of the original program that the fused program
+    cannot run.
+
+    A body edge into its body's init or out of its exit becomes, in the
+    substituted template, an edge between outer locations, so one thread
+    can leave a block part-way and run on outside it.  `blocks` are the
+    blocks whose bodies have such an edge.
+    """
+
+    trace: tuple[Action, ...]
+    blocks: tuple[Action, ...]
 
 
 @dataclass(frozen=True)
@@ -228,18 +244,27 @@ def at_relation(f: AtomicFusion) -> frozenset[tuple[Action, Action]]:
     return frozenset(pairs)
 
 
-# one meta-graph edge from conflict source u to conflict source w:
-# (u, a conflict target v of u, kind of the order step from v to w, w)
-_MetaHop = tuple[Action, Action, str, Action]
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class _EscapeAnalysis:
     """Sparse chain-relation engine over one original template and fusion.
 
     Conflicts are enumerated explicitly (actions missing from the declared
-    alphabet conflict with everything).  Chains are resolved through a small
-    meta graph whose nodes are conflict sources, so the cost scales with the
-    number of conflicts rather than with the alphabet squared.
+    alphabet conflict with everything).  Chains are resolved through a meta
+    graph whose nodes are the conflict sources, numbered in sort order:
+    source u leads to each source that a conflict target of u order-steps
+    to.  Those steps are read off bitsets of sources, one row per conflict
+    target, built on first use from one condensation pass over the
+    template, so the cost scales with the number of conflicts rather than
+    with the alphabet squared, and no order step is asked twice.
+    `order_step` is the pairwise definition the rows must agree with; only
+    the witness re-check calls it.
     """
 
     def __init__(self, t: ThreadTemplate, fusion: AtomicFusion, rel: CommutativityRelation):
@@ -260,12 +285,10 @@ class _EscapeAnalysis:
         self.conflict_sources: list[Action] = sorted(
             {x for x, _ in self.conflicts}, key=Action.sort_key
         )
+        self.number = {u: k for k, u in enumerate(self.conflict_sources)}
         self.by_source: dict[Action, list[Action]] = {}
         for x, y in self.conflicts:
             self.by_source.setdefault(x, []).append(y)
-        self._meta: Optional[dict[Action, list[_MetaHop]]] = None
-
-    # -- single steps -------------------------------------------------------
 
     def order_step(self, x: Action, y: Action) -> Optional[str]:
         """Kind of the (x, y) order step, or None: forward program order
@@ -283,58 +306,86 @@ class _EscapeAnalysis:
 
     # -- chain relation: order . (conflict . order)* -------------------------
 
-    def _meta_edges(self) -> dict[Action, list[_MetaHop]]:
-        """Out-edges of each conflict source u: an edge to conflict source w
-        for each conflict target v of u that order-steps to w."""
-        if self._meta is None:
-            meta: dict[Action, list[_MetaHop]] = {}
-            for u in self.conflict_sources:
-                out = []
-                for v in self.by_source[u]:
-                    for w in self.conflict_sources:
-                        kind = self.order_step(v, w)
-                        if kind is not None:
-                            out.append((u, v, kind, w))
-                meta[u] = out
-            self._meta = meta
-        return self._meta
+    @cached_property
+    def _rows(self) -> dict[Action, tuple[int, int]]:
+        """For each conflict target v, two bitsets over the numbered
+        conflict sources: those v steps to in program order, and those it
+        order-steps to at all (program order or reverse order in its block
+        body)."""
+        t, view = self.t, self.t.numbered
+        bit = {u: 1 << k for u, k in self.number.items()}
+        starting = [0] * len(view.names)  # sources whose edge starts at a location
+        for u, b in bit.items():
+            starting[view.index[t.the_edge(u).src]] |= b
+        # sources whose edge starts at a location reachable from each one,
+        # folded over the components in Tarjan's reverse topological order
+        # (a successor in another component has its mask already)
+        below = [0] * len(view.names)
+        off, nxt = view.out_off, view.out_next
+        for comp in graphs.tarjan_scc(range(len(view.names)), off, nxt):
+            mask = 0
+            for loc in comp:
+                mask |= starting[loc]
+                for succ in nxt[off[loc] : off[loc + 1]]:
+                    mask |= below[succ]
+            for loc in comp:
+                below[loc] = mask
+        rows: dict[Action, tuple[int, int]] = {}
+        for v in {y for _, y in self.conflicts}:
+            program = below[view.index[t.the_edge(v).dst]] | bit.get(v, 0)
+            steps = program
+            if v in self.body_of:  # bodies are tiny: test them pairwise
+                sym, body = self.body_of[v]
+                v_src, reach = body.the_edge(v).src, self.body_reach[sym]
+                for w in body.plain_alphabet:
+                    if w in bit and reach.reaches(body.the_edge(w).dst, v_src):
+                        steps |= bit[w]
+            rows[v] = (program, steps)
+        return rows
 
-    def _order_steps_to(self, x: Action) -> list[Action]:
-        """Conflict sources that x order-steps to."""
-        return [u for u in self.conflict_sources if self.order_step(x, u) is not None]
+    def _kind(self, v: Action, k: int) -> str:
+        """Kind of the step from conflict target v to source number k."""
+        return PROGRAM_ORDER if self._rows[v][0] >> k & 1 else ATOMIC_ORDER
 
-    def _last_step(self, u: Action, y: Action) -> Optional[tuple[Action, str]]:
-        """The first conflict target v of u that order-steps to y, with the
-        kind of that step."""
-        for v in self.by_source.get(u, ()):
-            kind = self.order_step(v, y)
-            if kind is not None:
-                return v, kind
-        return None
+    def _last_step(self, u: Action, k: int) -> Optional[Action]:
+        """The first conflict target of u that order-steps to source k."""
+        rows = self._rows
+        return next((v for v in self.by_source[u] if rows[v][1] >> k & 1), None)
 
     def chain(self, x: Action, y: Action) -> Optional[tuple[ChainLink, ...]]:
         """A shortest conflict/order chain realizing the step relation from
-        x to y, as alternating order and conflict links; None when absent."""
-        kind = self.order_step(x, y)
-        if kind is not None:
-            return (ChainLink(kind, x, y),)
-        meta = self._meta_edges()
+        conflict target x to conflict source y, as alternating order and
+        conflict links; None when absent."""
+        rows, sources, by_source = self._rows, self.conflict_sources, self.by_source
+        ky = self.number[y]
+        if rows[x][1] >> ky & 1:
+            return (ChainLink(self._kind(x, ky), x, y),)
+        # breadth-first over source numbers; a source already discovered is
+        # never yielded again, which leaves every first discovery, and so
+        # every parent, as it would be with all successors yielded
+        seen = rows[x][1]
+
+        def successors(u: int) -> Iterator[tuple[int, tuple[int, Action, int]]]:
+            nonlocal seen
+            for v in by_source[sources[u]]:
+                new = rows[v][1] & ~seen
+                seen |= new
+                for w in _bits(new):
+                    yield w, (u, v, w)
+
         found = graphs.bfs_path(
-            self._order_steps_to(x),
-            lambda u: ((hop[3], hop) for hop in meta[u]),
-            lambda u: self._last_step(u, y) is not None,
+            _bits(seen), successors, lambda u: self._last_step(sources[u], ky) is not None
         )
         if found is None:
             return None
         goal, hops = found
         root = hops[0][0] if hops else goal
-        first_kind = self.order_step(x, root)
-        assert first_kind is not None
-        links = [ChainLink(first_kind, x, root)]
-        for u, via, kind, w in hops:
-            links += [ChainLink(CONFLICT, u, via), ChainLink(kind, via, w)]
-        v, last_kind = self._last_step(goal, y)  # type: ignore[misc]
-        links += [ChainLink(CONFLICT, goal, v), ChainLink(last_kind, v, y)]
+        links = [ChainLink(self._kind(x, root), x, sources[root])]
+        for u, v, w in hops:
+            links += [ChainLink(CONFLICT, sources[u], v), ChainLink(self._kind(v, w), v, sources[w])]
+        v = self._last_step(sources[goal], ky)
+        assert v is not None
+        links += [ChainLink(CONFLICT, sources[goal], v), ChainLink(self._kind(v, ky), v, y)]
         return tuple(links)
 
 
@@ -352,13 +403,25 @@ def escape_relation(
     if t is None:
         t = substitute_blocks(f)
     eng = _EscapeAnalysis(t, f, i)
+    rows, sources = eng._rows, eng.conflict_sources
     # a chain from a reaches conflict source b exactly when b is reachable
     # in the meta graph from the conflict sources a order-steps to
-    adj = {u: [hop[3] for hop in hops] for u, hops in eng._meta_edges().items()}
+    succ = [0] * len(sources)
+    for k, u in enumerate(sources):
+        for v in eng.by_source[u]:
+            succ[k] |= rows[v][1]
     escapes: dict[Action, set[Action]] = {}
-    for a in {y for _, y in eng.conflicts}:
-        reached = graphs.reachable(adj.__getitem__, eng._order_steps_to(a))
-        escapes[a] = {zp for b in reached for zp in eng.by_source[b]}
+    for a, (_, steps) in rows.items():
+        seen = steps
+
+        def unseen(k: int) -> Iterator[int]:
+            nonlocal seen
+            new = succ[k] & ~seen
+            seen |= new
+            return _bits(new)
+
+        reached = graphs.reachable(unseen, _bits(steps))
+        escapes[a] = {zp for k in reached for zp in eng.by_source[sources[k]]}
     return EscapeRelation(
         frozenset((z, zp) for z, a in eng.conflicts for zp in escapes[a])
     )
@@ -484,15 +547,15 @@ def check_atomic_fusion(
             f"fusion actions {sorted(a.name for a in missing)} not covered by template or relation"
         )
 
-    work = base
+    work, fusion = base, f
     if work.has_sync_actions:
-        f = _erased_fusion(f)
-        work = substitute_blocks(f)
+        fusion = _erased_fusion(f)
+        work = substitute_blocks(fusion)
         flags = (FLAG_LOCK_ABSTRACTION,)
 
-    eng = _EscapeAnalysis(work, f, i)
+    eng = _EscapeAnalysis(work, fusion, i)
     conditions: list[tuple[str, Verdict]] = []
-    for sym, body in f.blocks:
+    for sym, body in fusion.blocks:
         sccs = _block_sccs(body)
         body_actions = sorted(body.plain_alphabet, key=Action.sort_key)
         # candidate components per endpoint of the chain relation
@@ -561,7 +624,53 @@ def check_atomic_fusion(
                 flags=flags,
             )
         conditions.append((f"block:{sym.name}", Verdict(SOUND)))
+    # every block is atomic; the fused program must still run every
+    # thread trace of the original
+    reentry = reentry_witness(base, f)
+    if reentry is not None:
+        conditions.append(("re-entry", Verdict(UNSOUND, witness=reentry)))
+        return Verdict(UNSOUND, witness=reentry, checked_conditions=tuple(conditions), flags=flags)
     return Verdict(SOUND, checked_conditions=tuple(conditions), flags=flags)
+
+
+def _fused_expansion(f: AtomicFusion) -> ThreadTemplate:
+    """The fused program's thread traces with block symbols expanded: each
+    block edge is replaced by a fresh copy of its body, entered from the
+    edge's source only by the body's init edges and left into the edge's
+    target only by its exit edges, so every pass through a copy runs one
+    body trace from init to exit."""
+    bodies = f.block_map
+    edges = [e for e in f.outer.edges if e.action not in bodies]
+    for sym, body in f.blocks:
+        src, _, dst = f.outer.the_edge(sym)
+        for u, a, w in body.edges:
+            froms = [f"{sym.name}::{u}"] + ([src] if u == body.init else [])
+            tos = [f"{sym.name}::{w}"] + ([dst] if w == body.exit else [])
+            edges += [(p, a, q) for p in froms for q in tos]
+    return ThreadTemplate.make(edges, f.outer.init, f.outer.exit)
+
+
+def reentry_witness(t: Optional[ThreadTemplate], f: AtomicFusion) -> Optional[ReentryWitness]:
+    """A thread trace of the original program (`t`, else the substituted
+    template) that the fused program cannot run, or None.
+
+    Only a body edge into its init or out of its exit can make one: without
+    such an edge the substituted and the expanded templates have the same
+    traces, so the languages are compared only when one exists.
+    """
+    blocks = tuple(
+        sym
+        for sym, body in f.blocks
+        if any(e.dst == body.init or e.src == body.exit for e in body.edges)
+    )
+    if not blocks:
+        return None
+    from . import automata  # only inputs with such an edge need it
+
+    same, word = automata.language_equivalent(
+        t if t is not None else substitute_blocks(f), _fused_expansion(f)
+    )
+    return None if same else ReentryWitness(word, blocks)  # type: ignore[arg-type]
 
 
 # -- rendezvous counting ----------------------------------------------------
@@ -850,9 +959,12 @@ def verify_fusion_witness(
     t: Optional[ThreadTemplate],
     f: AtomicFusion,
     i: CommutativityRelation,
-    w: FusionWitness,
+    w: FusionWitness | ReentryWitness,
 ) -> bool:
-    """Re-check an unsoundness witness directly against the definitions."""
+    """Re-check an unsoundness witness of `check_atomic_fusion` directly
+    against the definitions."""
+    if isinstance(w, ReentryWitness):
+        return verify_reentry_witness(t, f, w)
     if t is None:
         t = substitute_blocks(f)
     if t.has_sync_actions:
@@ -888,6 +1000,18 @@ def verify_fusion_witness(
     return True
 
 
+def verify_reentry_witness(
+    t: Optional[ThreadTemplate], f: AtomicFusion, w: ReentryWitness
+) -> bool:
+    """Re-check a re-entry witness by running its trace: the original
+    program runs it on one thread, and the fused program cannot."""
+    from . import automata
+
+    if t is None:
+        t = substitute_blocks(f)
+    return automata.accepts(t, w.trace) and not automata.accepts(_fused_expansion(f), w.trace)
+
+
 def verify_sync_witness(inst: SyncPointInstrumentation, i: CommutativityRelation, w: SyncWitness) -> bool:
     """Re-check a phase-order witness via rendezvous counts on real paths."""
     g = _erase_sync(inst.instrumented, _LOCK_KINDS)
@@ -914,15 +1038,18 @@ def verify_sync_witness(inst: SyncPointInstrumentation, i: CommutativityRelation
 def induced_interleaving(
     t: Optional[ThreadTemplate],
     f: AtomicFusion,
-    w: FusionWitness,
+    w: FusionWitness | ReentryWitness,
 ) -> tuple[tuple[Action, int], ...]:
     """Materialize the interleaving a fusion witness describes.
 
     Thread 1 runs the witness body trace split between positions i and j;
     each order step of the chain contributes one further thread whose trace
-    realizes that step.  The result is a complete interleaving of the
-    original program with no atomic representative.
+    realizes that step.  A re-entry witness is thread 1 running its trace
+    alone.  The result is a complete interleaving of the original program
+    with no atomic representative.
     """
+    if isinstance(w, ReentryWitness):
+        return tuple((x, 1) for x in w.trace)
     if t is None:
         t = substitute_blocks(f)
     body = f.block_map[w.block]

@@ -14,6 +14,7 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from . import graphs
+from .decision import reentry_witness
 from .model import Action, AtomicFusion, CommutativityRelation
 
 CERTIFIED_SOUND = "certified-sound"
@@ -73,7 +74,10 @@ def lipton_check(f: AtomicFusion, i: CommutativityRelation) -> LiptonResult:
     """Certify a fusion when every block trace is right-movers, pivot, left-movers.
 
     Decided by running each body against the three-state acceptor of that
-    shape; `unknown` comes with a concrete non-conforming trace.  Mover
+    shape; `unknown` comes with a concrete non-conforming trace.  A fusion
+    whose original program runs a thread trace the fused program cannot
+    (a body re-enters its init or leaves its exit) is never certified; its
+    `failing_trace` is that whole-thread trace.  Mover
     classes quantify over the declared alphabet joined with the program
     alphabet, so undeclared program actions soundly demote movers.
     """
@@ -110,6 +114,14 @@ def lipton_check(f: AtomicFusion, i: CommutativityRelation) -> LiptonResult:
                 failing_trace=tuple(found[1]),
                 dead_actions=dead,
             )
+    reentry = reentry_witness(None, f)
+    if reentry is not None:
+        return LiptonResult(
+            UNKNOWN,
+            failing_block=reentry.blocks[0],
+            failing_trace=reentry.trace,
+            dead_actions=dead,
+        )
     return LiptonResult(CERTIFIED_SOUND, dead_actions=dead)
 
 

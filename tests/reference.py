@@ -14,7 +14,7 @@ import math
 import random
 from collections import Counter
 
-from nredcheck import oracle
+from nredcheck import decision, graphs, oracle
 from nredcheck.model import (
     Action,
     ActionKind,
@@ -313,11 +313,93 @@ def escape_relation_ref(
     return compose(conflicts, closure)
 
 
+class PairwiseEscape(decision._EscapeAnalysis):
+    """The escape engine as it was before the source bitsets: the meta
+    graph over conflict sources is materialised hop by hop, with one
+    pairwise `order_step` per (conflict target, conflict source) pair."""
+
+    def _meta_edges(self) -> dict:
+        """Out-hops (u, v, kind, w) of each conflict source u: one to each
+        source w that a conflict target v of u order-steps to."""
+        if "_meta" not in self.__dict__:
+            self._meta = {
+                u: [
+                    (u, v, kind, w)
+                    for v in self.by_source[u]
+                    for w in self.conflict_sources
+                    if (kind := self.order_step(v, w)) is not None
+                ]
+                for u in self.conflict_sources
+            }
+        return self._meta
+
+    def _order_steps_to(self, x: Action) -> list:
+        return [u for u in self.conflict_sources if self.order_step(x, u) is not None]
+
+    def _last_step(self, u: Action, y: Action):
+        for v in self.by_source.get(u, ()):
+            kind = self.order_step(v, y)
+            if kind is not None:
+                return v, kind
+        return None
+
+    def chain(self, x: Action, y: Action):
+        kind = self.order_step(x, y)
+        if kind is not None:
+            return (decision.ChainLink(kind, x, y),)
+        meta = self._meta_edges()
+        found = graphs.bfs_path(
+            self._order_steps_to(x),
+            lambda u: ((hop[3], hop) for hop in meta[u]),
+            lambda u: self._last_step(u, y) is not None,
+        )
+        if found is None:
+            return None
+        goal, hops = found
+        root = hops[0][0] if hops else goal
+        links = [decision.ChainLink(self.order_step(x, root), x, root)]
+        for u, via, kind, w in hops:
+            links += [decision.ChainLink(decision.CONFLICT, u, via), decision.ChainLink(kind, via, w)]
+        v, last_kind = self._last_step(goal, y)
+        links += [decision.ChainLink(decision.CONFLICT, goal, v), decision.ChainLink(last_kind, v, y)]
+        return tuple(links)
+
+
+def escape_relation_pairwise(
+    t: ThreadTemplate, f: AtomicFusion, rel: CommutativityRelation
+) -> frozenset:
+    """`decision.escape_relation` on the pairwise meta graph: one
+    reachability search per conflict target."""
+    eng = PairwiseEscape(t, f, rel)
+    adj = {u: [hop[3] for hop in hops] for u, hops in eng._meta_edges().items()}
+    escapes = {}
+    for a in {y for _, y in eng.conflicts}:
+        reached = graphs.reachable(adj.__getitem__, eng._order_steps_to(a))
+        escapes[a] = {zp for b in reached for zp in eng.by_source[b]}
+    return frozenset((z, zp) for z, a in eng.conflicts for zp in escapes[a])
+
+
+def fused_traces_ref(f: AtomicFusion, max_len: int) -> set:
+    """Thread traces of the fused program up to `max_len` steps: outer
+    traces with every block symbol replaced by a trace of its body."""
+    bodies = f.block_map
+    words = set()
+    for w in f.outer.traces(max_len):
+        expansions = [()]
+        for a in w:
+            options = list(bodies[a].traces(max_len)) if a in bodies else [(a,)]
+            expansions = [e + o for e in expansions for o in options if len(e) + len(o) <= max_len]
+        words.update(expansions)
+    return words
+
+
 def fusion_sound_ref(
     t: ThreadTemplate, f: AtomicFusion, rel: CommutativityRelation
 ) -> bool:
     """The characterization, brute force: unsound exactly when some block
-    trace has two positions linked by the escape relation."""
+    trace has two positions linked by the escape relation, or when one
+    thread of the original program runs a trace that the fused program
+    cannot (a body edge re-enters its init or leaves its exit)."""
     escape = escape_relation_ref(t, f, rel)
     for _, body in f.blocks:
         for w in body.traces(2 * len(body.locations) + 4):
@@ -325,7 +407,8 @@ def fusion_sound_ref(
                 for q in range(p + 1, len(w)):
                     if (w[p], w[q]) in escape:
                         return False
-    return True
+    cap = 2 * len(t.locations) + 2
+    return set(t.traces(cap)) <= fused_traces_ref(f, cap)
 
 
 def phase_order_ref(instrumented: ThreadTemplate, max_len: int | None = None) -> frozenset:

@@ -160,6 +160,27 @@ def test_failed_witness_revalidation_exits_4(capsys, monkeypatch, mode, case, ve
     assert err == "internal error: witness failed re-validation\n"
 
 
+def test_reentrant_body_verdicts(capsys):
+    path = str(CASES / "reentry.nred")
+    for mode in ("atomic", "natural"):
+        code, out, _ = run(capsys, "check", "--mode", mode, "--json", path)
+        assert code == 1
+        witness = json.loads(out)["verdict"]["witness"]
+        assert witness == {"type": "re-entry", "blocks": ["B1"], "trace": ["p0", "p1", "p2"]}
+    code, out, _ = run(capsys, "check", "--mode", "atomic", "--witness", path)
+    assert "one thread runs p0 p1 p2" in out
+    code, out, _ = run(capsys, "movers", path)
+    assert code == 2 and out.startswith("movers: unknown")
+
+
+def test_failed_reentry_witness_revalidation_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr("nredcheck.decision.verify_reentry_witness", lambda *args: False)
+    code, out, err = run(capsys, "check", "--mode", "atomic", str(CASES / "reentry.nred"))
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: witness failed re-validation\n"
+
+
 def test_unexpected_exception_exits_4_without_a_traceback(capsys, monkeypatch):
     def boom(*args):
         raise RuntimeError("boom")

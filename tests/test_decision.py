@@ -6,9 +6,11 @@ import time
 
 import pytest
 
+from nredcheck import oracle
 from nredcheck.decision import (
     ActionUnreachable,
     FLAG_LOCK_ABSTRACTION,
+    ReentryWitness,
     at_relation,
     check_atomic_fusion,
     check_natural_reduction,
@@ -22,8 +24,10 @@ from nredcheck.decision import (
     phase_order,
     program_order,
     verify_fusion_witness,
+    verify_reentry_witness,
     verify_sync_witness,
 )
+from nredcheck.movers import lipton_check
 from nredcheck.model import (
     AtomicFusion,
     CommutativityRelation,
@@ -271,6 +275,98 @@ def test_check_atomic_fusion_with_locks_is_flagged():
     verdict = check_atomic_fusion(None, fusion, rel)
     assert FLAG_LOCK_ABSTRACTION in verdict.flags
     assert verdict.result == "sound"
+
+
+# -- bodies that re-enter their init or leave their exit --------------------------
+
+
+def _one_thread(max_len: int) -> oracle.Bounds:
+    return oracle.Bounds(max_threads=1, max_local_len=max_len, max_swap_depth=64, max_enum_nodes=150_000)
+
+
+def _reentry_repro():
+    p0, p1, p2 = plain("p0"), plain("p1"), plain("p2")
+    b1, b2 = block_symbol("B1"), block_symbol("B2")
+    outer = ThreadTemplate.make([("o0", b1, "o1"), ("o0", b2, "o1")], "o0", "o1")
+    bodies = {
+        b1: ThreadTemplate.make([("u0", p0, "u1"), ("u1", p1, "u0")], "u0", "u1"),
+        b2: ThreadTemplate.make([("v0", p2, "v1")], "v0", "v1"),
+    }
+    fusion = AtomicFusion.make(outer, bodies)
+    return fusion, CommutativityRelation([p0, p1, p2], conflicts=[(p1, p2)])
+
+
+def test_reentrant_body_is_unsound():
+    # u1 -p1-> u0 becomes o1 -p1-> o0 in the original, so one thread runs
+    # p0 p1 p2 there; every block alone is atomic
+    fusion, rel = _reentry_repro()
+    verdict = check_atomic_fusion(None, fusion, rel)
+    assert verdict.is_unsound
+    assert verdict.witness == ReentryWitness(
+        (plain("p0"), plain("p1"), plain("p2")), (block_symbol("B1"),)
+    )
+    assert [(name, v.result) for name, v in verdict.checked_conditions] == [
+        ("block:B1", "sound"), ("block:B2", "sound"), ("re-entry", "unsound"),
+    ]
+    assert verify_fusion_witness(None, fusion, rel, verdict.witness)
+    assert not lipton_check(fusion, rel).certified
+    spec = NaturalReductionSpec(fusion=fusion)
+    assert check_natural_reduction(None, spec, rel).witness == verdict.witness
+    # the ground truth: one thread, three steps
+    assert oracle.oracle_check_natural(None, spec, rel, _one_thread(3)).is_unsound
+
+
+def test_reentry_witness_recheck_runs_the_trace():
+    fusion, rel = _reentry_repro()
+    p0, p1, p2 = plain("p0"), plain("p1"), plain("p2")
+    blocks = (block_symbol("B1"),)
+    assert verify_reentry_witness(None, fusion, ReentryWitness((p0, p1, p2), blocks))
+    # the fused program runs p0 p1 p0 (one pass through B1's loop) ...
+    assert not verify_reentry_witness(None, fusion, ReentryWitness((p0, p1, p0), blocks))
+    # ... and the original cannot end after p1
+    assert not verify_reentry_witness(None, fusion, ReentryWitness((p0, p1), blocks))
+
+
+def test_loop_body_on_a_lone_block_edge_stays_sound():
+    # the body edge back into init adds no trace when the block edge is the
+    # only way from o0 to o1
+    x, y = plain("x"), plain("y")
+    outer = ThreadTemplate.make([("o0", B, "o1")], "o0", "o1")
+    body = ThreadTemplate.make([("u0", x, "u1"), ("u1", y, "u0")], "u0", "u1")
+    fusion = AtomicFusion.make(outer, {B: body})
+    rel = CommutativityRelation.full([x, y])
+    assert check_atomic_fusion(None, fusion, rel).is_sound
+    assert lipton_check(fusion, rel).certified
+
+
+def test_reentrant_corpus_instances_are_unsound():
+    # criterion 3's seed-2026 corpus: five loop-body instances the decision
+    # called sound while one thread of the original runs a trace the fused
+    # program lacks (criterion 3's own bounds leave the oracle inconclusive)
+    rng = random.Random(2026)
+    corpus = [reference.random_fusion_instance(rng) for _ in range(364)]
+    for index in (11, 78, 283, 353, 363):
+        original, fusion, sync_locs, rel = corpus[index]
+        spec = NaturalReductionSpec(
+            fusion=fusion, instrumentation=insert_syncpoints(fusion.outer, sync_locs)
+        )
+        verdict = check_natural_reduction(original, spec, rel)
+        assert verdict.is_unsound and isinstance(verdict.witness, ReentryWitness), index
+        assert verify_fusion_witness(original, fusion, rel, verdict.witness), index
+        assert not lipton_check(fusion, rel).certified, index
+        assert oracle.oracle_check_natural(original, spec, rel, _one_thread(6)).is_unsound, index
+
+
+def test_sound_verdicts_survive_the_one_thread_oracle_on_the_corpus():
+    rng = random.Random(2026)
+    for index in range(500):
+        original, fusion, sync_locs, rel = reference.random_fusion_instance(rng)
+        spec = NaturalReductionSpec(
+            fusion=fusion, instrumentation=insert_syncpoints(fusion.outer, sync_locs)
+        )
+        if check_natural_reduction(original, spec, rel).is_sound:
+            ov = oracle.oracle_check_natural(original, spec, rel, _one_thread(6))
+            assert ov.result == "sound", index
 
 
 def test_induced_interleaving_projections_are_real_traces():

@@ -46,6 +46,12 @@ RUNS += [
 # the criterion-7 chain at n = 200: a block mid-spine, two rendezvous points
 # and a phase-pair witness along the whole spine
 RUNS += [("chain200", "natural", ("--witness",))]
+# a fusion-dense draw (288 actions, 303 conflicts, four blocks, one planted
+# escape through the last block): the escape analysis at scale
+RUNS += [("dense_fusion", "atomic", ("--witness",))]
+# a block body that leaves its exit and re-enters its init: a one-thread
+# re-entry witness, and no one-pivot certificate
+RUNS += [("reentry", mode, ()) for mode in ("atomic", "natural", "movers")]
 
 
 @pytest.mark.parametrize(
@@ -58,15 +64,25 @@ def test_json_report_matches_golden(case, mode, extra, capsys, monkeypatch):
     assert out == (GOLDEN / f"{case}.{mode}.json").read_text(encoding="utf-8")
 
 
-def test_chain_report_does_not_follow_the_hash_seed():
+def _assert_golden_under_hash_seeds(case: str, mode: str) -> None:
+    """The unsound report of `case` in `mode`, run under three hash seeds,
+    is the golden file byte for byte."""
     src = str(ROOT / "src")
-    want = (GOLDEN / "chain200.natural.json").read_text(encoding="utf-8")
+    want = (GOLDEN / f"{case}.{mode}.json").read_text(encoding="utf-8")
     for seed in ("0", "1", "123"):
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
         done = subprocess.run(
-            [sys.executable, "-m", "nredcheck", "check", "--mode", "natural", "--json",
-             "--witness", "cases/chain200.nred"],
+            [sys.executable, "-m", "nredcheck", "check", "--mode", mode, "--json",
+             "--witness", f"cases/{case}.nred"],
             cwd=ROOT, capture_output=True, text=True, env=env, timeout=120,
         )
         assert done.returncode == 1, done.stderr
         assert re.sub(r',"wall_time_ms":[0-9.e+-]+', "", done.stdout) == want
+
+
+def test_chain_report_does_not_follow_the_hash_seed():
+    _assert_golden_under_hash_seeds("chain200", "natural")
+
+
+def test_dense_fusion_report_does_not_follow_the_hash_seed():
+    _assert_golden_under_hash_seeds("dense_fusion", "atomic")
