@@ -2,11 +2,15 @@
 
 The files under `golden/` pin the verdicts and witnesses the CLI reports,
 minus the wall-time field.  A refactor must leave them unchanged; a change
-that moves a witness on purpose regenerates them and says why.
+that moves a witness on purpose regenerates them and says why.  The `.txt`
+files pin what the JSON goldens do not reach: the text reports (witness
+rendering, mover classes, coverability, warnings) and `validate`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import re
 import subprocess
@@ -62,6 +66,54 @@ def test_json_report_matches_golden(case, mode, extra, capsys, monkeypatch):
     main(["check", "--mode", mode, "--json", f"cases/{case}.nred", *extra])
     out = re.sub(r',"wall_time_ms":[0-9.e+-]+', "", capsys.readouterr().out)
     assert out == (GOLDEN / f"{case}.{mode}.json").read_text(encoding="utf-8")
+
+
+# name -> command line; each transcript is stdout, then stderr under a
+# "[stderr]" line when there is any, then the exit code
+TEXT_RUNS = {
+    "fig2a_iprime.atomic.witness": ("check", "--mode", "atomic", "--witness", "cases/fig2a_iprime.nred"),
+    "reentry.atomic.witness": ("check", "--mode", "atomic", "--witness", "cases/reentry.nred"),
+    "fig2b_iprime.sync.witness": ("check", "--mode", "sync", "--witness", "cases/fig2b_iprime.nred"),
+    "lock_block.natural.witness": ("check", "--witness", "cases/lock_block.nred"),
+    "fig2a_iprime.oracle.witness": (
+        "oracle", "--threads", "2", "--max-len", "2", "--witness", "cases/fig2a_iprime.nred",
+    ),
+    "undeclared.natural": ("check", "cases/undeclared.nred"),
+    "fig2b.movers": ("movers", "cases/fig2b.nred"),
+    "fig2a.movers": ("movers", "cases/fig2a.nred"),
+    "sat2.coverability.witness": (
+        "check", "--mode", "coverability", "--threads", "2", "--witness", "cases/sat2.nred",
+    ),
+    "unsat3.coverability": ("check", "--mode", "coverability", "--threads", "3", "cases/unsat3.nred"),
+    "fig2b.validate": ("validate", "cases/fig2b.nred"),
+    "fig2b.validate-json": ("validate", "--json", "cases/fig2b.nred"),
+    "undeclared.validate": ("validate", "cases/undeclared.nred"),
+    "undeclared.validate-json": ("validate", "--json", "cases/undeclared.nred"),
+    "init_is_exit.validate": ("validate", "cases/init_is_exit.nred"),
+    "init_is_exit.validate-json": ("validate", "--json", "cases/init_is_exit.nred"),
+}
+
+
+def transcript(argv) -> str:
+    """Run the CLI in-process from the repository root and return its
+    output streams and exit code as one text."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)  # the reports echo the input path
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        os.chdir(cwd)
+    text = out.getvalue()
+    if err.getvalue():
+        text += "[stderr]\n" + err.getvalue()
+    return text + f"[exit {code}]\n"
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_RUNS))
+def test_text_output_matches_golden(name):
+    assert transcript(TEXT_RUNS[name]) == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
 def _assert_golden_under_hash_seeds(case: str, mode: str) -> None:
