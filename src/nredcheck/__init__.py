@@ -38,8 +38,6 @@ from .decision import (
     check_sync_instrumentation,
     escape_relation,
     lift_commutativity,
-    max_barrier_count,
-    min_barrier_count,
     phase_order,
     program_order,
 )

@@ -120,74 +120,84 @@ def _verdict_json(v: Verdict) -> dict:
     return out
 
 
-def _render_witness_text(w: object, out: list[str]) -> None:
+def _witness_lines(w: object) -> list[str]:
     if isinstance(w, FusionWitness):
-        out.append(f"  witness: block {w.block.name}, body trace "
-                   f"{' '.join(a.name for a in w.body_trace)} (positions {w.i} < {w.j})")
-        out.append("  chain:   " + "  ".join(str(l) for l in w.chain))
-    elif isinstance(w, ReentryWitness):
-        out.append(f"  witness: one thread runs {' '.join(a.name for a in w.trace)}, "
-                   "which the fused program cannot run")
-        out.append("  body edge into init or out of exit in block "
-                   + ", ".join(b.name for b in w.blocks))
-    elif isinstance(w, SyncWitness):
+        return [
+            f"  witness: block {w.block.name}, body trace "
+            f"{' '.join(a.name for a in w.body_trace)} (positions {w.i} < {w.j})",
+            "  chain:   " + "  ".join(str(l) for l in w.chain),
+        ]
+    if isinstance(w, ReentryWitness):
+        return [
+            f"  witness: one thread runs {' '.join(a.name for a in w.trace)}, "
+            "which the fused program cannot run",
+            "  body edge into init or out of exit in block "
+            + ", ".join(b.name for b in w.blocks),
+        ]
+    if isinstance(w, SyncWitness):
         a, b = w.pair
-        out.append(f"  witness: ({a.name}, {b.name}) phase-ordered but ({b.name}, {a.name}) does not commute")
-        out.append(
-            f"    {a.name} after {w.path_a.sync_count} rendezvous: "
-            f"{' '.join(x.name for x in w.path_a.prefix)} {a.name}"
-        )
         tail = " (pumpable)" if w.path_b.pumped else ""
-        out.append(
+        return [
+            f"  witness: ({a.name}, {b.name}) phase-ordered but ({b.name}, {a.name}) does not commute",
+            f"    {a.name} after {w.path_a.sync_count} rendezvous: "
+            f"{' '.join(x.name for x in w.path_a.prefix)} {a.name}",
             f"    {b.name} after {w.path_b.sync_count} rendezvous{tail}: "
-            f"{' '.join(x.name for x in w.path_b.prefix)} {b.name}"
-        )
-    elif isinstance(w, tuple):
-        out.append(f"  counterexample interleaving: {format_trace(w)}")
+            f"{' '.join(x.name for x in w.path_b.prefix)} {b.name}",
+        ]
+    if isinstance(w, tuple):
+        return [f"  counterexample interleaving: {format_trace(w)}"]
+    return []
 
 
-def _emit(report: dict, verdict: Optional[Verdict], args) -> None:
-    if args.json:
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
-        return
-    lines = [f"{report['mode']}: {report['verdict']['result']}"]
+def _verdict_lines(report: dict, witness: list[str]) -> list[str]:
+    """Text form of a check report: result, flags, notes, conditions, the
+    given witness lines, then the input warnings."""
     v = report["verdict"]
-    for flag in v.get("flags", ()):
-        lines.append(f"  flag: {flag}")
-    for note in v.get("notes", ()):
-        lines.append(f"  note: {note}")
-    for cond in v.get("conditions", ()):
-        lines.append(f"  condition {cond['name']}: {cond['result']}")
-    if verdict is not None and verdict.witness is not None and getattr(args, "witness", False):
-        _render_witness_text(verdict.witness, lines)
-    elif verdict is None and "witness" in v and getattr(args, "witness", False):
-        lines.append(f"  witness: {v['witness']['trace']}")
-    for warning in report.get("warnings", ()):
-        lines.append(f"  warning: {warning}")
-    print("\n".join(lines))
+    return [
+        f"{report['mode']}: {v['result']}",
+        *(f"  flag: {flag}" for flag in v.get("flags", ())),
+        *(f"  note: {note}" for note in v.get("notes", ())),
+        *(f"  condition {c['name']}: {c['result']}" for c in v.get("conditions", ())),
+        *witness,
+        *(f"  warning: {w}" for w in report.get("warnings", ())),
+    ]
 
 
-def _base_report(mode: str, parsed: Optional[ParsedInput], args, path: str) -> dict:
+def _emit(report: dict, lines: list[str], args, t0: Optional[float] = None) -> None:
+    """Print `report` as JSON (with the wall time since `t0`, when given) or
+    its text `lines`."""
+    if args.json:
+        if t0 is not None:
+            report["wall_time_ms"] = round(1000 * (time.perf_counter() - t0), 3)
+        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+    else:
+        print("\n".join(lines))
+
+
+def _base_report(mode: str, parsed: ParsedInput, args) -> dict:
     report = {
         "schema": "nred-report/1",
         "tool": {"name": "nredcheck", "version": __version__},
         "mode": mode,
-        "input": {"path": path},
+        "input": {"path": args.input, "sha256": parsed.digest},
     }
-    if parsed is not None:
-        report["input"]["sha256"] = parsed.digest
-        if parsed.warnings:
-            report["warnings"] = list(parsed.warnings)
+    if parsed.warnings:
+        report["warnings"] = list(parsed.warnings)
     if getattr(args, "strict_locks", False):
         report["strictness"] = "strict-locks"
     return report
 
 
+def _input_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
+
+
 def _bounds_from_args(args) -> Bounds:
+    # only coverability mode runs without --max-len
     return Bounds(
         max_threads=args.threads,
-        max_local_len=args.max_len,
-        max_swap_depth=args.swap_depth,
+        max_local_len=args.max_len if args.max_len is not None else 1,
     )
 
 
@@ -211,36 +221,23 @@ def _witness_ok(parsed: ParsedInput, verdict: Verdict) -> bool:
     return verify_sync_witness(spec.instrumentation, rel, verdict.witness)
 
 
-def _require_bounds(args, mode: str) -> Optional[str]:
-    if args.threads is None or args.max_len is None:
-        return f"mode {mode!r} needs --threads and --max-len"
-    return None
-
-
 def run_check(args) -> int:
     mode = args.mode
     try:
-        text = _read_input(args.input)
-        parsed = parse_input(text)
+        parsed = parse_input(_read_input(args.input))
     except (ParseError, ValidationError, ModelError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _input_error(str(exc))
     t0 = time.perf_counter()
-    report = _base_report(mode, parsed, args, args.input)
+    report = _base_report(mode, parsed, args)
     program = parsed.program
-    has_locks = program.sync_kind is not SyncKind.TRIVIAL
 
     if args.dot:
         Path(args.dot).write_text(to_dot(program.template), encoding="utf-8")
 
+    has_locks = program.sync_kind is not SyncKind.TRIVIAL
     if args.strict_locks and has_locks and mode in ("atomic", "sync", "natural"):
-        print(
-            "error: program uses locks and --strict-locks refuses the abstract view",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT_ERROR
+        return _input_error("program uses locks and --strict-locks refuses the abstract view")
 
-    verdict: Optional[Verdict] = None
     try:
         if mode == "atomic":
             fusion = parsed.spec.fusion
@@ -262,37 +259,13 @@ def run_check(args) -> int:
         elif mode == "movers":
             return _run_movers(parsed, report, args, t0)
         elif mode == "oracle":
-            missing = _require_bounds(args, mode)
-            if missing:
-                print(f"error: {missing}", file=sys.stderr)
-                return EXIT_INPUT_ERROR
+            if args.threads is None or args.max_len is None:
+                return _input_error(f"mode {mode!r} needs --threads and --max-len")
             verdict = oracle_check_natural(
                 program.template, parsed.spec, parsed.relation, _bounds_from_args(args)
             )
         elif mode == "coverability":
-            if parsed.cover is None:
-                print("error: coverability mode needs a 'cover' section", file=sys.stderr)
-                return EXIT_INPUT_ERROR
-            if args.threads is None:
-                print("error: coverability mode needs --threads", file=sys.stderr)
-                return EXIT_INPUT_ERROR
-            bounds = Bounds(
-                max_threads=args.threads,
-                max_local_len=args.max_len if args.max_len is not None else 1,
-                max_swap_depth=args.swap_depth,
-            )
-            covered, witness_trace = bounded_coverability(program, parsed.cover, bounds)
-            result = "coverable" if covered else "not-coverable"
-            report["verdict"] = {"result": result}
-            report["verdict"]["bounds"] = bounds.describe()
-            if witness_trace is not None:
-                report["verdict"]["witness"] = {
-                    "type": "trace",
-                    "trace": format_trace(witness_trace),
-                }
-            report["wall_time_ms"] = round(1000 * (time.perf_counter() - t0), 3)
-            _emit(report, None, args)
-            return EXIT_SOUND if covered else EXIT_UNSOUND
+            return _run_coverability(parsed, report, args, t0)
         else:  # pragma: no cover - argparse restricts choices
             raise AssertionError(mode)
         if mode in ("atomic", "sync", "natural") and verdict.is_unsound:
@@ -300,14 +273,32 @@ def run_check(args) -> int:
                 print("internal error: witness failed re-validation", file=sys.stderr)
                 return EXIT_INTERNAL_ERROR
     except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _input_error(str(exc))
 
-    assert verdict is not None
     report["verdict"] = _verdict_json(verdict)
-    report["wall_time_ms"] = round(1000 * (time.perf_counter() - t0), 3)
-    _emit(report, verdict, args)
+    witness = _witness_lines(verdict.witness) if args.witness else []
+    _emit(report, _verdict_lines(report, witness), args, t0)
     return _exit_for(verdict)
+
+
+def _run_coverability(parsed: ParsedInput, report: dict, args, t0: float) -> int:
+    if parsed.cover is None:
+        return _input_error("coverability mode needs a 'cover' section")
+    if args.threads is None:
+        return _input_error("coverability mode needs --threads")
+    bounds = _bounds_from_args(args)
+    covered, trace = bounded_coverability(parsed.program, parsed.cover, bounds)
+    report["verdict"] = {
+        "result": "coverable" if covered else "not-coverable",
+        "bounds": bounds.describe(),
+    }
+    witness = []
+    if trace is not None:
+        report["verdict"]["witness"] = {"type": "trace", "trace": format_trace(trace)}
+        if args.witness:
+            witness = [f"  witness: {format_trace(trace)}"]
+    _emit(report, _verdict_lines(report, witness), args, t0)
+    return EXIT_SOUND if covered else EXIT_UNSOUND
 
 
 def _run_movers(parsed: ParsedInput, report: dict, args, t0: float) -> int:
@@ -323,28 +314,19 @@ def _run_movers(parsed: ParsedInput, report: dict, args, t0: float) -> int:
             continue
         classes[a.name] = movers._mover_of(a, relation, universe).value
     result = movers.lipton_check(fusion, relation)
-    report["verdict"] = {
-        "result": result.result,
-        "movers": classes,
-    }
+    report["verdict"] = {"result": result.result, "movers": classes}
+    lines = [f"movers: {result.result}"]
+    lines += [f"  {name}: {cls}" for name, cls in sorted(classes.items())]
     if result.failing_block is not None:
+        trace = [a.name for a in result.failing_trace or ()]
         report["verdict"]["failing_block"] = result.failing_block.name
-        report["verdict"]["failing_trace"] = [a.name for a in result.failing_trace or ()]
+        report["verdict"]["failing_trace"] = trace
+        lines.append(
+            f"  non-conforming trace in block {result.failing_block.name}: " + " ".join(trace)
+        )
     if result.dead_actions:
         report["verdict"]["dead_actions"] = sorted(a.name for a in result.dead_actions)
-    report["wall_time_ms"] = round(1000 * (time.perf_counter() - t0), 3)
-    if args.json:
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
-    else:
-        lines = [f"movers: {result.result}"]
-        for name, cls in sorted(classes.items()):
-            lines.append(f"  {name}: {cls}")
-        if result.failing_block is not None:
-            lines.append(
-                f"  non-conforming trace in block {result.failing_block.name}: "
-                + " ".join(a.name for a in result.failing_trace or ())
-            )
-        print("\n".join(lines))
+    _emit(report, lines, args, t0)
     return EXIT_SOUND if result.certified else EXIT_INCONCLUSIVE
 
 
@@ -352,8 +334,7 @@ def run_validate(args) -> int:
     try:
         text = _read_input(args.input)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _input_error(str(exc))
     try:
         parsed = parse_input(text)
     except (ParseError, ValidationError, ModelError) as exc:
@@ -365,33 +346,17 @@ def run_validate(args) -> int:
     if parsed.spec.instrumentation is not None:
         checks.append(("instrumentation", validate_instrumentation(parsed.spec.instrumentation)))
     bad = [(name, rep) for name, rep in checks if not rep.ok]
-    if args.json:
-        report = {
-            "schema": "nred-report/1",
-            "tool": {"name": "nredcheck", "version": __version__},
-            "mode": "validate",
-            "input": {"path": args.input, "sha256": parsed.digest},
-            "verdict": {
-                "result": "valid" if not bad else "invalid",
-                "violations": [
-                    {"check": name, "violations": [str(v) for v in rep.entries]}
-                    for name, rep in bad
-                ],
-            },
-        }
-        if parsed.warnings:
-            report["warnings"] = list(parsed.warnings)
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
-    else:
-        if bad:
-            for name, rep in bad:
-                for v in rep.entries:
-                    print(f"invalid ({name}): {v}")
-        else:
-            print("valid")
-        for w in parsed.warnings:
-            print(f"warning: {w}")
-    return EXIT_SOUND if not bad else EXIT_INPUT_ERROR
+    report = _base_report("validate", parsed, args)
+    report["verdict"] = {
+        "result": "invalid" if bad else "valid",
+        "violations": [
+            {"check": name, "violations": [str(v) for v in rep.entries]} for name, rep in bad
+        ],
+    }
+    lines = [f"invalid ({name}): {v}" for name, rep in bad for v in rep.entries] or ["valid"]
+    lines += [f"warning: {w}" for w in parsed.warnings]
+    _emit(report, lines, args)
+    return EXIT_INPUT_ERROR if bad else EXIT_SOUND
 
 
 def run_gen(args) -> int:
@@ -411,8 +376,7 @@ def run_gen(args) -> int:
             parsed = parse_input(_read_input(args.input))
             cover = args.cover.split(",") if args.cover else []
             if not cover:
-                print("error: gen thm1 needs --cover", file=sys.stderr)
-                return EXIT_INPUT_ERROR
+                return _input_error("gen thm1 needs --cover")
             program, fusion, relation = gadgets.coverability_to_fusion(
                 parsed.program, cover
             )
@@ -427,8 +391,7 @@ def run_gen(args) -> int:
             parsed = parse_input(_read_input(args.input))
             cover = args.cover.split(",") if args.cover else []
             if len(cover) <= 1:
-                print("error: gen thm6 needs --cover with at least two locations", file=sys.stderr)
-                return EXIT_INPUT_ERROR
+                return _input_error("gen thm6 needs --cover with at least two locations")
             program, inst = gadgets.coverability_to_syncpoint(parsed.program, cover)
             out = to_nred_text(
                 inst.base,
@@ -449,8 +412,7 @@ def run_gen(args) -> int:
         else:  # pragma: no cover
             raise AssertionError(args.generator)
     except (ParseError, ValidationError, ModelError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _input_error(str(exc))
     if args.output and args.output != "-":
         Path(args.output).write_text(out, encoding="utf-8")
     else:
@@ -463,7 +425,6 @@ def _add_common_check_args(sp) -> None:
                     help="input file (.nred text or JSON mirror; default: stdin)")
     sp.add_argument("--threads", type=int, default=None, help="oracle thread bound")
     sp.add_argument("--max-len", type=int, default=None, help="oracle per-thread length bound")
-    sp.add_argument("--swap-depth", type=int, default=None, help="covering-search depth bound")
     sp.add_argument("--json", action="store_true", help="emit a JSON report")
     sp.add_argument("--witness", action="store_true", help="render witnesses in text output")
     sp.add_argument("--strict-locks", action="store_true",

@@ -38,7 +38,6 @@ from .model import (
     CommutativityRelation,
     Edge,
     InconsistentInputs,
-    ModelError,
     SyncPointInstrumentation,
     NaturalReductionSpec,
     ThreadTemplate,
@@ -59,10 +58,6 @@ CONFLICT = "conflict"
 
 _LOCK_KINDS = frozenset({ActionKind.ACQUIRE, ActionKind.RELEASE})
 _SYNC_KINDS = _LOCK_KINDS | {ActionKind.SYNC_POINT}
-
-
-class ActionUnreachable(ModelError):
-    """The action labels no edge on any init-to-exit path."""
 
 
 @dataclass(frozen=True)
@@ -755,23 +750,6 @@ def _phase_bounds(g: ThreadTemplate, counts: _SyncCounts) -> PhaseBounds:
 
 def phase_bounds(g: ThreadTemplate) -> PhaseBounds:
     return _phase_bounds(g, _sync_counts(g))
-
-
-def _count_of(counts: Mapping[Action, float], a: Action) -> float:
-    if a not in counts:
-        raise ActionUnreachable(f"{a} lies on no init-to-exit path")
-    return counts[a]
-
-
-def min_barrier_count(g: ThreadTemplate, a: Action) -> int:
-    """Fewest rendezvous steps that can precede the plain or block action `a`."""
-    return int(_count_of(phase_bounds(g).min_count, a))
-
-
-def max_barrier_count(g: ThreadTemplate, a: Action) -> float:
-    """Greatest (possibly infinite) rendezvous count before the plain or
-    block action `a`."""
-    return _count_of(phase_bounds(g).max_count, a)
 
 
 def phase_order(g: ThreadTemplate) -> frozenset[tuple[Action, Action]]:

@@ -202,7 +202,6 @@ class Violation:
 @dataclass(frozen=True)
 class ValidationReport:
     entries: tuple[Violation, ...] = ()
-    warnings: tuple[Violation, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -230,16 +229,12 @@ class ValidationError(ModelError):
 class _ReportBuilder:
     def __init__(self) -> None:
         self.entries: list[Violation] = []
-        self.warnings: list[Violation] = []
 
     def add(self, code: str, message: str, subject: tuple = ()) -> None:
         self.entries.append(Violation(code, message, subject))
 
-    def warn(self, code: str, message: str, subject: tuple = ()) -> None:
-        self.warnings.append(Violation(code, message, subject))
-
     def build(self) -> ValidationReport:
-        return ValidationReport(tuple(self.entries), tuple(self.warnings))
+        return ValidationReport(tuple(self.entries))
 
 
 @dataclass(frozen=True)
@@ -483,14 +478,6 @@ class CommutativityRelation:
             self._pairs = declared
 
     @staticmethod
-    def from_conflicts(alphabet: Iterable[Action], conflicts: Iterable[tuple[Action, Action]]) -> "CommutativityRelation":
-        return CommutativityRelation(alphabet, conflicts=conflicts)
-
-    @staticmethod
-    def from_pairs(alphabet: Iterable[Action], pairs: Iterable[tuple[Action, Action]]) -> "CommutativityRelation":
-        return CommutativityRelation(alphabet, pairs=pairs)
-
-    @staticmethod
     def full(alphabet: Iterable[Action]) -> "CommutativityRelation":
         return CommutativityRelation(alphabet, conflicts=())
 
@@ -504,9 +491,6 @@ class CommutativityRelation:
         if self._conflicts is not None:
             return (a, b) not in self._conflicts
         return (a, b) in self._pairs  # type: ignore[operator]
-
-    def in_conflict(self, a: Action, b: Action) -> bool:
-        return not self.commutes(a, b)
 
     @property
     def pairs(self) -> frozenset[tuple[Action, Action]]:
@@ -606,9 +590,6 @@ class AtomicFusion:
     @property
     def block_symbols(self) -> tuple[Action, ...]:
         return tuple(sym for sym, _ in self.blocks)
-
-    def body_alphabet(self, sym: Action) -> frozenset[Action]:
-        return self.block_map[sym].alphabet
 
     @staticmethod
     def identity(outer: ThreadTemplate) -> "AtomicFusion":
@@ -842,12 +823,6 @@ class NaturalReductionSpec:
                 for v in validate_instrumentation(inst).entries:
                     rb.entries.append(v)
         return rb.build()
-
-    @property
-    def is_identity(self) -> bool:
-        no_blocks = self.fusion is None or not self.fusion.blocks
-        no_sync = self.instrumentation is None or self.instrumentation.sync_point_count == 0
-        return no_blocks and no_sync
 
 
 def lockset_extension(

@@ -1,7 +1,7 @@
 """Ground-truth semantics at desk scale.
 
 Exact lock and rendezvous trace predicates, bounded interleaving enumeration,
-the covering-preorder search, bounded Mazurkiewicz-reduction checks, and an
+the exact covering test, bounded Mazurkiewicz-reduction checks, and an
 explicit-state coverability search.  Everything here is deliberately brute
 force and independent of the polynomial procedures in `decision`; bounds are
 explicit and every verdict carries them.  When a search exhausts its budget
@@ -45,20 +45,12 @@ Configuration = tuple[str, ...]
 class DepthExceeded(ModelError):
     """A bounded search ran out of budget before reaching a decision.
 
-    A node budget that runs out names itself (`what`), its `cap` and the
+    The node budget that ran out names itself (`what`), its `cap` and the
     steps `used` when it ran out, which can pass the cap by more than one
-    because a shuffle charges all its nodes at once; these are None for the
-    covering search.
+    because a shuffle charges all its nodes at once.
     """
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        what: Optional[str] = None,
-        cap: Optional[int] = None,
-        used: Optional[int] = None,
-    ):
+    def __init__(self, message: str, *, what: str, cap: int, used: int):
         super().__init__(message)
         self.what, self.cap, self.used = what, cap, used
 
@@ -68,18 +60,20 @@ class Bounds:
     """Resource bounds for the brute-force semantics.
 
     `max_local_len` caps the number of non-rendezvous steps on each thread's
-    path (rendezvous steps ride along with a structural allowance).  The swap
-    depth defaults to the squared trace length.  `max_enum_nodes` keeps a
-    whole check finite: it is shared by the path and interleaving
-    enumeration of the programs and by block expansion, while each block
-    body's path enumeration gets a fresh budget of the same size; running
-    out surfaces as an inconclusive result.  No search reads
-    `max_cover_states` (`covers` takes its own `max_states`, and
-    `bounded_coverability` has no budget); every report lists it.
+    path (rendezvous steps ride along with a structural allowance).
+    `max_enum_nodes` keeps a whole check finite: it is shared by the path
+    and interleaving enumeration of the programs and by block expansion,
+    while each block body's path enumeration gets a fresh budget of the same
+    size; running out surfaces as an inconclusive result.  No search reads
+    `max_cover_states` (`bounded_coverability` has no budget); every report
+    lists it.
     """
 
     max_threads: int
     max_local_len: int
+    # bounds nothing, since the covering test is exact; kept only because
+    # the benchmark workloads construct Bounds with it, and listed in every
+    # report (as null) so that report bytes do not move
     max_swap_depth: Optional[int] = None
     max_cover_states: int = 150_000
     max_enum_nodes: int = 400_000
@@ -87,8 +81,6 @@ class Bounds:
     def __post_init__(self) -> None:
         if self.max_threads < 1 or self.max_local_len < 1:
             raise ModelError("thread and length bounds must be at least 1")
-        if self.max_swap_depth is not None and self.max_swap_depth < 1:
-            raise ModelError("swap depth must be at least 1")
 
     def describe(self) -> dict:
         return {
@@ -204,83 +196,6 @@ def barrier_feasible(tr: IndexedTrace) -> bool:
     return machine.accepting(states)
 
 
-# -- covering preorder --------------------------------------------------------
-
-
-def _swap_successors(tr: IndexedTrace, i: CommutativityRelation) -> Iterator[IndexedTrace]:
-    for k in range(len(tr) - 1):
-        (a, ta), (b, tb) = tr[k], tr[k + 1]
-        if ta != tb and i.commutes(a, b):
-            yield tr[:k] + ((b, tb), (a, ta)) + tr[k + 2 :]
-
-
-def _cover_search(
-    src: IndexedTrace,
-    targets: frozenset[IndexedTrace],
-    i: CommutativityRelation,
-    max_swap_depth: Optional[int],
-    states: "int | _Budget",
-) -> tuple[Optional[bool], Optional[IndexedTrace]]:
-    """Breadth-first search through the covering preorder from `src` toward
-    any member of `targets`.  Returns (True, hit), (False, None) when the
-    closure is exhausted, or (None, None) when a budget was hit.  `states`
-    may be a shared budget so one caller can bound many searches."""
-    if src in targets:
-        return True, src
-    budget = states if isinstance(states, _Budget) else _Budget(states, "covering search")
-    depth_cap = max_swap_depth if max_swap_depth is not None else max(1, len(src) ** 2)
-    visited = {src}
-    frontier = [src]
-    depth = 0
-    while frontier:
-        depth += 1
-        if depth > depth_cap:
-            return None, None
-        nxt = []
-        for tr in frontier:
-            for succ in _swap_successors(tr, i):
-                if succ in visited:
-                    continue
-                if succ in targets:
-                    assert all(
-                        thread_projection(succ, t) == thread_projection(src, t)
-                        for t in thread_indices(src)
-                    )
-                    return True, succ
-                visited.add(succ)
-                try:
-                    budget.spend()
-                except DepthExceeded:
-                    return None, None
-                nxt.append(succ)
-        frontier = nxt
-    return False, None
-
-
-def covers(
-    src: IndexedTrace,
-    dst: IndexedTrace,
-    i: CommutativityRelation,
-    *,
-    max_swap_depth: Optional[int] = None,
-    max_states: int = 150_000,
-) -> bool:
-    """Whether `dst` is reachable from `src` by commuting swaps of adjacent
-    steps from different threads.  Raises DepthExceeded when the bounded
-    search cannot decide."""
-    if len(src) != len(dst):
-        return False
-    if any(
-        thread_projection(src, t) != thread_projection(dst, t)
-        for t in thread_indices(src) | thread_indices(dst)
-    ):
-        return False
-    found, _ = _cover_search(src, frozenset({dst}), i, max_swap_depth, max_states)
-    if found is None:
-        raise DepthExceeded("covering search exhausted its budget")
-    return found
-
-
 @dataclass(frozen=True)
 class MazResult:
     value: Optional[bool]  # None when inconclusive
@@ -365,7 +280,7 @@ def _trace_codec(traces: Iterable[IndexedTrace], extra: Iterable[Action] = ()) -
     return _Codec(actions, max((t for _, t in steps), default=0))
 
 
-# -- representative check -----------------------------------------------------------
+# -- covering test and representative check -----------------------------------
 
 
 def _covered(
@@ -394,6 +309,22 @@ def _covered(
             if moved[q] < at and not comm[row + ranks[q]]:
                 return False
     return True
+
+
+def covers(src: IndexedTrace, dst: IndexedTrace, i: CommutativityRelation) -> bool:
+    """Whether `dst` is reachable from `src` by commuting swaps of adjacent
+    steps from different threads (the exact test of `_covered`)."""
+    if len(src) != len(dst):
+        return False
+    if any(
+        thread_projection(src, t) != thread_projection(dst, t)
+        for t in thread_indices(src) | thread_indices(dst)
+    ):
+        return False
+    codec = _trace_codec([src, dst])
+    return _covered(
+        codec.encode(src), codec.encode(dst), codec.width, len(codec.actions), codec.relation(i)
+    )
 
 
 def _representative_check(

@@ -4,11 +4,8 @@ import math
 import random
 import time
 
-import pytest
-
 from nredcheck import oracle
 from nredcheck.decision import (
-    ActionUnreachable,
     FLAG_LOCK_ABSTRACTION,
     ReentryWitness,
     at_relation,
@@ -18,8 +15,6 @@ from nredcheck.decision import (
     escape_relation,
     induced_interleaving,
     lift_commutativity,
-    max_barrier_count,
-    min_barrier_count,
     phase_bounds,
     phase_order,
     program_order,
@@ -395,8 +390,9 @@ def test_induced_interleaving_projections_are_real_traces():
 def test_barrier_counts_fig2b():
     _, inst, _, _, (aa, bb, cc) = fig2b()
     g = inst.instrumented
-    assert [min_barrier_count(g, x) for x in (aa, bb, cc)] == [0, 1, 2]
-    assert [max_barrier_count(g, x) for x in (aa, bb, cc)] == [0, 1, 2]
+    pb = phase_bounds(g)
+    assert [pb.min_count[x] for x in (aa, bb, cc)] == [0, 1, 2]
+    assert [pb.max_count[x] for x in (aa, bb, cc)] == [0, 1, 2]
     assert phase_order(g) == frozenset({(aa, bb), (aa, cc), (bb, cc)})
     assert phase_order(g) == reference.phase_order_ref(g)
 
@@ -409,16 +405,16 @@ def test_barrier_counts_skippable_loop():
         "l0",
         "l1",
     )
-    assert min_barrier_count(g, x) == 0
-    assert max_barrier_count(g, x) == math.inf
+    assert phase_bounds(g).min_count[x] == 0
+    assert phase_bounds(g).max_count[x] == math.inf
 
 
 def test_barrier_counts_pumped_self_loop():
     # language x (• x)*: a rendezvous loop through the action itself
     x = plain("x")
     g = ThreadTemplate.make([("l0", x, "l1"), ("l1", SYNC, "l0")], "l0", "l1")
-    assert min_barrier_count(g, x) == 0
-    assert max_barrier_count(g, x) == math.inf
+    assert phase_bounds(g).min_count[x] == 0
+    assert phase_bounds(g).max_count[x] == math.inf
     assert phase_order(g) == frozenset({(x, x)})
 
 
@@ -445,14 +441,6 @@ def test_phase_order_matches_reference_on_random_instances():
         got = phase_order(inst.instrumented)
         want = reference.phase_order_ref(inst.instrumented)
         assert got == want, (inst.instrumented, sync_locs)
-
-
-def test_action_unreachable():
-    t = ThreadTemplate.make([("l0", a, "l1")], "l0", "l1")
-    with pytest.raises(ActionUnreachable):
-        min_barrier_count(t, plain("ghost"))
-    with pytest.raises(ActionUnreachable):
-        max_barrier_count(t, plain("ghost"))
 
 
 # -- sync instrumentation check --------------------------------------------------

@@ -95,7 +95,7 @@ def test_barrier_predicate_three_threads_drop_order():
     assert barrier_feasible(tr) == reference.barrier_feasible_ref(tr)
 
 
-# -- covering preorder ---------------------------------------------------------------
+# -- covering test -------------------------------------------------------------------
 
 
 def test_covers_examples():
@@ -103,6 +103,10 @@ def test_covers_examples():
     assert covers(((a, 1), (b, 2)), ((b, 2), (a, 1)), i)
     assert not covers(((a, 1), (b, 1)), ((b, 1), (a, 1)), i)
     assert not covers(((b, 2), (a, 1)), ((a, 1), (b, 2)), i)
+    # a full reversal of four threads' steps
+    acts = [plain(f"x{k}") for k in range(4)]
+    src = tuple((x, k + 1) for k, x in enumerate(acts))
+    assert covers(src, tuple(reversed(src)), CommutativityRelation(acts, conflicts=[]))
 
 
 def test_covers_exhaustive_against_closure_and_inversion():
@@ -142,16 +146,6 @@ def test_covers_preserves_thread_projections_and_is_transitive():
         assert covers(src, dst, rel)
         for t in (1, 2):
             assert [x for x, tt in src if tt == t] == [x for x, tt in dst if tt == t]
-
-
-def test_covers_depth_bound_raises():
-    acts = [plain(f"x{k}") for k in range(4)]
-    rel = CommutativityRelation(acts, conflicts=[])
-    src = tuple((x, k + 1) for k, x in enumerate(acts))
-    dst = tuple(reversed(src))
-    with pytest.raises(DepthExceeded):
-        covers(src, dst, rel, max_swap_depth=1)
-    assert covers(src, dst, rel)
 
 
 # -- enumeration -----------------------------------------------------------------------
