@@ -159,8 +159,13 @@ def _verdict_lines(report: dict, witness: list[str]) -> list[str]:
         *(f"  note: {note}" for note in v.get("notes", ())),
         *(f"  condition {c['name']}: {c['result']}" for c in v.get("conditions", ())),
         *witness,
-        *(f"  warning: {w}" for w in report.get("warnings", ())),
+        *_warning_lines(report),
     ]
+
+
+def _warning_lines(report: dict) -> list[str]:
+    """The input warnings that end every check mode's text report."""
+    return [f"  warning: {w}" for w in report.get("warnings", ())]
 
 
 def _emit(report: dict, lines: list[str], args, t0: Optional[float] = None) -> None:
@@ -326,7 +331,7 @@ def _run_movers(parsed: ParsedInput, report: dict, args, t0: float) -> int:
         )
     if result.dead_actions:
         report["verdict"]["dead_actions"] = sorted(a.name for a in result.dead_actions)
-    _emit(report, lines, args, t0)
+    _emit(report, lines + _warning_lines(report), args, t0)
     return EXIT_SOUND if result.certified else EXIT_INCONCLUSIVE
 
 

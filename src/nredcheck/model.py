@@ -450,7 +450,7 @@ class CommutativityRelation:
     sparser is stored; `pairs` materializes the positive side on demand.
     """
 
-    __slots__ = ("alphabet", "_conflicts", "_pairs")
+    __slots__ = ("alphabet", "_conflicts", "_pairs", "_sorted_conflicts")
 
     def __init__(
         self,
@@ -476,6 +476,8 @@ class CommutativityRelation:
         else:
             self._conflicts = None
             self._pairs = declared
+        # `explicit_conflicts` in sort-key order, filled on first use
+        self._sorted_conflicts: Optional[tuple[tuple[Action, Action], ...]] = None
 
     @staticmethod
     def full(alphabet: Iterable[Action]) -> "CommutativityRelation":
@@ -524,7 +526,12 @@ class CommutativityRelation:
         """
         uni_set = set(universe)
         absent = sorted(uni_set - self.alphabet, key=Action.sort_key)
-        for x, y in sorted(self.explicit_conflicts, key=lambda p: (p[0].sort_key(), p[1].sort_key())):
+        ordered = self._sorted_conflicts
+        if ordered is None:
+            ordered = self._sorted_conflicts = tuple(
+                sorted(self.explicit_conflicts, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+            )
+        for x, y in ordered:
             if x in uni_set and y in uni_set:
                 yield (x, y)
         uni = sorted(uni_set, key=Action.sort_key) if absent else []

@@ -47,7 +47,8 @@ class DepthExceeded(ModelError):
 
     The node budget that ran out names itself (`what`), its `cap` and the
     steps `used` when it ran out, which can pass the cap by more than one
-    because a shuffle charges all its nodes at once.
+    because a shuffle charges all its nodes, and a relabelling all its
+    traces, at once.
     """
 
     def __init__(self, message: str, *, what: str, cap: int, used: int):
@@ -64,7 +65,12 @@ class Bounds:
     `max_enum_nodes` keeps a whole check finite: it is shared by the path
     and interleaving enumeration of the programs and by block expansion,
     while each block body's path enumeration gets a fresh budget of the same
-    size; running out surfaces as an inconclusive result.  No search reads
+    size; running out surfaces as an inconclusive result.  The interleaving
+    enumeration of both programs is charged in full, from the node and path
+    counts of each shuffle's state graph, before any trace is built, so a
+    check that runs out builds none; the one exception is a shuffle that
+    loses synchronization steps to the projection and has relabellings,
+    whose traces are built to be counted.  No search reads
     `max_cover_states` (`bounded_coverability` has no budget); every report
     lists it.
     """
@@ -437,68 +443,127 @@ def enumerate_interleavings(
     predicate is enforced on the full traces and synchronization steps are
     then projected away (kept verbatim with `keep_sync`, for callers that
     still need to measure or expand them).  Raises DepthExceeded past the
-    node budget.
+    node budget, which is charged in full before any trace is built.
     """
     codec = _Codec(p.template.alphabet, bounds.max_threads)
     if budget is None:
         budget = _Budget(bounds.max_enum_nodes, "interleaving enumeration")
-    return frozenset(map(codec.decode, _interleavings(codec, p, bounds, keep_sync, budget)))
+    plan = _plan_interleavings(codec, p, bounds, keep_sync, budget)
+    return frozenset(map(codec.decode, _build_interleavings(codec, plan)))
 
 
-def _interleavings(
+# the start state and, per level, the moves (state, code, next state) that
+# lie on an accepted path
+_MoveDag = tuple[tuple, list[list[tuple[tuple, int, tuple]]]]
+
+
+# one shuffled multiset of local words: its move DAG, its traces when the
+# plan had to build them, the thread permutations that relabel them into
+# the other arrangements, and whether building drops synchronization steps
+_Planned = tuple[_MoveDag, Optional[set], list, bool]
+
+
+def _plan_interleavings(
     codec: _Codec,
     p: ParameterizedProgram,
     bounds: Bounds,
     keep_sync: bool,
     budget: _Budget,
-) -> set[tuple[int, ...]]:
-    """`enumerate_interleavings` on codes."""
+) -> list[_Planned]:
+    """Charge the whole interleaving enumeration before building any trace.
+
+    The charges come in the order of a build-as-you-go enumeration: the
+    path enumeration of the local words, then per multiset of words the
+    node count of its shuffle, then one step per trace for each distinct
+    relabelling.  A trace's code names its thread, so two accepted paths
+    through a shuffle (which first differ in the thread they step) are two
+    traces, and the trace count is the path count.  The one exception is a
+    shuffle whose traces lose synchronization steps to the projection and
+    that has relabellings: paths can then collapse, so its traces are built
+    here to be counted (and kept for the build).
+    """
     words = [codec.ranks(w) for w in _local_traces(p.template, bounds, budget)]
-    out: set[tuple[int, ...]] = {()}
     use_locks = p.sync_kind is not SyncKind.TRIVIAL
     use_barrier = p.sync_kind is SyncKind.LOCKS_AND_SYNC_POINTS
-    tables: dict[tuple[int, ...], list[int]] = {}
+    width, keep = codec.width, codec.plain
+    lossy = [not keep_sync and not all(keep[r * width] for r in w) for w in words]
+    plan: list[_Planned] = []
     # the synchronization predicates are invariant under thread renaming, so
     # each multiset of local words is shuffled once and relabeled
     for k in range(1, bounds.max_threads + 1):
-        for combo in itertools.combinations_with_replacement(words, k):
-            base = _shuffle(codec, combo, use_locks, use_barrier, budget, keep_sync)
-            seen_perms = set()
+        for combo in itertools.combinations_with_replacement(range(len(words)), k):
+            nodes, paths, dag = _shuffle_graph(
+                codec, tuple(words[j] for j in combo), use_locks, use_barrier
+            )
+            budget.spend(nodes)
+            seen = {combo}
+            perms = []
             for perm in itertools.permutations(range(k)):
                 arranged = tuple(combo[j] for j in perm)
-                if arranged in seen_perms:
-                    continue
-                seen_perms.add(arranged)
-                if arranged == combo:
-                    out.update(base)
-                    continue
-                table = tables.get(perm)
-                if table is None:
-                    table = tables[perm] = codec.relabel_table(perm)
-                relabel = table.__getitem__
-                budget.spend(len(base))  # one step per relabelled trace
-                out.update(tuple(map(relabel, tr)) for tr in base)
+                if arranged not in seen:
+                    seen.add(arranged)
+                    perms.append(perm)
+            project = any(lossy[j] for j in combo)
+            base = None
+            if perms and project:
+                base = _shuffle_traces(codec, dag, project)
+                paths = len(base)
+            for _ in perms:
+                budget.spend(paths)  # one step per relabelled trace
+            plan.append((dag, base, perms, project))
+    return plan
+
+
+def _build_interleavings(codec: _Codec, plan: list[_Planned]) -> set[tuple[int, ...]]:
+    """The traces of a plan: each shuffle built from its move DAG (unless
+    the plan already built it) and relabelled into its other arrangements."""
+    out: set[tuple[int, ...]] = {()}
+    tables: dict[tuple[int, ...], list[int]] = {}
+    for dag, base, perms, project in plan:
+        if base is None:
+            base = _shuffle_traces(codec, dag, project)
+        out |= base
+        for perm in perms:
+            table = tables.get(perm)
+            if table is None:
+                table = tables[perm] = codec.relabel_table(perm)
+            relabel = table.__getitem__
+            out.update(tuple(map(relabel, tr)) for tr in base)
     return out
 
 
-def _shuffle(
+def _both_interleavings(
+    codec: _Codec,
+    original: ParameterizedProgram,
+    reduced: ParameterizedProgram,
+    keep_sync: bool,
+    bounds: Bounds,
+    budget: _Budget,
+) -> tuple[set[tuple[int, ...]], set[tuple[int, ...]]]:
+    """The original program's interleavings (projected) and the reduced
+    program's: l2 is planned, then l1, and both are built only when both
+    plans fit the budget, so a check that runs out builds no trace."""
+    plan2 = _plan_interleavings(codec, original, bounds, False, budget)
+    plan1 = _plan_interleavings(codec, reduced, bounds, keep_sync, budget)
+    return _build_interleavings(codec, plan2), _build_interleavings(codec, plan1)
+
+
+def _shuffle_graph(
     codec: _Codec,
     assignment: tuple[tuple[int, ...], ...],
     use_locks: bool,
     use_barrier: bool,
-    budget: _Budget,
-    keep_sync: bool,
-) -> set[tuple[int, ...]]:
-    """Every synchronization-feasible interleaving of the ranked local
-    words, thread j+1 running `assignment[j]`.
+) -> tuple[int, int, _MoveDag]:
+    """The graph pass over every synchronization-feasible interleaving of
+    the ranked local words, thread j+1 running `assignment[j]`: returns the
+    node charge, the number of accepted paths and the pruned move DAG.
 
     The search runs level by level over states: the steps each thread has
     taken, and the rendezvous state set.  The locks held are a function of
     the steps taken, since each thread holds what its own prefix acquired
-    and did not release.  The budget is charged one step per feasible
-    prefix (the node count of a depth-first search over them), counted as
-    the number of paths into each state and charged before any trace is
-    built.
+    and did not release.  The node charge is one step per feasible prefix
+    (the node count of a depth-first search over them), counted as the
+    number of paths into each state; no trace is built.
     """
     k = len(assignment)
     width = codec.width
@@ -551,16 +616,22 @@ def _shuffle(
         moves_by_level.append(moves)
         level = nxt
         nodes += sum(nxt.values())
-    budget.spend(nodes)
 
-    # build prefixes only along moves that lead to an accepted full trace
+    # every state of the last level has taken every step; keep only the
+    # moves that lead to an accepted one
     alive = {s for s in level if s[1] is None or _BarrierMachine.accepting(s[1])}
+    accepted = sum(level[s] for s in alive)
     for moves in reversed(moves_by_level):
         moves[:] = [m for m in moves if m[2] in alive]
         alive = {m[0] for m in moves}
-    # without synchronization steps a trace is its own projection
+    return nodes, accepted, (start, moves_by_level)
+
+
+def _shuffle_traces(codec: _Codec, dag: _MoveDag, project: bool) -> set[tuple[int, ...]]:
+    """The build pass: every trace along the move DAG, level by level,
+    with synchronization steps dropped when `project` is set."""
+    start, moves_by_level = dag
     keep = codec.plain
-    project = not keep_sync and not all(keep[c] for w in steps for c in w)
     prefixes: dict = {start: {()}}
     for moves in moves_by_level:
         grown: dict = {}
@@ -698,9 +769,13 @@ def oracle_check_atomic(
     codec = _check_codec(bounds, original, f.outer, *(body for _, body in f.blocks))
     budget = _Budget(bounds.max_enum_nodes, "interleaving enumeration")
     try:
-        l2 = _interleavings(codec, ParameterizedProgram(original, kind), bounds, False, budget)
-        l1_raw = _interleavings(
-            codec, ParameterizedProgram(f.outer, infer_sync_kind(f.outer)), bounds, True, budget
+        l2, l1_raw = _both_interleavings(
+            codec,
+            ParameterizedProgram(original, kind),
+            ParameterizedProgram(f.outer, infer_sync_kind(f.outer)),
+            True,
+            bounds,
+            budget,
         )
         l1 = _expanded_plain(codec, l1_raw, f.blocks, bounds, budget)
     except DepthExceeded as exc:
@@ -719,8 +794,7 @@ def oracle_check_sync(
     base = ParameterizedProgram(inst.base, infer_sync_kind(inst.base))
     reduced = ParameterizedProgram(inst.instrumented, SyncKind.LOCKS_AND_SYNC_POINTS)
     try:
-        l2 = _interleavings(codec, base, bounds, False, budget)
-        l1 = _interleavings(codec, reduced, bounds, False, budget)
+        l2, l1 = _both_interleavings(codec, base, reduced, False, bounds, budget)
     except DepthExceeded as exc:
         return Verdict(INCONCLUSIVE, bounds=bounds, notes=(str(exc),))
     return _bounded_verdict(_representative_check(codec, l1, l2, codec.relation(i)), bounds)
@@ -747,9 +821,8 @@ def oracle_check_natural(
     budget = _Budget(bounds.max_enum_nodes, "interleaving enumeration")
     try:
         program = ParameterizedProgram(base, infer_sync_kind(base))
-        l2 = _interleavings(codec, program, bounds, False, budget)
         reduced = ParameterizedProgram(reduced_template, SyncKind.LOCKS_AND_SYNC_POINTS)
-        l1_raw = _interleavings(codec, reduced, bounds, True, budget)
+        l2, l1_raw = _both_interleavings(codec, program, reduced, True, bounds, budget)
         l1 = _expanded_plain(codec, l1_raw, blocks, bounds, budget)
     except DepthExceeded as exc:
         return Verdict(INCONCLUSIVE, bounds=bounds, notes=(str(exc),))

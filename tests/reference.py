@@ -155,6 +155,117 @@ def enumerate_interleavings_ref(
     return frozenset(out)
 
 
+def interleavings_ref(codec, p: ParameterizedProgram, bounds, keep_sync: bool, budget) -> set:
+    """The coded enumeration as it ran before planning: each multiset of
+    local words is shuffled and built as it is met, and the budget is
+    charged along the way (path enumeration, then per multiset its shuffle
+    nodes, then one step per trace for each distinct relabelling)."""
+    words = [codec.ranks(w) for w in oracle._local_traces(p.template, bounds, budget)]
+    out = {()}
+    use_locks = p.sync_kind is not SyncKind.TRIVIAL
+    use_barrier = p.sync_kind is SyncKind.LOCKS_AND_SYNC_POINTS
+    tables = {}
+    for k in range(1, bounds.max_threads + 1):
+        for combo in itertools.combinations_with_replacement(words, k):
+            base = _shuffle_ref(codec, combo, use_locks, use_barrier, budget, keep_sync)
+            seen_perms = set()
+            for perm in itertools.permutations(range(k)):
+                arranged = tuple(combo[j] for j in perm)
+                if arranged in seen_perms:
+                    continue
+                seen_perms.add(arranged)
+                if arranged == combo:
+                    out.update(base)
+                    continue
+                table = tables.get(perm)
+                if table is None:
+                    table = tables[perm] = codec.relabel_table(perm)
+                relabel = table.__getitem__
+                budget.spend(len(base))  # one step per relabelled trace
+                out.update(tuple(map(relabel, tr)) for tr in base)
+    return out
+
+
+def _shuffle_ref(codec, assignment, use_locks, use_barrier, budget, keep_sync) -> set:
+    """One multiset's shuffle, searched level by level (the budget charged
+    the paths into each state), then built at once along the moves that
+    reach an accepted state."""
+    k = len(assignment)
+    width = codec.width
+    steps = [tuple(r * width + j for r in w) for j, w in enumerate(assignment, 1)]
+    lengths = [len(w) for w in steps]
+    kind, lock = codec.kind, codec.lock
+    held = []
+    for w in steps:
+        now = frozenset()
+        row = [now]
+        for c in w:
+            if kind[c] is ActionKind.ACQUIRE:
+                now = now | {lock[c]}
+            elif kind[c] is ActionKind.RELEASE:
+                now = now - {lock[c]}
+            row.append(now)
+        held.append(row)
+
+    barrier = oracle._BarrierMachine(frozenset(range(1, k + 1))).start if use_barrier else None
+    start = ((0,) * k, barrier)
+    level = {start: 1}
+    nodes = 1
+    moves_by_level = []
+    for _ in range(sum(lengths)):
+        nxt = {}
+        moves = []
+        for state, paths in level.items():
+            pos, barrier = state
+            for j in range(k):
+                p = pos[j]
+                if p == lengths[j]:
+                    continue
+                c = steps[j][p]
+                op = kind[c] if use_locks else None
+                if op is ActionKind.ACQUIRE:
+                    if any(lock[c] in held[i][pos[i]] for i in range(k)):
+                        continue
+                elif op is ActionKind.RELEASE:
+                    if lock[c] not in held[j][p]:
+                        continue
+                after = None
+                if barrier is not None:
+                    after = codec.barrier_step(barrier, c)
+                    if not after:
+                        continue
+                to = (pos[:j] + (p + 1,) + pos[j + 1 :], after)
+                nxt[to] = nxt.get(to, 0) + paths
+                moves.append((state, c, to))
+        moves_by_level.append(moves)
+        level = nxt
+        nodes += sum(nxt.values())
+    budget.spend(nodes)
+
+    alive = {s for s in level if s[1] is None or oracle._BarrierMachine.accepting(s[1])}
+    for moves in reversed(moves_by_level):
+        moves[:] = [m for m in moves if m[2] in alive]
+        alive = {m[0] for m in moves}
+    keep = codec.plain
+    project = not keep_sync and not all(keep[c] for w in steps for c in w)
+    prefixes = {start: {()}}
+    for moves in moves_by_level:
+        grown = {}
+        for state, c, to in moves:
+            before = prefixes[state]
+            longer = before if project and not keep[c] else {tr + (c,) for tr in before}
+            into = grown.get(to)
+            if into is not None:
+                into |= longer
+            else:
+                grown[to] = set(before) if longer is before else longer
+        prefixes = grown
+    out = set()
+    for traces in prefixes.values():
+        out |= traces
+    return out
+
+
 # -- covering preorder ----------------------------------------------------------
 
 

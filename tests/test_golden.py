@@ -81,6 +81,7 @@ TEXT_RUNS = {
     "undeclared.natural": ("check", "cases/undeclared.nred"),
     "fig2b.movers": ("movers", "cases/fig2b.nred"),
     "fig2a.movers": ("movers", "cases/fig2a.nred"),
+    "undeclared.movers": ("movers", "cases/undeclared.nred"),
     "sat2.coverability.witness": (
         "check", "--mode", "coverability", "--threads", "2", "--witness", "cases/sat2.nred",
     ),

@@ -7,9 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from nredcheck import oracle
+from nredcheck.decision import FusionWitness, check_natural_reduction
+from nredcheck.gadgets import coverability_to_fusion, coverability_to_syncpoint
 from nredcheck.model import (
+    Action,
     AtomicFusion,
     CommutativityRelation,
+    NaturalReductionSpec,
     ParameterizedProgram,
     SYNC,
     SyncKind,
@@ -271,6 +276,109 @@ def test_enumeration_budget_accounting_is_exact(case, max_len, nodes):
     short = check(nodes - 1)
     assert short.result == "inconclusive"
     assert short.notes == (f"interleaving enumeration exceeded {nodes - 1} steps",)
+
+
+# -- planned enumeration against the build-as-you-go one -------------------------
+
+
+def _corpus_checks(count):
+    """Criterion 3's first `count` seed-2026 instances at its bounds, as
+    oracle calls."""
+    rng = random.Random(2026)
+    out = []
+    for _ in range(count):
+        original, fusion, sync_locs, rel = reference.random_fusion_instance(rng)
+        spec = NaturalReductionSpec(
+            fusion=fusion, instrumentation=insert_syncpoints(fusion.outer, sync_locs)
+        )
+        v = check_natural_reduction(original, spec, rel)
+        if v.is_unsound and isinstance(v.witness, FusionWitness):
+            threads = min(4, len(v.witness.inner_pairs) + 1)
+        else:
+            threads = 2
+        bounds = Bounds(max_threads=threads, max_local_len=8, max_enum_nodes=150_000)
+        out.append((oracle_check_natural, original, spec, rel, bounds))
+    return out
+
+
+def _gadget_checks(count):
+    """Criterion 6's first `count` seed-606 lock programs (a target that is
+    not coverable only when neither slot piles up) through the fusion and
+    rendezvous gadgets, at the smaller bounds of the `gadgets` benchmark."""
+    rng = random.Random(606)
+    cb = Bounds(max_threads=2, max_local_len=8)
+    out = []
+    while len(out) < 3 * count:
+        t = reference.random_lock_template(rng, max_locs=4, visible_start=True)
+        p = ParameterizedProgram(t, SyncKind.LOCKS)
+        locs = sorted(set(t.locations) - {t.init})
+        config = (rng.choice(locs), rng.choice(locs))
+        if not bounded_coverability(p, config, cb)[0] and any(
+            bounded_coverability(p, (c, c), cb)[0] for c in config
+        ):
+            continue
+        prog1, fusion1, rel1 = coverability_to_fusion(p, config)
+        out.append((oracle_check_atomic, prog1.template, fusion1, rel1,
+                    Bounds(max_threads=3, max_local_len=6, max_enum_nodes=60_000)))
+        _, inst6 = coverability_to_syncpoint(p, config)
+        alphabet = sorted(inst6.base.plain_alphabet, key=Action.sort_key)
+        sync_bounds = Bounds(max_threads=2, max_local_len=8, max_enum_nodes=60_000)
+        out.append((oracle_check_sync, inst6, CommutativityRelation(alphabet, conflicts=[]), sync_bounds))
+        out.append((oracle_check_sync, inst6, CommutativityRelation(alphabet, pairs=[]), sync_bounds))
+    return out
+
+
+def test_planned_enumeration_matches_build_as_you_go(monkeypatch):
+    """Planning l2 and l1 before building them gives every check the same
+    result, notes and witness as building each as it is enumerated, and
+    runs out of budget at the same charge."""
+    raised = []
+
+    class RecordingBudget(oracle._Budget):
+        def spend(self, n: int = 1) -> None:
+            try:
+                super().spend(n)
+            except DepthExceeded as exc:
+                raised.append((exc.what, exc.cap, exc.used))
+                raise
+
+    l1_ran_out = []
+
+    def as_you_go(codec, original, reduced, keep_sync, bounds, budget):
+        l2 = reference.interleavings_ref(codec, original, bounds, False, budget)
+        try:
+            l1 = reference.interleavings_ref(codec, reduced, bounds, keep_sync, budget)
+        except DepthExceeded:
+            l1_ran_out.append(True)
+            raise
+        return l2, l1
+
+    built_in_plan = []
+    plan_interleavings = oracle._plan_interleavings
+
+    def watched_plan(codec, p, bounds, keep_sync, budget):
+        plan = plan_interleavings(codec, p, bounds, keep_sync, budget)
+        if any(base is not None for _, base, _, _ in plan):
+            built_in_plan.append((p.sync_kind, keep_sync))
+        return plan
+
+    def outcome(check, *args):
+        raised.clear()
+        v = check(*args)
+        return v.result, v.notes, v.witness, tuple(raised)
+
+    monkeypatch.setattr(oracle, "_Budget", RecordingBudget)
+    monkeypatch.setattr(oracle, "_plan_interleavings", watched_plan)
+    results = Counter()
+    for check, *args in _corpus_checks(80) + _gadget_checks(20):
+        got = outcome(check, *args)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_both_interleavings", as_you_go)
+            assert outcome(check, *args) == got, args
+        results[got[0]] += 1
+    assert results["inconclusive"] >= 10 and results["sound"] and results["unsound"]
+    assert l1_ran_out, "no check ran out of budget in l1 after l2 completed"
+    assert (SyncKind.LOCKS_AND_SYNC_POINTS, False) in built_in_plan
 
 
 # -- reduction check --------------------------------------------------------------------
