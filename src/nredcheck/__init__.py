@@ -22,7 +22,6 @@ from .model import (
     acquire,
     block_symbol,
     insert_syncpoints,
-    lockset_extension,
     plain,
     release,
     substitute_blocks,

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from . import decision, gadgets, movers, oracle
+from . import decision, gadgets, movers
 from .decision import (
     FusionWitness,
     ReentryWitness,
@@ -98,9 +98,7 @@ def _witness_json(w: object) -> object:
             "later": path(w.path_a),
             "earlier": path(w.path_b),
         }
-    if isinstance(w, tuple):
-        return {"type": "trace", "trace": format_trace(w)}
-    return {"type": "opaque", "repr": repr(w)}
+    return {"type": "trace", "trace": format_trace(w)}  # an oracle counterexample
 
 
 def _verdict_json(v: Verdict) -> dict:
@@ -120,63 +118,82 @@ def _verdict_json(v: Verdict) -> dict:
     return out
 
 
-def _witness_lines(w: object) -> list[str]:
-    if isinstance(w, FusionWitness):
+_ARROWS = {"conflict": "#", "program-order": "->", "atomic-order": "~>"}
+
+
+def _witness_text(mode: str, w: dict) -> list[str]:
+    """Text lines of a report's witness dict."""
+    if w["type"] == "trace":
+        lead = "witness" if mode == "coverability" else "counterexample interleaving"
+        return [f"  {lead}: {w['trace']}"]
+    if w["type"] == "atomic-block":
+        i, j = w["positions"]
         return [
-            f"  witness: block {w.block.name}, body trace "
-            f"{' '.join(a.name for a in w.body_trace)} (positions {w.i} < {w.j})",
-            "  chain:   " + "  ".join(str(l) for l in w.chain),
+            f"  witness: block {w['block']}, body trace {' '.join(w['body_trace'])} "
+            f"(positions {i} < {j})",
+            "  chain:   "
+            + "  ".join(f"{l['from']} {_ARROWS[l['kind']]} {l['to']}" for l in w["chain"]),
         ]
-    if isinstance(w, ReentryWitness):
+    if w["type"] == "re-entry":
         return [
-            f"  witness: one thread runs {' '.join(a.name for a in w.trace)}, "
+            f"  witness: one thread runs {' '.join(w['trace'])}, "
             "which the fused program cannot run",
-            "  body edge into init or out of exit in block "
-            + ", ".join(b.name for b in w.blocks),
+            "  body edge into init or out of exit in block " + ", ".join(w["blocks"]),
         ]
-    if isinstance(w, SyncWitness):
-        a, b = w.pair
-        tail = " (pumpable)" if w.path_b.pumped else ""
-        return [
-            f"  witness: ({a.name}, {b.name}) phase-ordered but ({b.name}, {a.name}) does not commute",
-            f"    {a.name} after {w.path_a.sync_count} rendezvous: "
-            f"{' '.join(x.name for x in w.path_a.prefix)} {a.name}",
-            f"    {b.name} after {w.path_b.sync_count} rendezvous{tail}: "
-            f"{' '.join(x.name for x in w.path_b.prefix)} {b.name}",
-        ]
-    if isinstance(w, tuple):
-        return [f"  counterexample interleaving: {format_trace(w)}"]
-    return []
+    a, b = w["pair"]
 
+    def path(p: dict) -> str:
+        tail = " (pumpable)" if p["pumped"] else ""
+        return (
+            f"    {p['action']} after {p['sync_count']} rendezvous{tail}: "
+            f"{' '.join(p['prefix'])} {p['action']}"
+        )
 
-def _verdict_lines(report: dict, witness: list[str]) -> list[str]:
-    """Text form of a check report: result, flags, notes, conditions, the
-    given witness lines, then the input warnings."""
-    v = report["verdict"]
     return [
-        f"{report['mode']}: {v['result']}",
-        *(f"  flag: {flag}" for flag in v.get("flags", ())),
-        *(f"  note: {note}" for note in v.get("notes", ())),
-        *(f"  condition {c['name']}: {c['result']}" for c in v.get("conditions", ())),
-        *witness,
-        *_warning_lines(report),
+        f"  witness: ({a}, {b}) phase-ordered but ({b}, {a}) does not commute",
+        path(w["later"]),
+        path(w["earlier"]),
     ]
 
 
-def _warning_lines(report: dict) -> list[str]:
-    """The input warnings that end every check mode's text report."""
-    return [f"  warning: {w}" for w in report.get("warnings", ())]
+def _text(report: dict, witness: bool) -> str:
+    """The text form of a report: for a check mode its result, flags,
+    notes, conditions, mover classes, failing block, the witness (when
+    asked for) and the input warnings; for `validate` its violations."""
+    mode, v = report["mode"], report["verdict"]
+    warnings = report.get("warnings", ())
+    if mode == "validate":
+        lines = [
+            f"invalid ({bad['check']}): {entry}"
+            for bad in v["violations"]
+            for entry in bad["violations"]
+        ] or ["valid"]
+        return "\n".join(lines + [f"warning: {w}" for w in warnings])
+    lines = [
+        f"{mode}: {v['result']}",
+        *(f"  flag: {flag}" for flag in v.get("flags", ())),
+        *(f"  note: {note}" for note in v.get("notes", ())),
+        *(f"  condition {c['name']}: {c['result']}" for c in v.get("conditions", ())),
+        *(f"  {name}: {cls}" for name, cls in sorted(v.get("movers", {}).items())),
+    ]
+    if "failing_block" in v:
+        lines.append(
+            f"  non-conforming trace in block {v['failing_block']}: " + " ".join(v["failing_trace"])
+        )
+    if witness and "witness" in v:
+        lines += _witness_text(mode, v["witness"])
+    return "\n".join(lines + [f"  warning: {w}" for w in warnings])
 
 
-def _emit(report: dict, lines: list[str], args, t0: Optional[float] = None) -> None:
+def _emit(report: dict, args, t0: Optional[float] = None) -> None:
     """Print `report` as JSON (with the wall time since `t0`, when given) or
-    its text `lines`."""
+    as text."""
     if args.json:
         if t0 is not None:
             report["wall_time_ms"] = round(1000 * (time.perf_counter() - t0), 3)
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
     else:
-        print("\n".join(lines))
+        print(_text(report, getattr(args, "witness", False)))
 
 
 def _base_report(mode: str, parsed: ParsedInput, args) -> dict:
@@ -281,8 +298,7 @@ def run_check(args) -> int:
         return _input_error(str(exc))
 
     report["verdict"] = _verdict_json(verdict)
-    witness = _witness_lines(verdict.witness) if args.witness else []
-    _emit(report, _verdict_lines(report, witness), args, t0)
+    _emit(report, args, t0)
     return _exit_for(verdict)
 
 
@@ -297,12 +313,9 @@ def _run_coverability(parsed: ParsedInput, report: dict, args, t0: float) -> int
         "result": "coverable" if covered else "not-coverable",
         "bounds": bounds.describe(),
     }
-    witness = []
     if trace is not None:
         report["verdict"]["witness"] = {"type": "trace", "trace": format_trace(trace)}
-        if args.witness:
-            witness = [f"  witness: {format_trace(trace)}"]
-    _emit(report, _verdict_lines(report, witness), args, t0)
+    _emit(report, args, t0)
     return EXIT_SOUND if covered else EXIT_UNSOUND
 
 
@@ -320,18 +333,12 @@ def _run_movers(parsed: ParsedInput, report: dict, args, t0: float) -> int:
         classes[a.name] = movers._mover_of(a, relation, universe).value
     result = movers.lipton_check(fusion, relation)
     report["verdict"] = {"result": result.result, "movers": classes}
-    lines = [f"movers: {result.result}"]
-    lines += [f"  {name}: {cls}" for name, cls in sorted(classes.items())]
     if result.failing_block is not None:
-        trace = [a.name for a in result.failing_trace or ()]
         report["verdict"]["failing_block"] = result.failing_block.name
-        report["verdict"]["failing_trace"] = trace
-        lines.append(
-            f"  non-conforming trace in block {result.failing_block.name}: " + " ".join(trace)
-        )
+        report["verdict"]["failing_trace"] = [a.name for a in result.failing_trace or ()]
     if result.dead_actions:
         report["verdict"]["dead_actions"] = sorted(a.name for a in result.dead_actions)
-    _emit(report, lines + _warning_lines(report), args, t0)
+    _emit(report, args, t0)
     return EXIT_SOUND if result.certified else EXIT_INCONCLUSIVE
 
 
@@ -358,9 +365,7 @@ def run_validate(args) -> int:
             {"check": name, "violations": [str(v) for v in rep.entries]} for name, rep in bad
         ],
     }
-    lines = [f"invalid ({name}): {v}" for name, rep in bad for v in rep.entries] or ["valid"]
-    lines += [f"warning: {w}" for w in parsed.warnings]
-    _emit(report, lines, args)
+    _emit(report, args)
     return EXIT_INPUT_ERROR if bad else EXIT_SOUND
 
 

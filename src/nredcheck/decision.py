@@ -42,6 +42,7 @@ from .model import (
     NaturalReductionSpec,
     ThreadTemplate,
     plain,
+    _memo,
     substitute_blocks,
 )
 
@@ -65,10 +66,6 @@ class ChainLink:
     kind: str  # CONFLICT | PROGRAM_ORDER | ATOMIC_ORDER
     source: Action
     target: Action
-
-    def __str__(self) -> str:
-        arrow = {CONFLICT: "#", PROGRAM_ORDER: "->", ATOMIC_ORDER: "~>"}[self.kind]
-        return f"{self.source} {arrow} {self.target}"
 
 
 @dataclass(frozen=True)
@@ -272,11 +269,7 @@ class _EscapeAnalysis:
             self.body_reach[sym] = _Reach(body)
             for x in body.plain_alphabet:
                 self.body_of[x] = (sym, body)
-        self.conflicts = [
-            (x, y)
-            for x, y in rel.conflicts_over(self.action_set)
-            if x in self.action_set and y in self.action_set
-        ]
+        self.conflicts = list(rel.conflicts_over(self.action_set))
         self.conflict_sources: list[Action] = sorted(
             {x for x, _ in self.conflicts}, key=Action.sort_key
         )
@@ -465,20 +458,13 @@ def _erase_sync(t: ThreadTemplate, kinds: frozenset[ActionKind]) -> ThreadTempla
     The erased template is cached on `t` per set of kinds."""
     if not any(a.kind in kinds for a in t.alphabet):
         return t
-    memo = t.__dict__.setdefault("_erased", {})
-    erased = memo.get(kinds)
-    if erased is None:
-        erased = memo[kinds] = _erased_template(t, kinds)
-    return erased
+    return _memo(t, ("erased", kinds), lambda: _erased_template(t, kinds))
 
 
 def _erased_fusion(f: AtomicFusion) -> AtomicFusion:
     """`f` with every synchronization edge of its outer template erased,
     cached on `f`, so its substituted template is built once."""
-    erased = f.__dict__.get("_erased")
-    if erased is None:
-        erased = f.__dict__["_erased"] = AtomicFusion(_erase_sync(f.outer, _SYNC_KINDS), f.blocks)
-    return erased
+    return _memo(f, "erased", lambda: AtomicFusion(_erase_sync(f.outer, _SYNC_KINDS), f.blocks))
 
 
 def _erased_template(t: ThreadTemplate, kinds: frozenset[ActionKind]) -> ThreadTemplate:
@@ -851,8 +837,6 @@ def check_sync_instrumentation(inst: SyncPointInstrumentation, i: CommutativityR
     pb = _phase_bounds(g, counts)
     for b, a in i.conflicts_over(pb.min_count):
         # (b, a) does not commute; unsound if a can be phase-later than b
-        if a not in pb.min_count or b not in pb.max_count:
-            continue
         if pb.min_count[a] < pb.max_count[b]:
             path_a = _min_sync_path(g, a, counts)
             path_b = _max_sync_path(g, b, path_a.sync_count, counts)

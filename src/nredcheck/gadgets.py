@@ -251,13 +251,7 @@ def coverability_to_syncpoint(
         raise ModelError(f"configuration uses unknown locations {sorted(unknown)}")
     taken_actions = {x.name for x in t.alphabet}
     taken_locks = {x.lock for x in t.alphabet if x.lock}
-    locks = []
-    for i in range(1, n + 1):
-        m = f"m{i}"
-        while m in taken_locks:
-            m += "'"
-        taken_locks.add(m)
-        locks.append(m)
+    locks = [_fresh(f"m{i}", taken_locks) for i in range(1, n + 1)]
     name_w = _fresh("w", taken_actions)
     taken_locs = set(t.locations)
     new_exit = _fresh("gexit", taken_locs)
@@ -306,10 +300,7 @@ def bounded_to_parameterized(templates: Sequence[ThreadTemplate]) -> ThreadTempl
     edges: list[tuple[str, Action, str]] = []
     init, exit_ = "init", "exit"
     for i, t in enumerate(templates, start=1):
-        guard = f"g{i}"
-        while guard in taken_locks:
-            guard += "'"
-        taken_locks.add(guard)
+        guard = _fresh(f"g{i}", taken_locks)
 
         def ns(loc: str, i=i, t=t) -> str:
             return exit_ if loc == t.exit else f"t{i}::{loc}"

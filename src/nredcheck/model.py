@@ -26,12 +26,23 @@ from enum import Enum
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, TypeVar
 
 from . import graphs
 
 
 SYNC_POINT_NAME = "•"  # the unique rendezvous symbol, rendered as a bullet
+
+_T = TypeVar("_T")
+
+
+def _memo(obj: object, key: object, make: Callable[[], _T]) -> _T:
+    """`make()`, computed on the first call per `key` and kept on `obj`
+    (in its instance dict, which a frozen dataclass allows)."""
+    memo = obj.__dict__.setdefault("_memo", {})
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
 
 
 class ActionKind(Enum):
@@ -373,11 +384,7 @@ def validate_template(t: ThreadTemplate) -> ValidationReport:
     An empty report means all downstream operations are defined on `t`.  The
     report is cached on `t`.
     """
-    report = t.__dict__.get("_validation")
-    if report is None:
-        report = _validate_template(t)
-        t.__dict__["_validation"] = report
-    return report
+    return _memo(t, "validation", lambda: _validate_template(t))
 
 
 def _validate_template(t: ThreadTemplate) -> ValidationReport:
@@ -446,11 +453,11 @@ class CommutativityRelation:
     declared over an alphabet of plain/block actions; pairs with an endpoint
     outside the alphabet never commute.
 
-    Internally, whichever of the relation and its complement ("conflicts") is
-    sparser is stored; `pairs` materializes the positive side on demand.
+    Only the complement ("conflicts") is stored: a relation given by its
+    `pairs` is complemented once, when it is made.
     """
 
-    __slots__ = ("alphabet", "_conflicts", "_pairs", "_sorted_conflicts")
+    __slots__ = ("alphabet", "explicit_conflicts", "_sorted_conflicts")
 
     def __init__(
         self,
@@ -470,12 +477,10 @@ class CommutativityRelation:
         for x, y in declared:
             if x not in self.alphabet or y not in self.alphabet:
                 raise ValueError(f"pair ({x}, {y}) mentions an undeclared action")
-        if conflicts is not None:
-            self._conflicts: Optional[frozenset] = declared
-            self._pairs: Optional[frozenset] = None
-        else:
-            self._conflicts = None
-            self._pairs = declared
+        if pairs is not None:
+            declared = frozenset(self._all_pairs()) - declared
+        # the non-commuting pairs within the declared alphabet
+        self.explicit_conflicts: frozenset[tuple[Action, Action]] = declared
         # `explicit_conflicts` in sort-key order, filled on first use
         self._sorted_conflicts: Optional[tuple[tuple[Action, Action], ...]] = None
 
@@ -487,37 +492,18 @@ class CommutativityRelation:
     def empty(alphabet: Iterable[Action]) -> "CommutativityRelation":
         return CommutativityRelation(alphabet, pairs=())
 
+    def _all_pairs(self) -> Iterator[tuple[Action, Action]]:
+        return ((a, b) for a in self.alphabet for b in self.alphabet)
+
     def commutes(self, a: Action, b: Action) -> bool:
         if a not in self.alphabet or b not in self.alphabet:
             return False
-        if self._conflicts is not None:
-            return (a, b) not in self._conflicts
-        return (a, b) in self._pairs  # type: ignore[operator]
+        return (a, b) not in self.explicit_conflicts
 
     @property
     def pairs(self) -> frozenset[tuple[Action, Action]]:
         """The positive relation, materialized (quadratic in the alphabet)."""
-        if self._pairs is not None:
-            return self._pairs
-        out = frozenset(
-            (a, b)
-            for a in self.alphabet
-            for b in self.alphabet
-            if (a, b) not in self._conflicts  # type: ignore[operator]
-        )
-        return out
-
-    @property
-    def explicit_conflicts(self) -> frozenset[tuple[Action, Action]]:
-        """Non-commuting pairs within the declared alphabet."""
-        if self._conflicts is not None:
-            return self._conflicts
-        return frozenset(
-            (a, b)
-            for a in self.alphabet
-            for b in self.alphabet
-            if (a, b) not in self._pairs  # type: ignore[operator]
-        )
+        return frozenset(self._all_pairs()) - self.explicit_conflicts
 
     def conflicts_over(self, universe: Iterable[Action]) -> Iterator[tuple[Action, Action]]:
         """All non-commuting ordered pairs over `universe`.
@@ -554,10 +540,8 @@ class CommutativityRelation:
         return CommutativityRelation(self.alphabet, conflicts=sym_conflicts)
 
     def with_extra_pairs(self, extra: Iterable[tuple[Action, Action]]) -> "CommutativityRelation":
-        extra = [(a, b) for a, b in extra if a in self.alphabet and b in self.alphabet]
-        if self._conflicts is not None:
-            return CommutativityRelation(self.alphabet, conflicts=self._conflicts - frozenset(extra))
-        return CommutativityRelation(self.alphabet, pairs=self._pairs | frozenset(extra))  # type: ignore[operator]
+        """This relation plus `extra` (pairs off the alphabet are ignored)."""
+        return CommutativityRelation(self.alphabet, conflicts=self.explicit_conflicts.difference(extra))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CommutativityRelation):
@@ -610,11 +594,7 @@ def substitute_blocks(fusion: AtomicFusion) -> ThreadTemplate:
     exit are identified with the fused edge's endpoints.  The result is
     cached on `fusion`, so every caller gets the same template object.
     """
-    derived = fusion.__dict__.get("_substituted")
-    if derived is None:
-        derived = _substitute_blocks(fusion)
-        fusion.__dict__["_substituted"] = derived
-    return derived
+    return _memo(fusion, "substituted", lambda: _substitute_blocks(fusion))
 
 
 def _substitute_blocks(fusion: AtomicFusion) -> ThreadTemplate:
@@ -723,11 +703,9 @@ def insert_syncpoints(t: ThreadTemplate, m: Iterable[str]) -> SyncPointInstrumen
     unknown = m - t.locations
     if unknown:
         raise UnknownLocation(f"locations not in template: {sorted(unknown)}")
-    memo = t.__dict__.setdefault("_instrumented", {})
-    if m not in memo:
-        memo[m] = _insert_syncpoints(t, m)
     # a template that gains no edge is not kept in its own cache
-    return SyncPointInstrumentation(t, memo[m] or t, m)
+    instrumented = _memo(t, ("instrumented", m), lambda: _insert_syncpoints(t, m))
+    return SyncPointInstrumentation(t, instrumented or t, m)
 
 
 def _insert_syncpoints(t: ThreadTemplate, m: frozenset[str]) -> Optional[ThreadTemplate]:
@@ -804,11 +782,7 @@ class NaturalReductionSpec:
 
     def validate(self) -> ValidationReport:
         """All fusion and instrumentation invariants; cached on the spec."""
-        report = self.__dict__.get("_validation")
-        if report is None:
-            report = self._validate()
-            self.__dict__["_validation"] = report
-        return report
+        return _memo(self, "validation", self._validate)
 
     def _validate(self) -> ValidationReport:
         rb = _ReportBuilder()
@@ -831,36 +805,3 @@ class NaturalReductionSpec:
                     rb.entries.append(v)
         return rb.build()
 
-
-def lockset_extension(
-    i: CommutativityRelation,
-    must_hold: Mapping[str, Iterable[str]],
-    t: ThreadTemplate,
-) -> CommutativityRelation:
-    """Grow `i` with pairs whose source locations share a must-held lock.
-
-    Two threads can never simultaneously sit at locations whose must-hold
-    lock sets overlap, so their outgoing actions commute vacuously.  Only
-    distinct location pairs contribute, and only declared actions are added;
-    the result always contains `i`.
-    """
-    unknown = set(must_hold) - set(t.locations)
-    if unknown:
-        raise UnknownLocation(f"must_hold mentions unknown locations: {sorted(unknown)}")
-    sets = {loc: frozenset(locks) for loc, locks in must_hold.items()}
-    out_actions: dict[str, list[Action]] = {}
-    for e in t.edges:
-        if not e.action.is_sync and e.action in i.alphabet:
-            out_actions.setdefault(e.src, []).append(e.action)
-    extra: set[tuple[Action, Action]] = set()
-    locs = sorted(sets)
-    for idx, l1 in enumerate(locs):
-        if not sets[l1]:
-            continue
-        for l2 in locs[idx + 1 :]:
-            if sets[l1] & sets[l2]:
-                for a in out_actions.get(l1, ()):
-                    for b in out_actions.get(l2, ()):
-                        extra.add((a, b))
-                        extra.add((b, a))
-    return i.with_extra_pairs(extra)

@@ -204,7 +204,7 @@ def barrier_feasible(tr: IndexedTrace) -> bool:
 
 @dataclass(frozen=True)
 class MazResult:
-    value: Optional[bool]  # None when inconclusive
+    value: bool
     counterexample: Optional[IndexedTrace] = None
     reason: str = ""
 
@@ -745,15 +745,39 @@ def _expanded_plain(
     )
 
 
-def _bounded_verdict(maz: MazResult, bounds: Bounds, notes: tuple[str, ...] = ()) -> Verdict:
-    if maz.value is True:
-        return Verdict(SOUND, bounds=bounds, notes=notes + ("sound within bounds",))
-    result = UNSOUND if maz.value is False else INCONCLUSIVE
-    return Verdict(result, witness=maz.counterexample, bounds=bounds, notes=notes + (maz.reason,))
-
-
-def _check_codec(bounds: Bounds, *templates: ThreadTemplate) -> _Codec:
-    return _Codec(itertools.chain.from_iterable(t.alphabet for t in templates), bounds.max_threads)
+def _compare(
+    original: ThreadTemplate,
+    reduced: ThreadTemplate,
+    blocks: tuple[tuple[Action, ThreadTemplate], ...],
+    keep_sync: bool,
+    i: CommutativityRelation,
+    bounds: Bounds,
+) -> Verdict:
+    """The one bounded comparison behind every oracle check: each
+    interleaving of `original` needs a representative among those of
+    `reduced`.  With `keep_sync` the reduced traces keep their
+    synchronization steps for the length accounting of block expansion,
+    then are expanded through `blocks` and projected."""
+    templates = (original, reduced, *(body for _, body in blocks))
+    codec = _Codec(itertools.chain.from_iterable(t.alphabet for t in templates), bounds.max_threads)
+    budget = _Budget(bounds.max_enum_nodes, "interleaving enumeration")
+    try:
+        l2, l1 = _both_interleavings(
+            codec,
+            ParameterizedProgram(original, infer_sync_kind(original)),
+            ParameterizedProgram(reduced, infer_sync_kind(reduced)),
+            keep_sync,
+            bounds,
+            budget,
+        )
+        if keep_sync:
+            l1 = _expanded_plain(codec, l1, blocks, bounds, budget)
+    except DepthExceeded as exc:
+        return Verdict(INCONCLUSIVE, bounds=bounds, notes=(str(exc),))
+    maz = _representative_check(codec, l1, l2, codec.relation(i))
+    if maz.value:
+        return Verdict(SOUND, bounds=bounds, notes=("sound within bounds",))
+    return Verdict(UNSOUND, witness=maz.counterexample, bounds=bounds, notes=(maz.reason,))
 
 
 def oracle_check_atomic(
@@ -765,22 +789,7 @@ def oracle_check_atomic(
     """Bounded ground truth for fusion soundness: compare the expanded
     atomic interleavings against all interleavings of the original."""
     original = t if t is not None else substitute_blocks(f)
-    kind = infer_sync_kind(original)
-    codec = _check_codec(bounds, original, f.outer, *(body for _, body in f.blocks))
-    budget = _Budget(bounds.max_enum_nodes, "interleaving enumeration")
-    try:
-        l2, l1_raw = _both_interleavings(
-            codec,
-            ParameterizedProgram(original, kind),
-            ParameterizedProgram(f.outer, infer_sync_kind(f.outer)),
-            True,
-            bounds,
-            budget,
-        )
-        l1 = _expanded_plain(codec, l1_raw, f.blocks, bounds, budget)
-    except DepthExceeded as exc:
-        return Verdict(INCONCLUSIVE, bounds=bounds, notes=(str(exc),))
-    return _bounded_verdict(_representative_check(codec, l1, l2, codec.relation(i)), bounds)
+    return _compare(original, f.outer, f.blocks, True, i, bounds)
 
 
 def oracle_check_sync(
@@ -789,15 +798,7 @@ def oracle_check_sync(
     bounds: Bounds,
 ) -> Verdict:
     """Bounded ground truth for instrumentation soundness."""
-    codec = _check_codec(bounds, inst.base, inst.instrumented)
-    budget = _Budget(bounds.max_enum_nodes, "interleaving enumeration")
-    base = ParameterizedProgram(inst.base, infer_sync_kind(inst.base))
-    reduced = ParameterizedProgram(inst.instrumented, SyncKind.LOCKS_AND_SYNC_POINTS)
-    try:
-        l2, l1 = _both_interleavings(codec, base, reduced, False, bounds, budget)
-    except DepthExceeded as exc:
-        return Verdict(INCONCLUSIVE, bounds=bounds, notes=(str(exc),))
-    return _bounded_verdict(_representative_check(codec, l1, l2, codec.relation(i)), bounds)
+    return _compare(inst.base, inst.instrumented, (), False, i, bounds)
 
 
 def oracle_check_natural(
@@ -810,23 +811,13 @@ def oracle_check_natural(
     fusion = spec.fusion
     if t is None and fusion is None:
         raise ValueError("need either a template or a fusion")
-    base = t if t is not None else substitute_blocks(fusion)
-    reduced_template = (
-        spec.instrumentation.instrumented
-        if spec.instrumentation is not None
-        else (fusion.outer if fusion else base)
-    )
+    original = t if t is not None else substitute_blocks(fusion)
+    if spec.instrumentation is not None:
+        reduced = spec.instrumentation.instrumented
+    else:
+        reduced = fusion.outer if fusion is not None else original
     blocks = fusion.blocks if fusion is not None else ()
-    codec = _check_codec(bounds, base, reduced_template, *(body for _, body in blocks))
-    budget = _Budget(bounds.max_enum_nodes, "interleaving enumeration")
-    try:
-        program = ParameterizedProgram(base, infer_sync_kind(base))
-        reduced = ParameterizedProgram(reduced_template, SyncKind.LOCKS_AND_SYNC_POINTS)
-        l2, l1_raw = _both_interleavings(codec, program, reduced, True, bounds, budget)
-        l1 = _expanded_plain(codec, l1_raw, blocks, bounds, budget)
-    except DepthExceeded as exc:
-        return Verdict(INCONCLUSIVE, bounds=bounds, notes=(str(exc),))
-    return _bounded_verdict(_representative_check(codec, l1, l2, codec.relation(i)), bounds)
+    return _compare(original, reduced, blocks, True, i, bounds)
 
 
 # -- coverability -------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.  Every tolerance is pinned here; the random corpora use
-fixed seeds.  Criteria 3 and 6 take minutes and are marked `slow`;
+fixed seeds.  Criteria 3 and 6 take the longest and are marked `slow`;
 `pytest -m "not slow"` leaves them out of a quick loop.
 """
 

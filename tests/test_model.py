@@ -4,6 +4,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nredcheck import model
 from nredcheck.model import (
@@ -18,7 +20,6 @@ from nredcheck.model import (
     acquire,
     block_symbol,
     insert_syncpoints,
-    lockset_extension,
     plain,
     release,
     substitute_blocks,
@@ -205,43 +206,36 @@ def test_relation_rejects_sync_actions():
         CommutativityRelation([acquire("m")], conflicts=[])
 
 
-def test_relation_both_representations_agree():
-    alphabet = [a, b1, b2]
-    confl = CommutativityRelation(alphabet, conflicts=[(a, b1)])
-    pos = CommutativityRelation(alphabet, pairs=confl.pairs)
-    assert confl == pos
-    assert confl.commutes(a, b2) and not confl.commutes(a, b1)
-    assert not confl.commutes(a, c)  # undeclared actions never commute
+# plain and block actions, of which each example declares some and probes
+# the rest as undeclared
+_POOL = [plain(n) for n in "pqrst"] + [block_symbol("P"), block_symbol("Q")]
+_pool_pairs = st.tuples(st.sampled_from(_POOL), st.sampled_from(_POOL))
 
 
-def test_lockset_extension_adds_both_directions():
-    x, y = plain("x"), plain("y")
-    t = ThreadTemplate.make([("l0", x, "l1"), ("l1", y, "l2")], "l0", "l2")
-    i = CommutativityRelation([x, y], pairs=[])
-    out = lockset_extension(i, {"l0": {"m"}, "l1": {"m"}}, t)
-    assert out.commutes(x, y) and out.commutes(y, x)
-    assert out.pairs >= i.pairs
-
-
-def test_lockset_extension_empty_and_self_overlap_are_noops():
-    x, y = plain("x"), plain("y")
-    t = ThreadTemplate.make([("l0", x, "l1"), ("l0", y, "l1")], "l0", "l1")
-    i = CommutativityRelation([x, y], pairs=[])
-    assert lockset_extension(i, {"l0": set(), "l1": set()}, t) == i
-    # overlap only between l0 and itself adds nothing
-    assert lockset_extension(i, {"l0": {"m"}}, t) == i
-
-
-def test_lockset_extension_idempotent():
-    rng = random.Random(3)
-    for _ in range(20):
-        original, _, _, rel = reference.random_fusion_instance(rng)
-        locs = sorted(original.locations)
-        must = {l: ({"m"} if rng.random() < 0.5 else set()) for l in locs}
-        once = lockset_extension(rel, must, original)
-        twice = lockset_extension(once, must, original)
-        assert once.pairs >= rel.pairs
-        assert once == twice
+@settings(max_examples=200, derandomize=True, database=None)
+@given(
+    alphabet=st.sets(st.sampled_from(_POOL)),
+    pairs=st.sets(_pool_pairs),
+    extra=st.sets(_pool_pairs),
+)
+def test_relation_both_representations_agree(alphabet, pairs, extra):
+    pairs = {(x, y) for x, y in pairs if x in alphabet and y in alphabet}
+    conflicts = {(x, y) for x in alphabet for y in alphabet} - pairs
+    pos = CommutativityRelation(alphabet, pairs=pairs)
+    neg = CommutativityRelation(alphabet, conflicts=conflicts)
+    for rel in (pos, neg):
+        for x in _POOL:  # undeclared actions never commute
+            for y in _POOL:
+                assert rel.commutes(x, y) == ((x, y) in pairs)
+        assert rel.explicit_conflicts == conflicts
+        assert rel.pairs == pairs
+    assert pos == neg and hash(pos) == hash(neg)
+    assert pos.symmetric_core() == neg.symmetric_core()
+    core = {(x, y) for x, y in pairs if (y, x) in pairs}
+    assert pos.symmetric_core().pairs == core
+    grown = pos.with_extra_pairs(extra)
+    assert grown == neg.with_extra_pairs(extra)
+    assert grown.pairs == pairs | {(x, y) for x, y in extra if x in alphabet and y in alphabet}
 
 
 def test_action_hash_is_the_field_tuple_hash():
