@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
+from itertools import product, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, TypeVar
 
@@ -478,7 +478,7 @@ class CommutativityRelation:
             if x not in self.alphabet or y not in self.alphabet:
                 raise ValueError(f"pair ({x}, {y}) mentions an undeclared action")
         if pairs is not None:
-            declared = frozenset(self._all_pairs()) - declared
+            declared = frozenset(product(self.alphabet, repeat=2)) - declared
         # the non-commuting pairs within the declared alphabet
         self.explicit_conflicts: frozenset[tuple[Action, Action]] = declared
         # `explicit_conflicts` in sort-key order, filled on first use
@@ -492,9 +492,6 @@ class CommutativityRelation:
     def empty(alphabet: Iterable[Action]) -> "CommutativityRelation":
         return CommutativityRelation(alphabet, pairs=())
 
-    def _all_pairs(self) -> Iterator[tuple[Action, Action]]:
-        return ((a, b) for a in self.alphabet for b in self.alphabet)
-
     def commutes(self, a: Action, b: Action) -> bool:
         if a not in self.alphabet or b not in self.alphabet:
             return False
@@ -503,7 +500,7 @@ class CommutativityRelation:
     @property
     def pairs(self) -> frozenset[tuple[Action, Action]]:
         """The positive relation, materialized (quadratic in the alphabet)."""
-        return frozenset(self._all_pairs()) - self.explicit_conflicts
+        return frozenset(product(self.alphabet, repeat=2)) - self.explicit_conflicts
 
     def conflicts_over(self, universe: Iterable[Action]) -> Iterator[tuple[Action, Action]]:
         """All non-commuting ordered pairs over `universe`.
