@@ -42,6 +42,7 @@ from .model import (
     NaturalReductionSpec,
     ThreadTemplate,
     plain,
+    _SYNC_POINT,
     _memo,
     substitute_blocks,
 )
@@ -179,26 +180,28 @@ class _Reach:
     its numbered view."""
 
     def __init__(self, t: ThreadTemplate):
-        self.view = t.numbered
+        self.t = t
         self._fwd: dict[int, set[int]] = {}
 
     def reaches(self, u: str, v: str) -> bool:
-        index = self.view.index
-        start = index[u]
+        view = self.t.numbered  # built on the first question only
+        start = view.index[u]
         fwd = self._fwd.get(start)
         if fwd is None:
-            fwd = self._fwd[start] = self.view.reach([start])
-        return index[v] in fwd
+            fwd = self._fwd[start] = view.reach([start])
+        return view.index[v] in fwd
 
 
 def _on_path_actions(t: ThreadTemplate) -> list[Action]:
     """Plain/block actions whose unique edge lies on some init-to-exit path,
     in edge order."""
-    fwd, bwd = t.from_init, t.to_exit
+    fwd, bwd, edge_of = t.from_init, t.to_exit, t._edge_of
     out = []
-    for a in (e.action for e in t.edges):
+    for e in t.edges:
+        a = e.action
         if not a.is_sync:
-            e = t.the_edge(a)
+            if edge_of[a] is None:
+                t.the_edge(a)  # raises: the label is not unique
             if e.src in fwd and e.dst in bwd:
                 out.append(a)
     return out
@@ -658,7 +661,7 @@ def reentry_witness(t: Optional[ThreadTemplate], f: AtomicFusion) -> Optional[Re
 
 
 def _sync_weight(a: Action) -> int:
-    return 1 if a.kind is ActionKind.SYNC_POINT else 0
+    return 1 if a.kind is _SYNC_POINT else 0
 
 
 class _SyncCounts(NamedTuple):
@@ -681,7 +684,7 @@ class _SyncCounts(NamedTuple):
 def _sync_counts(g: ThreadTemplate) -> _SyncCounts:
     v = g.numbered
     src, dst = v.src, v.dst
-    weight = bytes(e.action.kind is ActionKind.SYNC_POINT for e in g.edges)
+    weight = bytes(e.action.kind is _SYNC_POINT for e in g.edges)
     least, least_slot = graphs.zero_one_shortest(
         v.index[g.init], v.out_off, v.out_next, bytes(map(weight.__getitem__, v.out_edges))
     )
@@ -724,11 +727,11 @@ def _sync_counts(g: ThreadTemplate) -> _SyncCounts:
 
 
 def _phase_bounds(g: ThreadTemplate, counts: _SyncCounts) -> PhaseBounds:
-    index = g.numbered.index
+    index, edge_of = g.numbered.index, g._edge_of
     min_count: dict[Action, int] = {}
     max_count: dict[Action, float] = {}
-    for a in _on_path_actions(g):
-        src = index[g.the_edge(a).src]
+    for a in _on_path_actions(g):  # each labels one edge
+        src = index[edge_of[a].src]
         min_count[a] = counts.least[src]
         max_count[a] = counts.greatest[src]
     return PhaseBounds(min_count, max_count)
@@ -807,7 +810,7 @@ def _max_sync_path(g: ThreadTemplate, b: Action, needed: int, counts: _SyncCount
     # pumped case: find a rendezvous edge on a cycle that the start reaches
     # and that reaches the target
     reach = _Reach(g)
-    for e in sorted(x for x in g.edges if x.action.kind is ActionKind.SYNC_POINT):
+    for e in sorted(x for x in g.edges if x.action.kind is _SYNC_POINT):
         if e.src in g.from_init and reach.reaches(e.dst, e.src) and reach.reaches(e.dst, target):
             into = _path_words(g, g.init, e.src)
             around = (e.action,) + _path_words(g, e.dst, e.src)

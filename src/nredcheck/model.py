@@ -52,6 +52,13 @@ class ActionKind(Enum):
     SYNC_POINT = "syncpoint"
     BLOCK = "block"
 
+    # the members are singletons, so identity is their equality; Enum's own
+    # hash is a Python-level call on every action made and every kind looked up
+    __hash__ = object.__hash__
+
+
+_PLAIN, _ACQUIRE, _RELEASE, _SYNC_POINT, _BLOCK = ActionKind  # Enum attribute lookups are slow
+
 
 @dataclass(frozen=True, slots=True)
 class Action:
@@ -73,12 +80,12 @@ class Action:
         name, kind, lock = self.name, self.kind, self.lock
         if not name:
             raise ValueError("action name must be non-empty")
-        if kind is ActionKind.ACQUIRE or kind is ActionKind.RELEASE:
+        if kind is _ACQUIRE or kind is _RELEASE:
             if not lock:
                 raise ValueError(f"{kind.value} action needs a lock name")
         elif lock is not None:
             raise ValueError(f"{kind.value} action must not carry a lock")
-        elif kind is ActionKind.SYNC_POINT and name != SYNC_POINT_NAME:
+        elif kind is _SYNC_POINT and name != SYNC_POINT_NAME:
             raise ValueError("the rendezvous symbol is unique")
         # actions are hashed and sorted in every inner loop, and a parse
         # makes one per name, so the derived values are computed once and
@@ -86,7 +93,7 @@ class Action:
         put = object.__setattr__
         put(self, "_hash", hash((name, kind, lock)))
         # True for synchronization actions (lock ops and the rendezvous)
-        put(self, "is_sync", kind in (ActionKind.ACQUIRE, ActionKind.RELEASE, ActionKind.SYNC_POINT))
+        put(self, "is_sync", kind is not _PLAIN and kind is not _BLOCK)
         put(self, "_sort_key", (kind._value_, name, lock or ""))  # `.value` is a slow property
 
     def __hash__(self) -> int:
@@ -250,7 +257,12 @@ class _ReportBuilder:
 
 @dataclass(frozen=True)
 class ThreadTemplate:
-    """Finite control-flow graph with one initial and one exit location."""
+    """Finite control-flow graph with one initial and one exit location.
+
+    `make` builds a template with unique edges whose locations include init,
+    exit and every edge endpoint; the derivations (`substitute_blocks`,
+    `insert_syncpoints`) keep both properties without re-checking them.
+    """
 
     locations: frozenset[str]
     edges: tuple[Edge, ...]
@@ -339,7 +351,7 @@ class ThreadTemplate:
 
     @property
     def has_sync_points(self) -> bool:
-        return any(a.kind is ActionKind.SYNC_POINT for a in self.alphabet)
+        return SYNC in self.alphabet  # the rendezvous symbol is unique
 
     def reachable_from(self, starts: Iterable[str]) -> frozenset[str]:
         return self.numbered.reach_names(starts, forward=True)
@@ -407,10 +419,22 @@ def _validate_template(t: ThreadTemplate) -> ValidationReport:
 
     dups = {a for a, e in t._edge_of.items() if e is None and not a.is_sync}
     if dups:
-        counts = Counter(e.action for e in t.edges if e.action in dups)
-        for a in sorted(dups, key=Action.sort_key):
-            rb.add("duplicate-label", f"action {a} labels {counts[a]} edges", (a.name,))
+        _duplicate_labels(rb, Counter(e.action for e in t.edges if e.action in dups))
     return rb.build()
+
+
+def _duplicate_labels(rb: _ReportBuilder, counts: Mapping[Action, int]) -> None:
+    """Report each action of `counts` as labeling that many edges."""
+    for a in sorted(counts, key=Action.sort_key):
+        rb.add("duplicate-label", f"action {a} labels {counts[a]} edges", (a.name,))
+
+
+def _derived_from_valid(t: ThreadTemplate, report: ValidationReport) -> None:
+    """Seed `t`, derived from valid templates, with its validation report,
+    which can only list duplicate labels, and its reach sets: every location
+    is reachable from init and reaches exit."""
+    t.__dict__.setdefault("_memo", {})["validation"] = report
+    t.__dict__["from_init"] = t.__dict__["to_exit"] = t.locations
 
 
 class SyncKind(Enum):
@@ -439,7 +463,7 @@ class ParameterizedProgram:
 
 
 def infer_sync_kind(t: ThreadTemplate) -> SyncKind:
-    has_locks = any(a.kind in (ActionKind.ACQUIRE, ActionKind.RELEASE) for a in t.alphabet)
+    has_locks = any(a.kind is _ACQUIRE or a.kind is _RELEASE for a in t.alphabet)
     if t.has_sync_points:
         return SyncKind.LOCKS_AND_SYNC_POINTS
     return SyncKind.LOCKS if has_locks else SyncKind.TRIVIAL
@@ -595,13 +619,17 @@ def substitute_blocks(fusion: AtomicFusion) -> ThreadTemplate:
 
 
 def _substitute_blocks(fusion: AtomicFusion) -> ThreadTemplate:
-    edges: list[tuple[str, Action, str]] = []
+    """The outer edges but the block edges, then the renamed body edges
+    that repeat no earlier edge: the edges `make` would keep, found without
+    a pass over them all.  The action index is the outer one, updated.
+    When the outer template and every body are valid, and no renamed body
+    location is an outer or another renamed one, only a label that two of
+    them share can break validity (see `_derived_from_valid`).
+    """
     outer = fusion.outer
     block_syms = set(fusion.block_symbols)
-    for e in outer.edges:
-        if e.action not in block_syms:
-            edges.append(e)
-    extra = set(outer.locations)
+    added: dict[Edge, None] = {}  # renamed body edges, in order, once each
+    inner: list[str] = []  # renamed body locations other than init and exit
     for sym, body in fusion.blocks:
         hits = outer.edges_labeled(sym)
         if not hits:
@@ -617,10 +645,33 @@ def _substitute_blocks(fusion: AtomicFusion) -> ThreadTemplate:
                 return dst
             return f"{sym.name}::{loc}"
 
-        for be in body.edges:
-            edges.append((rename(be.src), be.action, rename(be.dst)))
-        extra.update(rename(l) for l in body.locations)
-    return ThreadTemplate.make(edges, outer.init, outer.exit, extra_locations=extra)
+        for u, a, w in body.edges:
+            e = tuple.__new__(Edge, (rename(u), a, rename(w)))
+            if a in block_syms or e not in outer.edges_labeled(a):
+                added.setdefault(e)
+        inner += [rename(loc) for loc in body.locations - {body.init, body.exit}]
+    edges = [e for e in outer.edges if e.action not in block_syms]
+    t = ThreadTemplate(outer.locations.union(inner), (*edges, *added), outer.init, outer.exit)
+    edge_of = t.__dict__["_edge_of"] = dict(outer._edge_of)
+    for sym in block_syms:
+        del edge_of[sym]
+    for e in added:
+        edge_of[e.action] = None if e.action in edge_of else e
+    if (
+        len(set(inner)) == len(inner)
+        and outer.locations.isdisjoint(inner)
+        and validate_template(outer).ok
+        and all(validate_template(body).ok for _, body in fusion.blocks)
+    ):
+        # an action labels at most one outer edge and one edge per body; the
+        # outer edge of a block symbol is cut
+        counts = Counter(e.action for e in added if edge_of[e.action] is None and not e.action.is_sync)
+        for a in counts:
+            counts[a] += a in outer._edge_of and a not in block_syms
+        rb = _ReportBuilder()
+        _duplicate_labels(rb, counts)
+        _derived_from_valid(t, rb.build())
+    return t
 
 
 def validate_fusion(fusion: AtomicFusion, declared_original: Optional[ThreadTemplate] = None) -> ValidationReport:
@@ -683,7 +734,7 @@ class SyncPointInstrumentation:
 
     @property
     def sync_point_count(self) -> int:
-        return sum(1 for e in self.instrumented.edges if e.action.kind is ActionKind.SYNC_POINT)
+        return sum(1 for e in self.instrumented.edges if e.action.kind is _SYNC_POINT)
 
 
 def insert_syncpoints(t: ThreadTemplate, m: Iterable[str]) -> SyncPointInstrumentation:
@@ -707,25 +758,38 @@ def insert_syncpoints(t: ThreadTemplate, m: Iterable[str]) -> SyncPointInstrumen
 
 def _insert_syncpoints(t: ThreadTemplate, m: frozenset[str]) -> Optional[ThreadTemplate]:
     """The instrumented template, or None when no location of `m` has an
-    outgoing edge."""
-
-    def fresh_copy(loc: str) -> str:
-        candidate = loc + "^"
-        while candidate in t.locations:
-            candidate += "^"
-        return candidate
-
+    outgoing edge.  Only the edges leaving a location of `m` change, and the
+    action index is `t`'s, updated; copies, named in sorted order, are new
+    names.  A valid `t` gives a valid result: a split location keeps its
+    in-edges, and its copy takes its out-edges (see `_derived_from_valid`).
+    """
     v = t.numbered
-    copies = {loc: fresh_copy(loc) for loc in m if v.out(v.index[loc])}
+    copies: dict[str, str] = {}
+    for loc in sorted(m):
+        if v.out(v.index[loc]):
+            copy = loc + "^"
+            while copy in t.locations or copy in copies.values():
+                copy += "^"
+            copies[loc] = copy
     if not copies:
         return None
-    edges: list[tuple[str, Action, str]] = []
-    for e in t.edges:
-        src = copies.get(e.src, e.src)
-        edges.append((src, e.action, e.dst))
+    edges = list(t.edges)
+    edge_of = dict(t._edge_of)
     for loc, copy in copies.items():
-        edges.append((loc, SYNC, copy))
-    return ThreadTemplate.make(edges, t.init, t.exit, extra_locations=t.locations | set(copies.values()))
+        for k in v.out(v.index[loc]):
+            old = edges[k]
+            e = edges[k] = tuple.__new__(Edge, (copy, old.action, old.dst))
+            if edge_of[old.action] is old:
+                edge_of[old.action] = e
+    for loc, copy in copies.items():
+        e = tuple.__new__(Edge, (loc, SYNC, copy))
+        edges.append(e)
+        edge_of[SYNC] = None if SYNC in edge_of else e
+    inst = ThreadTemplate(t.locations.union(copies.values()), tuple(edges), t.init, t.exit)
+    inst.__dict__["_edge_of"] = edge_of
+    if validate_template(t).ok:
+        _derived_from_valid(inst, ValidationReport())
+    return inst
 
 
 def validate_instrumentation(inst: SyncPointInstrumentation) -> ValidationReport:

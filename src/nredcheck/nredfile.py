@@ -91,13 +91,17 @@ _PAIR_RE = re.compile(r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
 
 
 class _Actions(dict):
-    """`actions[maker, name]` is `maker(name)` (`plain`, `acquire` or
-    `release`), made once per parse, so the templates and the relation
-    share their action objects."""
+    """`actions[maker, name]` is `maker(name)` (`plain`, `block_symbol`,
+    `acquire` or `release`), made once per parse, so the templates and the
+    relation share their action objects.  A name no action can have (the
+    JSON mirror can give an empty one) is a ParseError."""
 
     def __missing__(self, key: tuple) -> Action:
         maker, name = key
-        act = self[key] = maker(name)
+        try:
+            act = self[key] = maker(name)
+        except ValueError as exc:
+            raise ParseError(f"bad action name {name!r}: {exc}") from exc
         return act
 
 
@@ -118,7 +122,7 @@ class _RawTemplate:
         for src, name, dst in self.edges:
             if name == SYNC_POINT_NAME:
                 raise ParseError(f"{where}: rendezvous edges are declared via 'syncpoint at'")
-            act = block_symbol(name) if name in block_names else actions[plain, name]
+            act = actions[block_symbol if name in block_names else plain, name]
             edges.append((src, act, dst))
         for src, op, lock, dst in self.lock_edges:
             act = actions[acquire if op == "acq" else release, lock]
@@ -157,7 +161,10 @@ def parse_input(text: str) -> ParsedInput:
             if j >= n:
                 raise ParseError("unterminated pair section", start_line + 1)
             buf += " " + strip(lines[j])
-        body = buf[buf.index("{") + 1 : buf.index("}")]
+        opening, closing = buf.find("{"), buf.index("}")
+        if not 0 <= opening < closing:
+            raise ParseError(f"expected: {first_line.split()[0]} {{ (a,b) ... }}", start_line + 1)
+        body = buf[opening + 1 : closing]
         leftover = body
         pairs = []
         for m in _PAIR_RE.finditer(body):
@@ -322,11 +329,11 @@ def _assemble(
     made = _Actions()
     fused = top.build(block_names, "template", made)
     bodies = {
-        block_symbol(name): raw.build(set(), f"block {name}", made)
+        made[block_symbol, name]: raw.build(set(), f"block {name}", made)
         for name, raw in sorted(raw_blocks.items())
     }
     for name in sorted(block_names):
-        if not fused.edges_labeled(block_symbol(name)):
+        if not fused.edges_labeled(made[block_symbol, name]):
             raise ParseError(f"block {name!r} is never used by an edge")
 
     report = validate_template(fused)

@@ -22,6 +22,7 @@ from nredcheck.model import (
     CommutativityRelation,
     Edge,
     ParameterizedProgram,
+    SYNC,
     SyncKind,
     ThreadTemplate,
     acquire,
@@ -589,6 +590,37 @@ def validate_template_ref(t: ThreadTemplate) -> list[tuple[str, str, tuple]]:
         if counts[a] > 1 and not a.is_sync:
             out.append(("duplicate-label", f"action {a} labels {counts[a]} edges", (a.name,)))
     return out
+
+
+def substitute_blocks_ref(fusion: AtomicFusion) -> ThreadTemplate:
+    """The substituted template built from scratch by `make`, which drops
+    repeated edges."""
+    block_syms = set(fusion.block_symbols)
+    edges = [e for e in fusion.outer.edges if e.action not in block_syms]
+    extra = set(fusion.outer.locations)
+    for sym, body in fusion.blocks:
+        (src, _, dst), = fusion.outer.edges_labeled(sym)
+        names = {body.init: src, body.exit: dst} if body.init != body.exit else {body.init: src}
+        rename = lambda loc: names.get(loc, f"{sym.name}::{loc}")  # noqa: E731
+        edges += [(rename(u), a, rename(w)) for u, a, w in body.edges]
+        extra.update(map(rename, body.locations))
+    return ThreadTemplate.make(edges, fusion.outer.init, fusion.outer.exit, extra_locations=extra)
+
+
+def insert_syncpoints_ref(t: ThreadTemplate, m) -> ThreadTemplate:
+    """The instrumented template built from scratch by `make`: each location
+    of `m` with an out-edge, in sorted order, hands its out-edges to a fresh
+    copy reached by a rendezvous edge."""
+    copies: dict[str, str] = {}
+    for loc in sorted(m):
+        if any(e.src == loc for e in t.edges):
+            copy = loc + "^"
+            while copy in t.locations or copy in copies.values():
+                copy += "^"
+            copies[loc] = copy
+    edges = [(copies.get(u, u), a, w) for u, a, w in t.edges]
+    edges += [(loc, SYNC, copy) for loc, copy in copies.items()]
+    return ThreadTemplate.make(edges, t.init, t.exit, extra_locations=t.locations | set(copies.values()))
 
 
 def _tarjan_ref(nodes, adj) -> list[list]:

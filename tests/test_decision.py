@@ -272,6 +272,47 @@ def test_check_atomic_fusion_with_locks_is_flagged():
     assert verdict.result == "sound"
 
 
+def _lock_fusion(rng: random.Random):
+    """A random lock template with one plain edge fused into a block of one
+    or two plain actions, and a relation over every plain action; None
+    when the template has no plain edge."""
+    t = reference.random_lock_template(rng)
+    plains = [k for k, e in enumerate(t.edges) if not e.action.is_sync]
+    if not plains:
+        return None
+    k = rng.choice(plains)
+    outer = ThreadTemplate.make(
+        [(u, B if j == k else x, w) for j, (u, x, w) in enumerate(t.edges)], t.init, t.exit
+    )
+    word = [t.edges[k].action] + [plain("y")] * rng.randint(0, 1)
+    body = ThreadTemplate.make([(f"b{j}", x, f"b{j + 1}") for j, x in enumerate(word)], "b0", f"b{len(word)}")
+    fusion = AtomicFusion.make(outer, {B: body})
+    alphabet = sorted(outer.plain_alphabet - {B} | set(word), key=lambda x: x.sort_key())
+    conflicts = [(x, y) for x in alphabet for y in alphabet if rng.random() < 0.2]
+    return fusion, CommutativityRelation(alphabet, conflicts=conflicts)
+
+
+def test_lock_abstraction_certificate_never_meets_an_unsound_oracle():
+    # README: with lock edges, a sound block verdict is a certificate for
+    # the concrete lock semantics; the bounded oracle runs those semantics
+    rng = random.Random(83)
+    checked = 0
+    for _ in range(300):
+        drawn = _lock_fusion(rng)
+        if drawn is None:
+            continue
+        fusion, rel = drawn
+        verdict = check_atomic_fusion(None, fusion, rel)
+        if not (verdict.is_sound and FLAG_LOCK_ABSTRACTION in verdict.flags):
+            continue
+        for threads, length in ((2, 6), (3, 4)):
+            bounds = oracle.Bounds(max_threads=threads, max_local_len=length, max_enum_nodes=150_000)
+            truth = oracle.oracle_check_atomic(None, fusion, rel, bounds)
+            assert not truth.is_unsound, (fusion, rel, bounds, truth.witness)
+            checked += truth.is_sound
+    assert checked >= 150, checked
+
+
 # -- bodies that re-enter their init or leave their exit --------------------------
 
 

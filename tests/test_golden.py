@@ -10,6 +10,7 @@ rendering, mover classes, coverability, warnings) and `validate`.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import os
 import re
@@ -139,3 +140,19 @@ def test_chain_report_does_not_follow_the_hash_seed():
 
 def test_dense_fusion_report_does_not_follow_the_hash_seed():
     _assert_golden_under_hash_seeds("dense_fusion", "atomic")
+
+
+# the criterion-7 chain at n = 10^4 with --witness, too big for a golden
+# file: its report, minus the wall time, pinned by digest, so derived
+# templates and the passes over them keep every byte at scale
+CHAIN_1E4_SHA256 = "f2b372e3f8d6f52ba10e30c189e986e42848be1448d66f36dffae9048ce2830b"
+
+
+def test_chain_1e4_witness_report_digest(tmp_path, monkeypatch, capsys):
+    from test_acceptance import _chain_text
+
+    monkeypatch.chdir(tmp_path)  # the report echoes the input path
+    Path("chain1e4.nred").write_text(_chain_text(10_000), encoding="utf-8")
+    assert main(["check", "--mode", "natural", "--json", "--witness", "chain1e4.nred"]) == 1
+    out = re.sub(r',"wall_time_ms":[0-9.e+-]+', "", capsys.readouterr().out)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHAIN_1E4_SHA256

@@ -291,8 +291,9 @@ def test_natural_check_validates_each_template_once(monkeypatch, capsys):
     monkeypatch.setattr(model, "_validate_template", counting)
     case = Path(__file__).resolve().parent.parent / "cases" / "fig2a.nred"
     assert main(["check", "--mode", "natural", str(case)]) == 0
-    # the fused template, the block body and the substituted original
-    assert len(seen) == 3 and set(seen.values()) == {1}
+    # the fused template and the block body; the substituted original is
+    # validated by difference from them, without a pass of its own
+    assert len(seen) == 2 and set(seen.values()) == {1}
 
 
 def test_substitution_and_spec_validation_are_cached():
@@ -310,12 +311,15 @@ def test_natural_check_builds_each_template_once(monkeypatch, capsys, case):
     # chain200: a rendezvous witness, re-checked with the lifted relation
     from collections import Counter
 
-    from nredcheck import decision
+    from nredcheck import cli, decision
     from nredcheck.cli import main
 
     runs: Counter = Counter()
     views: Counter = Counter()
+    validated: Counter = Counter()
+    parsed = []
     insert, lift, view = model._insert_syncpoints, decision._lift_commutativity, model.NumberedView
+    validate, parse = model._validate_template, cli.parse_input
 
     class CountingView(view):
         def __init__(self, t):
@@ -325,10 +329,25 @@ def test_natural_check_builds_each_template_once(monkeypatch, capsys, case):
     monkeypatch.setattr(model, "_insert_syncpoints", lambda t, m: runs.update(["insert"]) or insert(t, m))
     monkeypatch.setattr(decision, "_lift_commutativity", lambda i, f: runs.update(["lift"]) or lift(i, f))
     monkeypatch.setattr(model, "NumberedView", CountingView)
+    monkeypatch.setattr(model, "_validate_template", lambda t: validated.update([id(t)]) or validate(t))
+    monkeypatch.setattr(cli, "parse_input", lambda text: parsed.append(parse(text)) or parsed[-1])
     path = Path(__file__).resolve().parent.parent / "cases" / f"{case}.nred"
     assert main(["check", "--mode", "natural", str(path)]) == 1
     assert runs == {"insert": 1, "lift": 1}
     assert views and set(views.values()) == {1}
+    assert set(validated.values()) == {1}
+    if case == "chain200":
+        # the substituted and the instrumented templates take their
+        # validation and reach sets from the fused template and the body;
+        # only the rendezvous count needs the instrumented template numbered
+        p = parsed[0]
+        (_, body), = p.spec.fusion.blocks
+        name = {
+            id(p.fused): "fused", id(body): "body", id(p.program.template): "substituted",
+            id(p.spec.instrumentation.instrumented): "instrumented",
+        }
+        assert sorted(name.get(k, "other") for k in views) == ["body", "fused", "instrumented"]
+        assert sorted(name.get(k, "other") for k in validated) == ["body", "fused"]
 
 
 def test_lock_program_erases_and_substitutes_once(monkeypatch, capsys):
