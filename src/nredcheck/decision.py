@@ -991,7 +991,9 @@ def verify_sync_witness(inst: SyncPointInstrumentation, i: CommutativityRelation
             loc = next((v.dst[k] for k in v.out(loc) if g.edges[k].action == act), None)
             if loc is None:
                 return False
-        return v.names[loc] in g.to_exit
+        # searched on the walked edges, not read off reach sets a
+        # derivation may have handed the template
+        return v.index[g.exit] in v.reach([loc])
 
     if not walk(w.path_a) or not walk(w.path_b):
         return False

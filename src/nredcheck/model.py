@@ -622,9 +622,10 @@ def _substitute_blocks(fusion: AtomicFusion) -> ThreadTemplate:
     """The outer edges but the block edges, then the renamed body edges
     that repeat no earlier edge: the edges `make` would keep, found without
     a pass over them all.  The action index is the outer one, updated.
-    When the outer template and every body are valid, and no renamed body
-    location is an outer or another renamed one, only a label that two of
-    them share can break validity (see `_derived_from_valid`).
+    When the outer template and every body are valid (their reports are
+    made here if no one asked before), and no renamed body location is an
+    outer or another renamed one, only a label that two of them share can
+    break validity (see `_derived_from_valid`).
     """
     outer = fusion.outer
     block_syms = set(fusion.block_symbols)
