@@ -257,9 +257,11 @@ class _EscapeAnalysis:
     to.  Those steps are read off bitsets of sources, one row per conflict
     target, built on first use from one condensation pass over the
     template, so the cost scales with the number of conflicts rather than
-    with the alphabet squared, and no order step is asked twice.
-    `order_step` is the pairwise definition the rows must agree with; only
-    the witness re-check calls it.
+    with the alphabet squared, and no order step is asked twice.  The
+    closure of a conflict target, every source a chain from it reaches, is
+    one bitset, built once; the shortest chain itself is searched only for
+    a witness.  `order_step` is the pairwise definition the rows must agree
+    with; only the witness re-check calls it.
     """
 
     def __init__(self, t: ThreadTemplate, fusion: AtomicFusion, rel: CommutativityRelation):
@@ -280,6 +282,7 @@ class _EscapeAnalysis:
         self.by_source: dict[Action, list[Action]] = {}
         for x, y in self.conflicts:
             self.by_source.setdefault(x, []).append(y)
+        self._closures: dict[Action, int] = {}
 
     def order_step(self, x: Action, y: Action) -> Optional[str]:
         """Kind of the (x, y) order step, or None: forward program order
@@ -333,6 +336,35 @@ class _EscapeAnalysis:
                         steps |= bit[w]
             rows[v] = (program, steps)
         return rows
+
+    @cached_property
+    def _succ(self) -> list[int]:
+        """For each numbered conflict source u, the sources that a conflict
+        target of u order-steps to, as a bitset."""
+        rows, succ = self._rows, []
+        for u in self.conflict_sources:
+            mask = 0
+            for v in self.by_source[u]:
+                mask |= rows[v][1]
+            succ.append(mask)
+        return succ
+
+    def closure(self, v: Action) -> int:
+        """The conflict sources that a chain from conflict target v reaches,
+        as a bitset, remembered per target: the sources v order-steps to,
+        closed under `_succ`."""
+        seen = self._closures.get(v)
+        if seen is None:
+            succ = self._succ
+            seen = frontier = self._rows[v][1]
+            while frontier:
+                grown = 0
+                for k in _bits(frontier):
+                    grown |= succ[k]
+                frontier = grown & ~seen
+                seen |= frontier
+            self._closures[v] = seen
+        return seen
 
     def _kind(self, v: Action, k: int) -> str:
         """Kind of the step from conflict target v to source number k."""
@@ -394,25 +426,11 @@ def escape_relation(
     if t is None:
         t = substitute_blocks(f)
     eng = _EscapeAnalysis(t, f, i)
-    rows, sources = eng._rows, eng.conflict_sources
-    # a chain from a reaches conflict source b exactly when b is reachable
-    # in the meta graph from the conflict sources a order-steps to
-    succ = [0] * len(sources)
-    for k, u in enumerate(sources):
-        for v in eng.by_source[u]:
-            succ[k] |= rows[v][1]
-    escapes: dict[Action, set[Action]] = {}
-    for a, (_, steps) in rows.items():
-        seen = steps
-
-        def unseen(k: int) -> Iterator[int]:
-            nonlocal seen
-            new = succ[k] & ~seen
-            seen |= new
-            return _bits(new)
-
-        reached = graphs.reachable(unseen, _bits(steps))
-        escapes[a] = {zp for k in reached for zp in eng.by_source[sources[k]]}
+    sources = eng.conflict_sources
+    escapes = {
+        a: {zp for k in _bits(eng.closure(a)) for zp in eng.by_source[sources[k]]}
+        for a in eng._rows
+    }
     return EscapeRelation(
         frozenset((z, zp) for z, a in eng.conflicts for zp in escapes[a])
     )
@@ -557,7 +575,10 @@ def check_atomic_fusion(
                     max_cands.setdefault(x, []).append(sccs.scc_of[e])
         found: Optional[FusionWitness] = None
         for a in sorted(min_cands, key=Action.sort_key):
+            reached = eng.closure(a)
             for b in sorted(max_cands, key=Action.sort_key):
+                if not reached >> eng.number[b] & 1:
+                    continue  # no chain from a to b
                 hit = None
                 for s1 in min_cands[a]:
                     for s2 in max_cands[b]:
@@ -569,8 +590,7 @@ def check_atomic_fusion(
                 if hit is None:
                     continue
                 chain = eng.chain(a, b)
-                if chain is None:
-                    continue
+                assert chain is not None
                 s1, s2 = hit
                 z = next(
                     e for e in sccs.members[s1] if a in eng.by_source.get(e.action, ())

@@ -23,7 +23,6 @@ from typing import AbstractSet, Iterable, Iterator, Optional
 from .decision import INCONCLUSIVE, SOUND, UNSOUND, Verdict
 from .model import (
     Action,
-    ActionKind,
     AtomicFusion,
     CommutativityRelation,
     InconsistentInputs,
@@ -36,6 +35,9 @@ from .model import (
     UnknownLocation,
     infer_sync_kind,
     substitute_blocks,
+    _ACQUIRE,
+    _RELEASE,
+    _SYNC_POINT,
 )
 
 IndexedTrace = tuple[tuple[Action, int], ...]
@@ -130,15 +132,15 @@ def lock_feasible(tr: IndexedTrace) -> bool:
     threads, with at most one trailing unmatched acquire.  No reentrancy."""
     holder: dict[str, int] = {}
     for a, t in tr:
-        if a.kind is ActionKind.ACQUIRE:
+        if a.kind is _ACQUIRE:
             if a.lock in holder:
                 return False
             holder[a.lock] = t
-        elif a.kind is ActionKind.RELEASE:
+        elif a.kind is _RELEASE:
             if holder.get(a.lock) != t:
                 return False
             del holder[a.lock]
-        elif a.kind is ActionKind.SYNC_POINT:
+        elif a.kind is _SYNC_POINT:
             raise ValueError("rendezvous steps are not part of the lock predicate")
     return True
 
@@ -196,7 +198,7 @@ def barrier_feasible(tr: IndexedTrace) -> bool:
     machine = _BarrierMachine(thread_indices(tr))
     states = machine.start
     for a, t in tr:
-        states = machine.step(states, a.kind is ActionKind.SYNC_POINT, t)
+        states = machine.step(states, a.kind is _SYNC_POINT, t)
         if not states:
             return False
     return machine.accepting(states)
@@ -219,8 +221,10 @@ class _Codec:
     the int `rank * width + t`, where `width` exceeds every thread index.  So
     tuples of codes hash as tuples of ints and sort exactly as `trace_key`
     sorts the traces they stand for.  Per-code tables answer what the inner
-    loops ask of a step; `relation` turns a commutativity relation into a
-    flat table over pairs of ranks.
+    loops ask of a step, and per-rank lock bits what the shuffle asks of a
+    local word (`gates`); rendezvous state sets are numbered, so a shuffle
+    state is an int; `relation` turns a commutativity relation into a flat
+    table over pairs of ranks.
     """
 
     def __init__(self, actions: Iterable[Action], max_thread: int):
@@ -229,13 +233,19 @@ class _Codec:
         self.width = width = max_thread + 1
         pairs = [(a, t) for a in self.actions for t in range(width)]
         self.pairs = pairs  # code -> (action, thread)
-        self.kind = [a.kind for a, _ in pairs]
-        self.lock = [a.lock for a, _ in pairs]
         # kept by `project_plain`
         self.plain = [not a.is_sync for a, _ in pairs]
-        # counted against the local length bound
-        self.counted = [a.kind is not ActionKind.SYNC_POINT for a, _ in pairs]
-        self._barrier_next: dict[frozenset, dict[int, frozenset]] = {}
+        # counted against the local length bound (all but rendezvous steps)
+        self.counted = [a.kind is not _SYNC_POINT for a, _ in pairs]
+        bit = {m: 1 << k for k, m in enumerate(sorted({a.lock for a in self.actions if a.lock}))}
+        # per rank, the lock bit an acquire takes and the bit a release gives back
+        self.acquires = [bit[a.lock] if a.kind is _ACQUIRE else 0 for a in self.actions]
+        self.releases = [bit[a.lock] if a.kind is _RELEASE else 0 for a in self.actions]
+        self._gates: dict[tuple[int, ...], tuple[int, list[int], list[int]]] = {}
+        # rendezvous state sets, named by small ints; 0 names the empty set
+        self.barrier_sets: list[frozenset] = [frozenset()]
+        self._barrier_ids: dict[frozenset, int] = {frozenset(): 0}
+        self._barrier_next: list[dict[int, int]] = [{}]
 
     def ranks(self, word: Iterable[Action]) -> tuple[int, ...]:
         return tuple(map(self.rank.__getitem__, word))
@@ -268,15 +278,44 @@ class _Codec:
             slot[j + 1] = perm.index(j) + 1
         return [c - c % width + slot[c % width] for c in range(len(self.pairs))]
 
-    def barrier_step(self, states: frozenset, code: int) -> frozenset:
-        """`_BarrierMachine.step`, remembered per state set and step."""
-        row = self._barrier_next.get(states)
-        if row is None:
-            row = self._barrier_next[states] = {}
+    def gates(self, word: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
+        """The lock gates of a ranked local word, worked out once per word:
+        how many of its steps can ever run, and per step the lock bit that
+        must be free (an acquire's) and the bit the step flips in the held
+        mask.  A thread holds what its own prefix acquired and did not
+        release, so a release of a lock it does not hold, or an acquire of
+        one it holds, blocks it for good."""
+        out = self._gates.get(word)
+        if out is None:
+            acquires, releases = self.acquires, self.releases
+            held, need, flip = 0, [], []
+            for r in word:
+                if acquires[r] & held or releases[r] & ~held:
+                    break
+                need.append(acquires[r])
+                flip.append(acquires[r] | releases[r])
+                held ^= flip[-1]
+            out = self._gates[word] = (len(need), need, flip)
+        return out
+
+    def barrier_id(self, states: frozenset) -> int:
+        """The int that names a set of rendezvous states."""
+        bid = self._barrier_ids.get(states)
+        if bid is None:
+            bid = self._barrier_ids[states] = len(self.barrier_sets)
+            self.barrier_sets.append(states)
+            self._barrier_next.append({})
+        return bid
+
+    def barrier_step(self, bid: int, code: int) -> int:
+        """`_BarrierMachine.step` on named state sets, remembered per set
+        and step; 0 when the step is infeasible."""
+        row = self._barrier_next[bid]
         nxt = row.get(code)
         if nxt is None:
-            rendezvous = self.kind[code] is ActionKind.SYNC_POINT
-            nxt = row[code] = _BarrierMachine.step(states, rendezvous, code % self.width)
+            rendezvous = not self.counted[code]
+            states = _BarrierMachine.step(self.barrier_sets[bid], rendezvous, code % self.width)
+            nxt = row[code] = self.barrier_id(states)
         return nxt
 
 
@@ -389,7 +428,7 @@ def _local_traces(
 ) -> list[tuple[Action, ...]]:
     """All init-to-exit words with at most `max_local_len` non-rendezvous
     steps; rendezvous steps get a structural allowance on top."""
-    sync_edges = sum(1 for e in t.edges if e.action.kind is ActionKind.SYNC_POINT)
+    sync_edges = sum(1 for e in t.edges if e.action.kind is _SYNC_POINT)
     sync_cap = bounds.max_local_len + 1 + sync_edges
     words: set[tuple[Action, ...]] = set()
     if budget is None:
@@ -401,7 +440,7 @@ def _local_traces(
         if loc == t.exit and word:
             words.add(word)
         for e in t.successors.get(loc, ()):
-            if e.action.kind is ActionKind.SYNC_POINT:
+            if e.action.kind is _SYNC_POINT:
                 if sync_n + 1 > sync_cap:
                     continue
                 stack.append((e.dst, word + (e.action,), plain_n, sync_n + 1))
@@ -453,8 +492,8 @@ def enumerate_interleavings(
 
 
 # the start state and, per level, the moves (state, code, next state) that
-# lie on an accepted path
-_MoveDag = tuple[tuple, list[list[tuple[tuple, int, tuple]]]]
+# lie on an accepted path; a state is an int (see `_shuffle_graph`)
+_MoveDag = tuple[int, list[list[tuple[int, int, int]]]]
 
 
 # one shuffled multiset of local words: its move DAG, its traces when the
@@ -559,67 +598,73 @@ def _shuffle_graph(
     node charge, the number of accepted paths and the pruned move DAG.
 
     The search runs level by level over states: the steps each thread has
-    taken, and the rendezvous state set.  The locks held are a function of
-    the steps taken, since each thread holds what its own prefix acquired
-    and did not release.  The node charge is one step per feasible prefix
-    (the node count of a depth-first search over them), counted as the
-    number of paths into each state; no trace is built.
+    taken, and the rendezvous state set.  A state is keyed by one int, the
+    step counts packed mixed-radix plus the rendezvous set's number
+    (`_Codec.barrier_id`) times the radix product; its step counts and held
+    locks are worked out once, when it is first reached.  A thread holds
+    what its own prefix acquired and did not release, so each word's lock
+    gates (`_Codec.gates`) say how far it can ever run and which lock each
+    step needs free, and a state keeps one mask of the locks its threads
+    hold.  The node charge is one step per feasible prefix (the node count
+    of a depth-first search over them), counted as the number of paths
+    into each state; no trace is built.
     """
     k = len(assignment)
     width = codec.width
     steps = [tuple(r * width + j for r in w) for j, w in enumerate(assignment, 1)]
     lengths = [len(w) for w in steps]
-    kind, lock = codec.kind, codec.lock
+    if use_locks:
+        limits, needs, flips = zip(*map(codec.gates, assignment))
+    else:
+        free = [0] * max(lengths)
+        limits, needs, flips = lengths, [free] * k, [free] * k
+    radix = [1] * k
+    for j in range(1, k):
+        radix[j] = radix[j - 1] * (lengths[j - 1] + 1)
+    size = radix[-1] * (lengths[-1] + 1)
     barrier_step = codec.barrier_step
-    held = []  # held[j][p]: the locks thread j+1 holds after p steps
-    for w in steps:
-        now: frozenset = frozenset()
-        row = [now]
-        for c in w:
-            if kind[c] is ActionKind.ACQUIRE:
-                now = now | {lock[c]}
-            elif kind[c] is ActionKind.RELEASE:
-                now = now - {lock[c]}
-            row.append(now)
-        held.append(row)
 
-    barrier = _BarrierMachine(frozenset(range(1, k + 1))).start if use_barrier else None
-    start = ((0,) * k, barrier)
+    bid = codec.barrier_id(_BarrierMachine(frozenset(range(1, k + 1))).start) if use_barrier else 0
+    start = bid * size
     level = {start: 1}
+    # per state of the level: the steps each thread has taken, the locks
+    # held and the rendezvous set's number (0 without rendezvous)
+    facts = {start: ((0,) * k, 0, bid)}
     nodes = 1
     moves_by_level = []
     for _ in range(sum(lengths)):
-        nxt: dict = {}
+        nxt: dict[int, int] = {}
+        nxt_facts = {}
         moves = []
         for state, paths in level.items():
-            pos, barrier = state
+            pos, held, bid = facts[state]
             for j in range(k):
                 p = pos[j]
-                if p == lengths[j]:
+                if p == limits[j] or needs[j][p] & held:
                     continue
                 c = steps[j][p]
-                op = kind[c] if use_locks else None
-                if op is ActionKind.ACQUIRE:
-                    if any(lock[c] in held[i][pos[i]] for i in range(k)):
-                        continue
-                elif op is ActionKind.RELEASE:
-                    if lock[c] not in held[j][p]:
-                        continue
-                after = None
-                if barrier is not None:
-                    after = barrier_step(barrier, c)
+                to = state + radix[j]
+                after = 0
+                if bid:
+                    after = barrier_step(bid, c)
                     if not after:
                         continue
-                to = (pos[:j] + (p + 1,) + pos[j + 1 :], after)
-                nxt[to] = nxt.get(to, 0) + paths
+                    to += (after - bid) * size
+                if to in nxt:
+                    nxt[to] += paths
+                else:
+                    nxt[to] = paths
+                    # threads hold disjoint locks, so the step flips its own bit
+                    nxt_facts[to] = (pos[:j] + (p + 1,) + pos[j + 1 :], held ^ flips[j][p], after)
                 moves.append((state, c, to))
         moves_by_level.append(moves)
-        level = nxt
+        level, facts = nxt, nxt_facts
         nodes += sum(nxt.values())
 
     # every state of the last level has taken every step; keep only the
     # moves that lead to an accepted one
-    alive = {s for s in level if s[1] is None or _BarrierMachine.accepting(s[1])}
+    sets = codec.barrier_sets
+    alive = {s for s in level if not facts[s][2] or _BarrierMachine.accepting(sets[facts[s][2]])}
     accepted = sum(level[s] for s in alive)
     for moves in reversed(moves_by_level):
         moves[:] = [m for m in moves if m[2] in alive]
@@ -666,7 +711,7 @@ def _block_words(
     out: BlockWords = {}
     for sym, body in blocks:
         words = [
-            (codec.ranks(w), sum(a.kind is not ActionKind.SYNC_POINT for a in w))
+            (codec.ranks(w), sum(a.kind is not _SYNC_POINT for a in w))
             for w in _local_traces(body, bounds)
         ]
         for t in range(width):
@@ -836,9 +881,12 @@ def bounded_coverability(
     scope here; the rendezvous gadgets are checked through the interleaving
     oracle instead.  Each (location, held-locks) pair one thread reaches
     alone (others can only block its acquires) is numbered in (location,
-    sorted locks) order; a state is the sorted tuple of its interchangeable
-    threads' numbers, tested for the goal when discovered.  Only the
-    witness is decoded.
+    sorted locks) order.  A state is the multiset of its interchangeable
+    threads' numbers, keyed by one int whose slot k (`max_threads.bit_length()`
+    bits wide) counts the threads at pair k, so a move adds and subtracts a
+    slot weight; the sorted tuple of numbers is built once per state, when
+    it is discovered and tested for the goal by per-location counts.  Only
+    the witness is decoded.
     """
     t = p.template
     if t.has_sync_points:
@@ -856,9 +904,9 @@ def bounded_coverability(
             a = e.action
             if a.lock is None:
                 yield a, (e.dst, locks)
-            elif a.kind is ActionKind.ACQUIRE and a.lock not in locks:  # not even its own
+            elif a.kind is _ACQUIRE and a.lock not in locks:  # not even its own
                 yield a, (e.dst, locks | {a.lock})
-            elif a.kind is ActionKind.RELEASE and a.lock in locks:
+            elif a.kind is _RELEASE and a.lock in locks:
                 yield a, (e.dst, locks - {a.lock})
 
     init = (t.init, frozenset())
@@ -873,48 +921,63 @@ def bounded_coverability(
     ident = {q: k for k, q in enumerate(pairs)}
     bit = {lock: 1 << k for k, lock in enumerate(sorted(set().union(*(q[1] for q in pairs))))}
     mask = [sum(bit[lock] for lock in locks) for _, locks in pairs]
-    at = [loc for loc, _ in pairs]
+    # the goal as (location number, threads needed) and each pair's location number
+    place = {loc: k for k, loc in enumerate(goal)}
+    need = [(place[loc], count) for loc, count in goal.items()]
+    at = [place.get(loc, -1) for loc, _ in pairs]
     # a move: (lock bit that must be free, target, step); a step: (action, source, target)
     steps = [(a, ident[q], ident[r]) for q in pairs for a, r in solo_moves[q]]
     moves: list[list[tuple[int, int, int]]] = [[] for _ in pairs]
     for number, (a, src, dst) in enumerate(steps):
-        moves[src].append((bit[a.lock] if a.kind is ActionKind.ACQUIRE else 0, dst, number))
+        moves[src].append((bit[a.lock] if a.kind is _ACQUIRE else 0, dst, number))
+    # a state is also one int: slot k counts the threads at pair k
+    slot = n.bit_length()
+    weight = [1 << (k * slot) for k in range(len(pairs))]
     start = (ident[init],) * n
-    parents = {start: -1}  # state -> the number of the step that found it
+    start_key = n * weight[ident[init]]
+    parents = {start_key: -1}  # state key -> the number of the step that found it
 
     def covered(state: tuple[int, ...]) -> bool:
-        return not goal - Counter(at[k] for k in state)
+        counts = [0] * len(need)
+        for k in state:
+            if at[k] >= 0:
+                counts[at[k]] += 1
+        return all(counts[loc] >= count for loc, count in need)
 
-    def search() -> Optional[tuple[int, ...]]:
-        queue = deque([start])
+    def search() -> Optional[int]:
+        queue = deque([(start_key, start, 0)])  # and the locks held
         while queue:
-            state = queue.popleft()
-            held = sum(map(mask.__getitem__, state))  # the masks are disjoint
+            key, state, held = queue.popleft()
+            last = -1
             for i, k in enumerate(state):
-                rest = state[:i] + state[i + 1 :]
+                if k == last:  # the state is sorted: a repeated pair moves alike
+                    continue
+                last = k
+                gone = key - weight[k]
                 for free, dst, number in moves[k]:
                     if free & held:
                         continue
-                    nxt = tuple(sorted(rest + (dst,)))
-                    if nxt not in parents:
-                        parents[nxt] = number
-                        # the state it came from covers nothing, so only a
-                        # thread entering a goal location can cover
-                        if at[dst] in goal and covered(nxt):
-                            return nxt
-                        queue.append(nxt)
+                    nxt_key = gone + weight[dst]
+                    if nxt_key in parents:
+                        continue
+                    parents[nxt_key] = number
+                    nxt = tuple(sorted(state[:i] + state[i + 1 :] + (dst,)))
+                    # the state it came from covers nothing, so only a
+                    # thread entering a goal location can cover
+                    if at[dst] >= 0 and covered(nxt):
+                        return nxt_key
+                    # the masks of a state's threads are disjoint
+                    queue.append((nxt_key, nxt, held - mask[k] + mask[dst]))
         return None
 
-    cur = start if covered(start) else search()
+    cur = start_key if covered(start) else search()
     if cur is None:
         return False, None
     path: list[int] = []
     while parents[cur] >= 0:
         path.append(parents[cur])
         _, src, dst = steps[path[-1]]
-        back = list(cur)
-        back.remove(dst)
-        cur = tuple(sorted(back + [src]))
+        cur += weight[src] - weight[dst]
     # replay, assigning concrete thread indices to the anonymous states
     assignment, trace = list(start), []
     for number in reversed(path):

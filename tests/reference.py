@@ -195,7 +195,8 @@ def _shuffle_ref(codec, assignment, use_locks, use_barrier, budget, keep_sync) -
     width = codec.width
     steps = [tuple(r * width + j for r in w) for j, w in enumerate(assignment, 1)]
     lengths = [len(w) for w in steps]
-    kind, lock = codec.kind, codec.lock
+    kind = [a.kind for a, _ in codec.pairs]
+    lock = [a.lock for a, _ in codec.pairs]
     held = []
     for w in steps:
         now = frozenset()
@@ -232,7 +233,7 @@ def _shuffle_ref(codec, assignment, use_locks, use_barrier, budget, keep_sync) -
                         continue
                 after = None
                 if barrier is not None:
-                    after = codec.barrier_step(barrier, c)
+                    after = codec.barrier_sets[codec.barrier_step(codec.barrier_id(barrier), c)]
                     if not after:
                         continue
                 to = (pos[:j] + (p + 1,) + pos[j + 1 :], after)

@@ -100,8 +100,9 @@ def test_bitsets_match_the_pairwise_engine(case):
     if got.is_unsound:
         assert verify_fusion_witness(t, fusion, rel, got.witness)
     assert escape_relation(t, fusion, rel).pairs == reference.escape_relation_pairwise(t, fusion, rel)
-    # every row bit is one pairwise order step, with its kind, and every
-    # chain the search can be asked for is the pairwise engine's
+    # every row bit is one pairwise order step, with its kind, every chain
+    # the search can be asked for is the pairwise engine's, and the closure
+    # holds a source exactly when there is a chain to it
     eng = decision._EscapeAnalysis(t, fusion, rel)
     ref = reference.PairwiseEscape(t, fusion, rel)
     for v in {y for _, y in eng.conflicts}:
@@ -110,7 +111,9 @@ def test_bitsets_match_the_pairwise_engine(case):
             assert bool(eng._rows[v][1] >> k & 1) == (kind is not None)
             if kind is not None:
                 assert eng._kind(v, k) == kind
-            assert eng.chain(v, w) == ref.chain(v, w)
+            chain = ref.chain(v, w)
+            assert eng.chain(v, w) == chain
+            assert bool(eng.closure(v) >> k & 1) == (chain is not None)
 
 
 def _counted(monkeypatch, owner, name: str) -> list[int]:

@@ -1,15 +1,23 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nredcheck import oracle
 from nredcheck.decision import FusionWitness, check_natural_reduction
-from nredcheck.gadgets import coverability_to_fusion, coverability_to_syncpoint
+from nredcheck.gadgets import (
+    CnfFormula,
+    coverability_to_fusion,
+    coverability_to_syncpoint,
+    sat_to_coverability,
+)
 from nredcheck.model import (
     Action,
     AtomicFusion,
@@ -32,6 +40,7 @@ from nredcheck.oracle import (
     bounded_coverability,
     covers,
     enumerate_interleavings,
+    format_trace,
     indexed,
     is_mazurkiewicz_reduction,
     lock_feasible,
@@ -379,6 +388,101 @@ def test_planned_enumeration_matches_build_as_you_go(monkeypatch):
     assert results["inconclusive"] >= 10 and results["sound"] and results["unsound"]
     assert l1_ran_out, "no check ran out of budget in l1 after l2 completed"
     assert (SyncKind.LOCKS_AND_SYNC_POINTS, False) in built_in_plan
+
+
+# -- one shuffle against the reference ------------------------------------------------
+
+
+ACQ_M, REL_M, ACQ_N, REL_N = acquire("m"), release("m"), acquire("n"), release("n")
+SHUFFLE_STEPS = [a, b, ACQ_M, REL_M, ACQ_N, REL_N, SYNC]
+SHUFFLE_SEMANTICS = [(False, False), (True, False), (True, True)]  # (locks, rendezvous)
+
+
+@st.composite
+def shuffle_words(draw):
+    """One to three local words of plain, lock and rendezvous steps, short
+    enough at three threads for the reference to build every trace."""
+    k = draw(st.integers(1, 3))
+    step = st.sampled_from(SHUFFLE_STEPS)
+    word = st.lists(step, min_size=1, max_size=(6, 4, 3)[k - 1]).map(tuple)
+    return tuple(draw(st.lists(word, min_size=k, max_size=k)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffle_words(), st.sampled_from(SHUFFLE_SEMANTICS))
+@example(((REL_M, a), (a, b)), (True, False))  # a release that was never acquired
+@example(((ACQ_M, a, ACQ_M), (b,)), (True, False))  # a same-thread re-acquire
+@example(((ACQ_M, REL_M, ACQ_M, a), (b, ACQ_M)), (True, False))  # ... after a release
+@example(((ACQ_M, a, REL_M), (ACQ_M, b, REL_M), (a,)), (True, False))  # a lock two threads share
+@example(((ACQ_M, ACQ_N, REL_M), (ACQ_N, REL_N, ACQ_M)), (True, False))  # two locks, crossed
+@example(((a, SYNC, ACQ_M), (SYNC, ACQ_M, REL_M), (b, SYNC)), (True, True))
+@example(((REL_M, SYNC), (ACQ_M, SYNC)), (False, False))  # lock steps, no lock semantics
+def test_shuffle_graph_matches_reference(words, semantics):
+    """One multiset's shuffle: the node charge, the accepted path count and
+    the traces built along the move DAG equal the reference's, which keeps
+    positions as tuples and held locks as sets."""
+    use_locks, use_barrier = semantics
+    codec = oracle._Codec(SHUFFLE_STEPS, 3)
+    assignment = tuple(map(codec.ranks, words))
+
+    class RecordingBudget(oracle._Budget):
+        def spend(self, n: int = 1) -> None:
+            charged.append(n)
+            super().spend(n)
+
+    def reference_shuffle(keep_sync):
+        budget = RecordingBudget(10**9, "reference")
+        return reference._shuffle_ref(codec, assignment, use_locks, use_barrier, budget, keep_sync)
+
+    charged = []
+    full, projected = reference_shuffle(True), reference_shuffle(False)
+    nodes, paths, dag = oracle._shuffle_graph(codec, assignment, use_locks, use_barrier)
+    assert charged == [nodes, nodes]
+    assert paths == len(full)
+    assert oracle._shuffle_traces(codec, dag, False) == full
+    assert oracle._shuffle_traces(codec, dag, True) == projected
+
+
+# -- coverability witnesses ------------------------------------------------------------
+
+
+# SHA-256 of `(covered, format_trace(witness))`, one line per search below,
+# taken before the coverability states were packed into ints
+COVERABILITY_DIGEST = "9102fce2dd7587f0dc0fcf4dde8a93334237ab125286463ccce478de8f62c2d9"
+
+
+def test_coverability_witnesses_are_pinned():
+    """Criterion 5's seed-500 formulas of at most three clauses, and 200
+    lock templates at one to three threads: verdicts and witnesses are
+    byte-stable, so the search's visit order is too."""
+    digest = hashlib.sha256()
+    verdicts = Counter()
+
+    def search(p, config, threads):
+        bounds = Bounds(max_threads=threads, max_local_len=10)
+        covered, witness = bounded_coverability(p, config, bounds)
+        digest.update(f"{covered} {format_trace(witness) if covered else '-'}\n".encode())
+        verdicts[covered, threads, bool(witness)] += 1
+
+    rng = random.Random(500)
+    for _ in range(20):
+        n_clauses = rng.randint(1, 4)
+        n_vars = rng.randint(1, 4)
+        clauses = tuple(
+            tuple(rng.choice([1, -1]) * rng.randint(1, n_vars) for _ in range(3))
+            for _ in range(n_clauses)
+        )
+        if n_clauses <= 3:
+            search(*sat_to_coverability(CnfFormula(n_vars, clauses)), n_clauses)
+    rng = random.Random(71)
+    for _ in range(200):
+        t = reference.random_lock_template(rng)
+        locs = sorted(t.locations)
+        threads = rng.randint(1, 3)
+        config = tuple(rng.choice(locs) for _ in range(rng.randint(1, threads)))
+        search(ParameterizedProgram(t, SyncKind.LOCKS), config, threads)
+    assert verdicts[True, 3, True] >= 20 and verdicts[False, 3, False] >= 20, verdicts
+    assert digest.hexdigest() == COVERABILITY_DIGEST
 
 
 # -- reduction check --------------------------------------------------------------------
