@@ -15,10 +15,12 @@ the relation a flat lookup table, and only a counterexample is decoded.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, Optional
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional
 
 from .decision import INCONCLUSIVE, SOUND, UNSOUND, Verdict
 from .model import (
@@ -242,6 +244,7 @@ class _Codec:
         self.acquires = [bit[a.lock] if a.kind is _ACQUIRE else 0 for a in self.actions]
         self.releases = [bit[a.lock] if a.kind is _RELEASE else 0 for a in self.actions]
         self._gates: dict[tuple[int, ...], tuple[int, list[int], list[int]]] = {}
+        self._tables: dict[tuple[int, ...], list[int]] = {}
         # rendezvous state sets, named by small ints; 0 names the empty set
         self.barrier_sets: list[frozenset] = [frozenset()]
         self._barrier_ids: dict[frozenset, int] = {frozenset(): 0}
@@ -271,12 +274,17 @@ class _Codec:
         return [i.commutes(a, b) for a in self.actions for b in self.actions]
 
     def relabel_table(self, perm: tuple[int, ...]) -> list[int]:
-        """Code map under which thread j+1 plays thread perm.index(j)+1."""
-        width = self.width
-        slot = list(range(width))
-        for j in range(len(perm)):
-            slot[j + 1] = perm.index(j) + 1
-        return [c - c % width + slot[c % width] for c in range(len(self.pairs))]
+        """Code map under which thread j+1 plays thread perm.index(j)+1,
+        worked out once per permutation."""
+        table = self._tables.get(perm)
+        if table is None:
+            width = self.width
+            slot = list(range(width))
+            for j in range(len(perm)):
+                slot[j + 1] = perm.index(j) + 1
+            table = [c - c % width + slot[c % width] for c in range(len(self.pairs))]
+            self._tables[perm] = table
+        return table
 
     def gates(self, word: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
         """The lock gates of a ranked local word, worked out once per word:
@@ -372,24 +380,42 @@ def covers(src: IndexedTrace, dst: IndexedTrace, i: CommutativityRelation) -> bo
     )
 
 
+# l2 as the representative check reads it: a function that gives its
+# traces less those of l1, in code order (l1 comes as a set and bucketed by
+# key, a trace's steps sorted by thread), and a membership test that is
+# given a trace and its key
+_Ordered = tuple[
+    Callable[
+        [AbstractSet[tuple[int, ...]], Mapping[tuple[int, ...], list]],
+        Iterable[tuple[int, ...]],
+    ],
+    Callable[[tuple[int, ...], tuple[int, ...]], bool],
+]
+
+
 def _representative_check(
     codec: _Codec,
     l1: AbstractSet[tuple[int, ...]],
-    l2: AbstractSet[tuple[int, ...]],
+    l2: _Ordered,
     comm: list[bool],
 ) -> MazResult:
-    """`is_mazurkiewicz_reduction` on sets of coded traces; only the
-    counterexample is decoded."""
-    stray = l1 - l2
-    if stray:
-        return MazResult(False, codec.decode(min(stray)), "reduced set is not a subset")
+    """`is_mazurkiewicz_reduction` on coded traces; only the counterexample
+    is decoded.  l2 is read in code order up to its first trace without a
+    representative, which is therefore the least one."""
+    minus, in_l2 = l2
     width, n = codec.width, len(codec.actions)
     # the steps in thread order stand for the per-thread projections
     by_thread = width.__rmod__
     bucket: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    stray = []
     for cand in l1:
-        bucket.setdefault(tuple(sorted(cand, key=by_thread)), []).append(cand)
-    for tr in sorted(l2 - l1):
+        key = tuple(sorted(cand, key=by_thread))
+        if not in_l2(cand, key):
+            stray.append(cand)
+        bucket.setdefault(key, []).append(cand)
+    if stray:
+        return MazResult(False, codec.decode(min(stray)), "reduced set is not a subset")
+    for tr in minus(l1, bucket):
         if not any(
             _covered(tr, cand, width, n, comm)
             for cand in bucket.get(tuple(sorted(tr, key=by_thread)), ())
@@ -407,15 +433,17 @@ def is_mazurkiewicz_reduction(
 
     Candidates are bucketed by per-thread projections (which covering
     preserves) and tested with the exact pairwise criterion, so the answer
-    on the given finite sets is never inconclusive.  The counterexample is
-    the least failing trace in `trace_key` order.
+    on the given finite sets is never inconclusive.  `l2` is sorted and
+    read in that order, so the counterexample is the least failing trace in
+    `trace_key` order.
     """
     l1, l2 = list(l1), list(l2)
     codec = _trace_codec(itertools.chain(l1, l2))
+    coded = frozenset(map(codec.encode, l2))
     return _representative_check(
         codec,
         frozenset(map(codec.encode, l1)),
-        frozenset(map(codec.encode, l2)),
+        (lambda skip, _bucket: sorted(coded - skip), lambda tr, _key: tr in coded),
         codec.relation(i),
     )
 
@@ -496,10 +524,11 @@ def enumerate_interleavings(
 _MoveDag = tuple[int, list[list[tuple[int, int, int]]]]
 
 
-# one shuffled multiset of local words: its move DAG, its traces when the
-# plan had to build them, the thread permutations that relabel them into
-# the other arrangements, and whether building drops synchronization steps
-_Planned = tuple[_MoveDag, Optional[set], list, bool]
+# one shuffled multiset of local words: the ranked words (thread j+1 runs
+# the j-th), its move DAG, its traces when the plan had to build them, the
+# thread permutations that relabel them into the other arrangements, and
+# whether building drops synchronization steps
+_Planned = tuple[tuple[tuple[int, ...], ...], _MoveDag, Optional[set], list, bool]
 
 
 def _plan_interleavings(
@@ -531,9 +560,8 @@ def _plan_interleavings(
     # each multiset of local words is shuffled once and relabeled
     for k in range(1, bounds.max_threads + 1):
         for combo in itertools.combinations_with_replacement(range(len(words)), k):
-            nodes, paths, dag = _shuffle_graph(
-                codec, tuple(words[j] for j in combo), use_locks, use_barrier
-            )
+            assignment = tuple(words[j] for j in combo)
+            nodes, paths, dag = _shuffle_graph(codec, assignment, use_locks, use_barrier)
             budget.spend(nodes)
             seen = {combo}
             perms = []
@@ -549,7 +577,7 @@ def _plan_interleavings(
                 paths = len(base)
             for _ in perms:
                 budget.spend(paths)  # one step per relabelled trace
-            plan.append((dag, base, perms, project))
+            plan.append((assignment, dag, base, perms, project))
     return plan
 
 
@@ -557,18 +585,90 @@ def _build_interleavings(codec: _Codec, plan: list[_Planned]) -> set[tuple[int, 
     """The traces of a plan: each shuffle built from its move DAG (unless
     the plan already built it) and relabelled into its other arrangements."""
     out: set[tuple[int, ...]] = {()}
-    tables: dict[tuple[int, ...], list[int]] = {}
-    for dag, base, perms, project in plan:
+    for _, dag, base, perms, project in plan:
         if base is None:
             base = _shuffle_traces(codec, dag, project)
         out |= base
         for perm in perms:
-            table = tables.get(perm)
-            if table is None:
-                table = tables[perm] = codec.relabel_table(perm)
-            relabel = table.__getitem__
+            relabel = codec.relabel_table(perm).__getitem__
             out.update(tuple(map(relabel, tr)) for tr in base)
     return out
+
+
+def _ordered_interleavings(codec: _Codec, plan: list[_Planned]) -> _Ordered:
+    """The traces of a projected plan (`_build_interleavings`), in code
+    order and with a membership test, without building them all.
+
+    A shuffle that keeps all its steps has no synchronization step, so
+    every interleaving of an arrangement's words is a trace: a trace is one
+    of them exactly when its steps sorted by thread (its key) are the
+    words' steps.  An arrangement whose interleavings all lie in the
+    skipped set (as many skipped traces have its key) is passed over; the
+    others' traces come in code order from a depth-first walk of the move
+    DAG that takes each state's moves in ascending (relabelled) code.  A
+    shuffle that drops steps is built and sorted, since its paths can
+    collapse and its traces need not come in code order.  The walks and
+    the built traces are merged, and a trace met twice is read once.
+    """
+    width = codec.width
+    built = _build_interleavings(codec, [entry for entry in plan if entry[-1]])  # lossy ones
+    keys = set()
+    shuffles = []  # (move DAG, interleavings of each arrangement, their keys and relabellings)
+    for assignment, dag, _, perms, project in plan:
+        if project:
+            continue
+        arranged = []
+        for perm in (tuple(range(len(assignment))), *perms):
+            # thread i runs the word of base thread perm[i-1] + 1
+            key = tuple(r * width + i for i, j in enumerate(perm, 1) for r in assignment[j])
+            keys.add(key)
+            arranged.append((key, codec.relabel_table(perm)))
+        lengths = [len(w) for w in assignment]
+        count = math.factorial(sum(lengths)) // math.prod(map(math.factorial, lengths))
+        shuffles.append((dag, count, arranged))
+
+    def minus(
+        skip: AbstractSet[tuple[int, ...]], bucket: Mapping[tuple[int, ...], list]
+    ) -> Iterator[tuple[int, ...]]:
+        walks = []
+        for (start, moves_by_level), count, arranged in shuffles:
+            todo = [relabel for key, relabel in arranged if len(bucket.get(key, ())) < count]
+            if todo:
+                out: dict[int, list[tuple[int, int]]] = {}
+                for moves in moves_by_level:
+                    for state, c, to in moves:
+                        out.setdefault(state, []).append((c, to))
+                walks += (_walk(out, start, relabel) for relabel in todo)
+        merged = heapq.merge(sorted(built - skip), *walks)
+        return (tr for tr, _ in itertools.groupby(merged) if tr not in skip)
+
+    return minus, lambda tr, key: key in keys or tr in built
+
+
+def _walk(
+    out: dict[int, list[tuple[int, int]]], start: int, relabel: list[int]
+) -> Iterator[tuple[int, ...]]:
+    """The paths of a move DAG (`out`: each state's moves as (code, next
+    state)) from `start`, relabelled, in code order: depth first, with each
+    state's moves sorted once, when it is first entered."""
+    by_state: dict[int, list[tuple[int, int]]] = {}
+    trail: list[int] = []
+    stack = [iter(sorted((relabel[c], to) for c, to in out.get(start, ())))]
+    while stack:
+        for c, to in stack[-1]:
+            trail.append(c)
+            moves = by_state.get(to)
+            if moves is None:
+                moves = by_state[to] = sorted((relabel[c], nxt) for c, nxt in out.get(to, ()))
+            if moves:
+                stack.append(iter(moves))
+                break
+            yield tuple(trail)
+            trail.pop()
+        else:
+            stack.pop()
+            if trail:
+                trail.pop()
 
 
 def _both_interleavings(
@@ -578,13 +678,13 @@ def _both_interleavings(
     keep_sync: bool,
     bounds: Bounds,
     budget: _Budget,
-) -> tuple[set[tuple[int, ...]], set[tuple[int, ...]]]:
-    """The original program's interleavings (projected) and the reduced
-    program's: l2 is planned, then l1, and both are built only when both
-    plans fit the budget, so a check that runs out builds no trace."""
+) -> tuple[_Ordered, set[tuple[int, ...]]]:
+    """The original program's interleavings (projected, in code order) and
+    the reduced program's: l2 is planned, then l1, and l1 is built only when
+    both plans fit the budget, so a check that runs out builds no trace."""
     plan2 = _plan_interleavings(codec, original, bounds, False, budget)
     plan1 = _plan_interleavings(codec, reduced, bounds, keep_sync, budget)
-    return _build_interleavings(codec, plan2), _build_interleavings(codec, plan1)
+    return _ordered_interleavings(codec, plan2), _build_interleavings(codec, plan1)
 
 
 def _shuffle_graph(
@@ -802,7 +902,11 @@ def _compare(
     interleaving of `original` needs a representative among those of
     `reduced`.  With `keep_sync` the reduced traces keep their
     synchronization steps for the length accounting of block expansion,
-    then are expanded through `blocks` and projected."""
+    then are expanded through `blocks` and projected.  The reduced traces
+    are built as a set; the original's are walked in code order up to the
+    first one without a representative, so the witness is the least such
+    trace.  The budget is charged as it was when l2 was built too: both
+    enumerations in full, as planned, then block expansion."""
     templates = (original, reduced, *(body for _, body in blocks))
     codec = _Codec(itertools.chain.from_iterable(t.alphabet for t in templates), bounds.max_threads)
     budget = _Budget(bounds.max_enum_nodes, "interleaving enumeration")

@@ -338,9 +338,9 @@ def _gadget_checks(count):
 
 
 def test_planned_enumeration_matches_build_as_you_go(monkeypatch):
-    """Planning l2 and l1 before building them gives every check the same
-    result, notes and witness as building each as it is enumerated, and
-    runs out of budget at the same charge."""
+    """Planning l2 and l1 before building l1, and walking l2 in code order,
+    gives every check the same result, notes and witness as building each
+    as it is enumerated, and runs out of budget at the same charge."""
     raised = []
 
     class RecordingBudget(oracle._Budget):
@@ -360,14 +360,15 @@ def test_planned_enumeration_matches_build_as_you_go(monkeypatch):
         except DepthExceeded:
             l1_ran_out.append(True)
             raise
-        return l2, l1
+        # l2 as the representative check reads it, off the built set
+        return (lambda skip, _bucket: sorted(l2 - skip), lambda tr, key: tr in l2), l1
 
     built_in_plan = []
     plan_interleavings = oracle._plan_interleavings
 
     def watched_plan(codec, p, bounds, keep_sync, budget):
         plan = plan_interleavings(codec, p, bounds, keep_sync, budget)
-        if any(base is not None for _, base, _, _ in plan):
+        if any(base is not None for _, _, base, _, _ in plan):
             built_in_plan.append((p.sync_kind, keep_sync))
         return plan
 
@@ -388,6 +389,68 @@ def test_planned_enumeration_matches_build_as_you_go(monkeypatch):
     assert results["inconclusive"] >= 10 and results["sound"] and results["unsound"]
     assert l1_ran_out, "no check ran out of budget in l1 after l2 completed"
     assert (SyncKind.LOCKS_AND_SYNC_POINTS, False) in built_in_plan
+
+
+# -- oracle outcomes --------------------------------------------------------------------
+
+
+# SHA-256 of `(index, result, notes, repr(witness))`, one line per check
+# below, taken before l2 was walked in code order
+OUTCOME_DIGEST = "350c52d43d87affaf5b5bd3403159ca66319118aae807575bf969576af5f1de3"
+
+
+def _criterion_6_outcomes(outcome):
+    """Criterion 6's seed-606 programs, drawn and skipped as it draws and
+    skips them.  Each program that reaches the oracle gives its three
+    checks at criterion 6's bounds, plus the fusion gadget checked with its
+    fused outer template as the original: that original has block steps
+    where the expansions have body steps, so the check ends in `reduced set
+    is not a subset`."""
+    rng = random.Random(606)
+    cb = Bounds(max_threads=2, max_local_len=8)
+    done = 0
+    while done < 20:
+        t = reference.random_lock_template(rng, max_locs=4, visible_start=True)
+        p = ParameterizedProgram(t, SyncKind.LOCKS)
+        locs = sorted(set(t.locations) - {t.init})
+        config = (rng.choice(locs), rng.choice(locs))
+        if not bounded_coverability(p, config, cb)[0] and any(
+            bounded_coverability(p, (c, c), cb)[0] for c in config
+        ):
+            continue
+        prog1, fusion1, rel1 = coverability_to_fusion(p, config)
+        atomic_bounds = Bounds(max_threads=3, max_local_len=8, max_enum_nodes=600_000)
+        v1 = outcome(oracle_check_atomic(prog1.template, fusion1, rel1, atomic_bounds))
+        _, inst6 = coverability_to_syncpoint(p, config)
+        alphabet = sorted(inst6.base.plain_alphabet, key=Action.sort_key)
+        sync_bounds = Bounds(max_threads=2, max_local_len=10, max_enum_nodes=600_000)
+        v6 = [
+            outcome(oracle_check_sync(inst6, CommutativityRelation(alphabet, **empty), sync_bounds))
+            for empty in ({"conflicts": []}, {"pairs": []})
+        ]
+        outcome(oracle_check_atomic(fusion1.outer, fusion1, rel1, atomic_bounds))
+        if "inconclusive" not in (v1, *v6):
+            done += 1
+
+
+@pytest.mark.slow
+def test_oracle_outcomes_are_pinned():
+    """Criterion 3's 500 instances at its bounds and criterion 6's checks:
+    result, notes and witness of every check are byte-stable."""
+    digest = hashlib.sha256()
+    seen = Counter()
+
+    def outcome(v):
+        digest.update(f"{sum(seen.values())} {v.result} {v.notes} {v.witness!r}\n".encode())
+        seen[v.result, v.notes[0] if v.result == "unsound" else ""] += 1
+        return v.result
+
+    for check, *args in _corpus_checks(500):
+        outcome(check(*args))
+    _criterion_6_outcomes(outcome)
+    assert seen["unsound", "trace has no representative"] >= 50
+    assert seen["unsound", "reduced set is not a subset"] >= 20
+    assert digest.hexdigest() == OUTCOME_DIGEST
 
 
 # -- one shuffle against the reference ------------------------------------------------
@@ -441,6 +504,88 @@ def test_shuffle_graph_matches_reference(words, semantics):
     assert paths == len(full)
     assert oracle._shuffle_traces(codec, dag, False) == full
     assert oracle._shuffle_traces(codec, dag, True) == projected
+
+
+# -- l2 in code order against the built set ----------------------------------------
+
+
+@st.composite
+def local_words(draw):
+    """A thread bound of one to three and one to three distinct local words
+    of plain, lock and rendezvous steps, short enough at that bound for the
+    reference to build every trace.  Half the steps are plain, so that
+    words without synchronization steps, whose shuffles are walked, are
+    common."""
+    k = draw(st.integers(1, 3))
+    step = st.one_of(st.sampled_from([a, b]), st.sampled_from(SHUFFLE_STEPS))
+    word = st.lists(step, min_size=1, max_size=(6, 4, 2)[k - 1]).map(tuple)
+    return k, tuple(draw(st.lists(word, min_size=1, max_size=3, unique=True)))
+
+
+def _perturbed(tr, width, rng):
+    """A few traces near `tr`: two adjacent steps swapped, one step moved
+    to another thread, the last step dropped or repeated."""
+    out = []
+    if len(tr) > 1:
+        p = rng.randrange(len(tr) - 1)
+        out.append(tr[:p] + (tr[p + 1], tr[p]) + tr[p + 2 :])
+    if tr:
+        p = rng.randrange(len(tr))
+        out.append(tr[:p] + (tr[p] - tr[p] % width + rng.randrange(width),) + tr[p + 1 :])
+        out += [tr[:-1], tr + tr[-1:]]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(local_words(), st.sampled_from(list(SyncKind)), st.randoms(use_true_random=False))
+@example((3, ((a,), (b, a))), SyncKind.TRIVIAL, random.Random(0))  # walked and relabelled
+@example((2, ((a,), (ACQ_M, a, REL_M))), SyncKind.LOCKS, random.Random(0))  # a lossy collision
+@example((3, ((a, SYNC), (SYNC, b), (b,))), SyncKind.LOCKS_AND_SYNC_POINTS, random.Random(0))
+def test_ordered_interleavings_match_the_built_set(words_at, sync_kind, rng):
+    """The projected l2 of a plan, read in code order less a skipped set
+    (none, part of l2, all or most traces of some keys, the reduced traces
+    that keep their synchronization steps, all of l2), is the sorted built set
+    less that set; its membership test, given a trace and its steps sorted
+    by thread, is set membership on those reduced traces, on every trace of
+    l2 and on traces perturbed from them; and the set is the reference's."""
+    k, words = words_at
+    t = ThreadTemplate.make(
+        [
+            (f"w{n}.{p}" if p else "init", step, f"w{n}.{p + 1}" if p + 1 < len(w) else "exit")
+            for n, w in enumerate(words)
+            for p, step in enumerate(w)
+        ],
+        "init",
+        "exit",
+    )
+    p = ParameterizedProgram(t, sync_kind)
+    bounds = Bounds(max_threads=k, max_local_len=max(map(len, words)))
+    codec = oracle._Codec(SHUFFLE_STEPS, k)
+
+    def plan(keep_sync):
+        return oracle._plan_interleavings(codec, p, bounds, keep_sync, oracle._Budget(10**9, "test"))
+
+    projected = plan(False)
+    l2 = oracle._build_interleavings(codec, projected)
+    assert l2 == reference.interleavings_ref(codec, p, bounds, False, oracle._Budget(10**9, "ref"))
+    minus, in_l2 = oracle._ordered_interleavings(codec, projected)
+    l1 = oracle._build_interleavings(codec, plan(True))
+    by_thread = codec.width.__rmod__
+
+    def key(tr):
+        return tuple(sorted(tr, key=by_thread))
+
+    chosen = {key(tr) for tr in l2 if rng.random() < 0.5}
+    whole = frozenset(tr for tr in l2 if key(tr) in chosen)  # every trace of some keys
+    part = frozenset(tr for tr in l2 if rng.random() < 0.3)
+    for skipped in (frozenset(), part, whole, whole | part, whole - part, l1 | part, l2):
+        bucket = {}
+        for tr in skipped:
+            bucket.setdefault(key(tr), []).append(tr)
+        assert list(minus(skipped, bucket)) == sorted(l2 - skipped)
+    near = [near for tr in sorted(l2) for near in _perturbed(tr, codec.width, rng)]
+    for tr in itertools.chain(l1, l2, near):
+        assert in_l2(tr, key(tr)) == (tr in l2), tr
 
 
 # -- coverability witnesses ------------------------------------------------------------
