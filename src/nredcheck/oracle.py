@@ -15,12 +15,13 @@ the relation a flat lookup table, and only a counterexample is decoded.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .decision import INCONCLUSIVE, SOUND, UNSOUND, Verdict
 from .model import (
@@ -71,10 +72,14 @@ class Bounds:
     while each block body's path enumeration gets a fresh budget of the same
     size; running out surfaces as an inconclusive result.  The interleaving
     enumeration of both programs is charged in full, from the node and path
-    counts of each shuffle's state graph, before any trace is built, so a
-    check that runs out builds none; the one exception is a shuffle that
-    loses synchronization steps to the projection and has relabellings,
-    whose traces are built to be counted.  No search reads
+    counts of each shuffle, before any trace is built, so a check that runs
+    out builds none: a shuffle of words without lock or rendezvous steps is
+    counted from its word lengths alone and its state graph is built only
+    when its traces are read, the others' state graphs are searched to be
+    counted, and a shuffle that loses synchronization steps to the
+    projection and has relabellings has its traces built to be counted.
+    Block expansion is charged one step per choice of block words for each
+    fused trace, as if each choice were tried in turn.  No search reads
     `max_cover_states` (`bounded_coverability` has no budget); every report
     lists it.
     """
@@ -525,10 +530,11 @@ _MoveDag = tuple[int, list[list[tuple[int, int, int]]]]
 
 
 # one shuffled multiset of local words: the ranked words (thread j+1 runs
-# the j-th), its move DAG, its traces when the plan had to build them, the
-# thread permutations that relabel them into the other arrangements, and
-# whether building drops synchronization steps
-_Planned = tuple[tuple[tuple[int, ...], ...], _MoveDag, Optional[set], list, bool]
+# the j-th), its move DAG (None for a synchronization-free shuffle, whose
+# DAG `_move_dag` builds when it is read), its traces when the plan had to
+# build them, the thread permutations that relabel them into the other
+# arrangements, and whether building drops synchronization steps
+_Planned = tuple[tuple[tuple[int, ...], ...], Optional[_MoveDag], Optional[set], list, bool]
 
 
 def _plan_interleavings(
@@ -545,23 +551,32 @@ def _plan_interleavings(
     node count of its shuffle, then one step per trace for each distinct
     relabelling.  A trace's code names its thread, so two accepted paths
     through a shuffle (which first differ in the thread they step) are two
-    traces, and the trace count is the path count.  The one exception is a
-    shuffle whose traces lose synchronization steps to the projection and
-    that has relabellings: paths can then collapse, so its traces are built
-    here to be counted (and kept for the build).
+    traces, and the trace count is the path count.  A multiset of words
+    without lock or rendezvous steps has every interleaving feasible, so
+    its counts come from its word lengths alone (`_plain_charge`) and its
+    move DAG is left for `_move_dag` to build when a trace is wanted; the
+    others are searched (`_shuffle_graph`).  The one exception to counting
+    is a shuffle whose traces lose synchronization steps to the projection
+    and that has relabellings: paths can then collapse, so its traces are
+    built here to be counted (and kept for the build).
     """
     words = [codec.ranks(w) for w in _local_traces(p.template, bounds, budget)]
     use_locks = p.sync_kind is not SyncKind.TRIVIAL
     use_barrier = p.sync_kind is SyncKind.LOCKS_AND_SYNC_POINTS
     width, keep = codec.width, codec.plain
-    lossy = [not keep_sync and not all(keep[r * width] for r in w) for w in words]
+    plain = [all(keep[r * width] for r in w) for w in words]
+    lossy = [not keep_sync and not flag for flag in plain]
     plan: list[_Planned] = []
     # the synchronization predicates are invariant under thread renaming, so
     # each multiset of local words is shuffled once and relabeled
     for k in range(1, bounds.max_threads + 1):
         for combo in itertools.combinations_with_replacement(range(len(words)), k):
             assignment = tuple(words[j] for j in combo)
-            nodes, paths, dag = _shuffle_graph(codec, assignment, use_locks, use_barrier)
+            dag: Optional[_MoveDag] = None
+            if all(plain[j] for j in combo):
+                nodes, paths = _plain_charge(tuple(sorted(map(len, assignment))))
+            else:
+                nodes, paths, dag = _shuffle_graph(codec, assignment, use_locks, use_barrier)
             budget.spend(nodes)
             seen = {combo}
             perms = []
@@ -581,13 +596,39 @@ def _plan_interleavings(
     return plan
 
 
+@functools.cache
+def _plain_charge(lengths: tuple[int, ...]) -> tuple[int, int]:
+    """`_shuffle_graph`'s node charge and path count for words of these
+    lengths without lock or rendezvous steps: every prefix is feasible, so
+    the charge is the sum over step-count vectors p <= lengths of the
+    multinomial of p, and the path count the multinomial of the lengths.
+    `ways[n]` sums the multinomials of the vectors of the threads so far
+    that take n steps; a thread of length m joins by choosing which q <= m
+    of n steps are its own."""
+    ways = [1]
+    for m in lengths:
+        ways = [
+            sum(math.comb(n, q) * ways[n - q] for q in range(min(n, m) + 1) if n - q < len(ways))
+            for n in range(len(ways) + m)
+        ]
+    return sum(ways), ways[-1]
+
+
+def _move_dag(codec: _Codec, entry: _Planned) -> _MoveDag:
+    """A planned shuffle's move DAG; a synchronization-free one is built on
+    first need (no lock or rendezvous can block its steps)."""
+    assignment, dag = entry[0], entry[1]
+    return dag if dag is not None else _shuffle_graph(codec, assignment, False, False)[2]
+
+
 def _build_interleavings(codec: _Codec, plan: list[_Planned]) -> set[tuple[int, ...]]:
     """The traces of a plan: each shuffle built from its move DAG (unless
     the plan already built it) and relabelled into its other arrangements."""
     out: set[tuple[int, ...]] = {()}
-    for _, dag, base, perms, project in plan:
+    for entry in plan:
+        _, _, base, perms, project = entry
         if base is None:
-            base = _shuffle_traces(codec, dag, project)
+            base = _shuffle_traces(codec, _move_dag(codec, entry), project)
         out |= base
         for perm in perms:
             relabel = codec.relabel_table(perm).__getitem__
@@ -613,8 +654,10 @@ def _ordered_interleavings(codec: _Codec, plan: list[_Planned]) -> _Ordered:
     width = codec.width
     built = _build_interleavings(codec, [entry for entry in plan if entry[-1]])  # lossy ones
     keys = set()
-    shuffles = []  # (move DAG, interleavings of each arrangement, their keys and relabellings)
-    for assignment, dag, _, perms, project in plan:
+    # (plan entry, interleavings of each arrangement, their keys and relabellings)
+    shuffles = []
+    for entry in plan:
+        assignment, _, _, perms, project = entry
         if project:
             continue
         arranged = []
@@ -623,17 +666,17 @@ def _ordered_interleavings(codec: _Codec, plan: list[_Planned]) -> _Ordered:
             key = tuple(r * width + i for i, j in enumerate(perm, 1) for r in assignment[j])
             keys.add(key)
             arranged.append((key, codec.relabel_table(perm)))
-        lengths = [len(w) for w in assignment]
-        count = math.factorial(sum(lengths)) // math.prod(map(math.factorial, lengths))
-        shuffles.append((dag, count, arranged))
+        count = _plain_charge(tuple(sorted(map(len, assignment))))[1]
+        shuffles.append((entry, count, arranged))
 
     def minus(
         skip: AbstractSet[tuple[int, ...]], bucket: Mapping[tuple[int, ...], list]
     ) -> Iterator[tuple[int, ...]]:
         walks = []
-        for (start, moves_by_level), count, arranged in shuffles:
+        for entry, count, arranged in shuffles:
             todo = [relabel for key, relabel in arranged if len(bucket.get(key, ())) < count]
             if todo:
+                start, moves_by_level = _move_dag(codec, entry)
                 out: dict[int, list[tuple[int, int]]] = {}
                 for moves in moves_by_level:
                     for state, c, to in moves:
@@ -821,22 +864,28 @@ def _block_words(
     return out
 
 
-def _expansions(
-    codec: _Codec,
+def _room(codec: _Codec, tr: tuple[int, ...], block_words: BlockWords, bounds: Bounds) -> list[int]:
+    """Per thread, the non-rendezvous steps its block expansions may still
+    take: the local bound less the steps of the fused trace outside its
+    block slots (negative when those alone pass the bound)."""
+    width, counted = codec.width, codec.counted
+    room = [bounds.max_local_len] * width
+    for c in tr:
+        if c not in block_words:
+            room[c % width] -= counted[c]
+    return room
+
+
+def _substituted(
+    width: int,
     tr: tuple[int, ...],
+    room: Sequence[int],
     block_words: BlockWords,
-    bounds: Bounds,
     budget: Optional[_Budget],
 ) -> Iterator[tuple[int, ...]]:
-    """`_expand_blocks` on codes; one budget step per choice of expansions."""
-    width, counted = codec.width, codec.counted
-    room = [bounds.max_local_len] * width  # non-rendezvous steps left per thread
-    slots = []
-    for idx, c in enumerate(tr):
-        if c in block_words:
-            slots.append(idx)
-        else:
-            room[c % width] -= counted[c]
+    """Every choice of words for the block slots of a coded trace that fits
+    each thread's room, substituted; one budget step per choice."""
+    slots = [idx for idx, c in enumerate(tr) if c in block_words]
     if not slots:
         if min(room) >= 0:
             yield tr
@@ -847,7 +896,7 @@ def _expansions(
     for choice in itertools.product(*(block_words[tr[idx]] for idx in slots)):
         if budget is not None:
             budget.spend()
-        left = room.copy()
+        left = list(room)
         for t, (_, n) in zip(threads, choice):
             left[t] -= n
         if min(left) < 0:
@@ -856,6 +905,17 @@ def _expansions(
         for (word, _), piece in zip(choice, pieces[1:]):
             expanded += word + piece
         yield expanded
+
+
+def _expansions(
+    codec: _Codec,
+    tr: tuple[int, ...],
+    block_words: BlockWords,
+    bounds: Bounds,
+    budget: Optional[_Budget],
+) -> Iterator[tuple[int, ...]]:
+    """`_expand_blocks` on codes; one budget step per choice of expansions."""
+    return _substituted(codec.width, tr, _room(codec, tr, block_words, bounds), block_words, budget)
 
 
 def _expand_blocks(
@@ -881,12 +941,29 @@ def _expanded_plain(
     bounds: Bounds,
     budget: _Budget,
 ) -> frozenset[tuple[int, ...]]:
-    """The plain projections of every block expansion of the fused traces."""
+    """The plain projections of every block expansion of the fused traces
+    (`_expansions`, projected).
+
+    Each fused trace is charged at once the steps `_expansions` spends on
+    it one at a time, one per choice of block words, before anything is
+    expanded.  Projection commutes with substituting a body word, and
+    whether a choice fits depends only on each thread's room, so fused
+    traces with the same projection and the same room have the same
+    projected expansions: each such pair is expanded once, on projected
+    body words."""
     block_words = _block_words(codec, blocks, bounds)
+    todo = set()
+    for tr in fused:
+        choices = [len(block_words[c]) for c in tr if c in block_words]
+        if choices:
+            # as many unit steps: running out stops one step past the cap
+            budget.spend(min(math.prod(choices), budget.cap + 1 - budget.used))
+        todo.add((codec.project(tr), tuple(_room(codec, tr, block_words, bounds))))
+    projected = {c: [(codec.project(w), n) for w, n in words] for c, words in block_words.items()}
     return frozenset(
-        codec.project(expanded)
-        for tr in fused
-        for expanded in _expansions(codec, tr, block_words, bounds, budget)
+        expanded
+        for tr, room in todo
+        for expanded in _substituted(codec.width, tr, room, projected, None)
     )
 
 
@@ -906,7 +983,9 @@ def _compare(
     are built as a set; the original's are walked in code order up to the
     first one without a representative, so the witness is the least such
     trace.  The budget is charged as it was when l2 was built too: both
-    enumerations in full, as planned, then block expansion."""
+    enumerations in full, as planned, then block expansion, each fused
+    trace its count of choices of block words, before the expansions are
+    built once per distinct projected fused trace and room."""
     templates = (original, reduced, *(body for _, body in blocks))
     codec = _Codec(itertools.chain.from_iterable(t.alphabet for t in templates), bounds.max_threads)
     budget = _Budget(bounds.max_enum_nodes, "interleaving enumeration")

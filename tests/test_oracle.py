@@ -433,24 +433,47 @@ def _criterion_6_outcomes(outcome):
             done += 1
 
 
+# SHA-256 of `(index, budget)`, one line per check below, where `budget` is
+# the `(what, cap, used)` of the DepthExceeded the check ran into, or None;
+# taken before block expansion was charged per fused trace
+BUDGET_DIGEST = "8bca0b9b7fbe59b30c00f669f457f708650926dd6c6d4362dab6c93e76f61ac2"
+
+
 @pytest.mark.slow
-def test_oracle_outcomes_are_pinned():
+def test_oracle_outcomes_are_pinned(monkeypatch):
     """Criterion 3's 500 instances at its bounds and criterion 6's checks:
-    result, notes and witness of every check are byte-stable."""
-    digest = hashlib.sha256()
+    result, notes and witness of every check are byte-stable, and so are
+    the budget each inconclusive check ran out of, its cap and the steps
+    it had used."""
+    digest, budgets = hashlib.sha256(), hashlib.sha256()
     seen = Counter()
+    raised = []
+
+    class RecordingBudget(oracle._Budget):
+        def spend(self, n: int = 1) -> None:
+            try:
+                super().spend(n)
+            except DepthExceeded as exc:
+                raised.append((exc.what, exc.cap, exc.used))
+                raise
 
     def outcome(v):
-        digest.update(f"{sum(seen.values())} {v.result} {v.notes} {v.witness!r}\n".encode())
+        index = sum(seen.values())
+        digest.update(f"{index} {v.result} {v.notes} {v.witness!r}\n".encode())
+        budgets.update(f"{index} {raised[0] if raised else None}\n".encode())
+        assert len(raised) == (v.result == "inconclusive")
+        raised.clear()
         seen[v.result, v.notes[0] if v.result == "unsound" else ""] += 1
         return v.result
 
+    monkeypatch.setattr(oracle, "_Budget", RecordingBudget)
     for check, *args in _corpus_checks(500):
         outcome(check(*args))
     _criterion_6_outcomes(outcome)
     assert seen["unsound", "trace has no representative"] >= 50
     assert seen["unsound", "reduced set is not a subset"] >= 20
     assert digest.hexdigest() == OUTCOME_DIGEST
+    assert budgets.hexdigest() == BUDGET_DIGEST
 
 
 # -- one shuffle against the reference ------------------------------------------------
@@ -522,6 +545,20 @@ def local_words(draw):
     return k, tuple(draw(st.lists(word, min_size=1, max_size=3, unique=True)))
 
 
+def _words_template(words):
+    """A template whose local words are `words`: one chain of fresh
+    locations from init to exit for each."""
+    return ThreadTemplate.make(
+        [
+            (f"w{n}.{p}" if p else "init", step, f"w{n}.{p + 1}" if p + 1 < len(w) else "exit")
+            for n, w in enumerate(words)
+            for p, step in enumerate(w)
+        ],
+        "init",
+        "exit",
+    )
+
+
 def _perturbed(tr, width, rng):
     """A few traces near `tr`: two adjacent steps swapped, one step moved
     to another thread, the last step dropped or repeated."""
@@ -549,16 +586,7 @@ def test_ordered_interleavings_match_the_built_set(words_at, sync_kind, rng):
     by thread, is set membership on those reduced traces, on every trace of
     l2 and on traces perturbed from them; and the set is the reference's."""
     k, words = words_at
-    t = ThreadTemplate.make(
-        [
-            (f"w{n}.{p}" if p else "init", step, f"w{n}.{p + 1}" if p + 1 < len(w) else "exit")
-            for n, w in enumerate(words)
-            for p, step in enumerate(w)
-        ],
-        "init",
-        "exit",
-    )
-    p = ParameterizedProgram(t, sync_kind)
+    p = ParameterizedProgram(_words_template(words), sync_kind)
     bounds = Bounds(max_threads=k, max_local_len=max(map(len, words)))
     codec = oracle._Codec(SHUFFLE_STEPS, k)
 
@@ -586,6 +614,135 @@ def test_ordered_interleavings_match_the_built_set(words_at, sync_kind, rng):
     near = [near for tr in sorted(l2) for near in _perturbed(tr, codec.width, rng)]
     for tr in itertools.chain(l1, l2, near):
         assert in_l2(tr, key(tr)) == (tr in l2), tr
+
+
+# -- synchronization-free shuffles: counted, then built on demand -----------------------
+
+
+@st.composite
+def plain_words(draw):
+    """A thread bound of one to four and one or two distinct local words of
+    plain steps and block symbols, short enough at that bound for every
+    trace to be built."""
+    k = draw(st.integers(1, 4))
+    word = st.lists(st.sampled_from([a, b, B]), min_size=1, max_size=(6, 4, 3, 2)[k - 1]).map(tuple)
+    return k, tuple(draw(st.lists(word, min_size=1, max_size=2, unique=True)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(plain_words(), st.sampled_from(list(SyncKind)))
+@example((4, ((a, B), (b,))), SyncKind.LOCKS_AND_SYNC_POINTS)
+def test_plain_shuffles_are_counted_and_built_on_demand(words_at, sync_kind):
+    """A multiset of words without lock or rendezvous steps is charged the
+    node and path counts `_shuffle_graph` finds under the program's
+    semantics, its move DAG is left unbuilt, and a plan with the DAGs built
+    on demand gives the same trace set and the same code-order stream (less
+    the traces of every other key) as the plan with every DAG built at
+    once."""
+    k, words = words_at
+    p = ParameterizedProgram(_words_template(words), sync_kind)
+    bounds = Bounds(max_threads=k, max_local_len=max(map(len, words)))
+    codec = oracle._Codec([*SHUFFLE_STEPS, B], k)
+    use_locks = sync_kind is not SyncKind.TRIVIAL
+    use_barrier = sync_kind is SyncKind.LOCKS_AND_SYNC_POINTS
+    plan = oracle._plan_interleavings(codec, p, bounds, False, oracle._Budget(10**9, "test"))
+    eager = []
+    for assignment, dag, base, perms, project in plan:
+        nodes, paths, built = oracle._shuffle_graph(codec, assignment, use_locks, use_barrier)
+        assert oracle._plain_charge(tuple(sorted(map(len, assignment)))) == (nodes, paths)
+        assert dag is None and base is None and not project
+        eager.append((assignment, built, base, perms, project))
+    traces = oracle._build_interleavings(codec, plan)
+    assert traces == oracle._build_interleavings(codec, eager)
+    # skip every trace of every other key, so some shuffles are not walked
+    by_thread = codec.width.__rmod__
+    bucket = {}
+    for tr in traces:
+        bucket.setdefault(tuple(sorted(tr, key=by_thread)), []).append(tr)
+    bucket = {key: bucket[key] for key in sorted(bucket)[::2]}
+    skip = frozenset(itertools.chain.from_iterable(bucket.values()))
+    lazy, eager_minus = (oracle._ordered_interleavings(codec, q)[0] for q in (plan, eager))
+    assert list(lazy(skip, bucket)) == list(eager_minus(skip, bucket))
+
+
+# -- block expansion, once per projected trace and room ------------------------------
+
+
+C = block_symbol("C")
+BODY_STEPS = [a, b, ACQ_M, REL_M, SYNC]
+EXPANSION_STEPS = [a, b, B, C, ACQ_M, REL_M, SYNC]
+
+
+@st.composite
+def fused_traces(draw):
+    """Bodies for two block symbols, each of one to three distinct words
+    that may hold lock and rendezvous steps; a local bound small enough to
+    reject some choices; and fused traces over one to three threads, some
+    of which differ only in where their synchronization steps fall."""
+    k = draw(st.integers(1, 3))
+    thread = st.integers(1, k)
+    body_word = st.lists(st.sampled_from(BODY_STEPS), min_size=1, max_size=3).map(tuple)
+    bodies = [
+        (sym, _words_template(draw(st.lists(body_word, min_size=1, max_size=3, unique=True))))
+        for sym in (B, C)
+    ]
+    plain_part = draw(st.lists(st.tuples(st.sampled_from([a, b, B, C]), thread), max_size=5))
+    sync_part = draw(st.lists(st.tuples(st.sampled_from([ACQ_M, REL_M, SYNC]), thread), max_size=3))
+    fused = [tuple(draw(st.permutations(plain_part + sync_part)))]
+    for _ in range(draw(st.integers(0, 3))):  # the same plain steps, the others moved
+        tr = list(plain_part)
+        for step in sync_part:
+            tr.insert(draw(st.integers(0, len(tr))), step)
+        fused.append(tuple(tr))
+    return k, bodies, fused, draw(st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fused_traces(), st.integers(0, 10**6))
+@example(
+    (
+        2,
+        [(B, _words_template([(a, SYNC), (ACQ_M, b, REL_M)])), (C, _words_template([(b,)]))],
+        [((a, 1), (SYNC, 1), (B, 2), (B, 1)), ((a, 1), (B, 2), (SYNC, 1), (B, 1))],
+        2,
+    ),
+    3,
+)  # a room that rejects a body word, and a rendezvous step that moved
+def test_expanded_plain_matches_expansion_per_fused_trace(case, cut):
+    """`_expanded_plain` gives the projections of `_expansions` run on each
+    fused trace, spends the same budget, and runs out of a smaller budget
+    (cut short mid-expansion) with the same figures."""
+    k, bodies, fused, max_len = case
+    codec = oracle._Codec(EXPANSION_STEPS, k)
+    coded = [codec.encode(tr) for tr in fused]
+    bounds = Bounds(max_threads=k, max_local_len=max_len)
+    block_words = oracle._block_words(codec, bodies, bounds)
+
+    def per_fused_trace(budget):
+        return frozenset(
+            codec.project(x)
+            for tr in coded
+            for x in oracle._expansions(codec, tr, block_words, bounds, budget)
+        )
+
+    def deduplicated(budget):
+        return oracle._expanded_plain(codec, coded, bodies, bounds, budget)
+
+    def outcomes(cap):
+        out = []
+        for expand in (per_fused_trace, deduplicated):
+            budget = oracle._Budget(cap, "test")
+            try:
+                out.append((expand(budget), budget.used))
+            except DepthExceeded as exc:
+                out.append((exc.what, exc.cap, exc.used))
+        return out
+
+    want, got = outcomes(10**9)
+    assert got == want
+    if want[1]:
+        want, got = outcomes(cut % want[1])
+        assert got == want and len(want) == 3
 
 
 # -- coverability witnesses ------------------------------------------------------------
