@@ -1033,12 +1033,27 @@ def induced_interleaving(
     each order step of the chain contributes one further thread whose trace
     realizes that step.  A re-entry witness is thread 1 running its trace
     alone.  The result is a complete interleaving of the original program
-    with no atomic representative.
+    with no atomic representative.  A chain through a lock or rendezvous
+    step that the lock abstraction erased into a fresh action has no such
+    interleaving here, and raises `InconsistentInputs` naming that step.
     """
     if isinstance(w, ReentryWitness):
         return tuple((x, 1) for x in w.trace)
     if t is None:
         t = substitute_blocks(f)
+
+    def the_edge(x: Action) -> Edge:
+        if not t.edges_labeled(x):
+            # the erased fusion's outer edges are the outer edges, in order
+            for e, er in zip(f.outer.edges, _erased_fusion(f).outer.edges):
+                if er.action == x != e.action:
+                    kind = "rendezvous" if e.action.kind is _SYNC_POINT else "lock"
+                    raise InconsistentInputs(
+                        f"the witness chain passes through the erased {kind} step {x.name} "
+                        f"({e.action.name} on {e.src} -> {e.dst}), which labels no edge of the original program"
+                    )
+        return t.the_edge(x)
+
     body = f.block_map[w.block]
     outer_edge = f.outer.the_edge(w.block)
     rho0 = _path_words(t, t.init, outer_edge.src)
@@ -1053,7 +1068,7 @@ def induced_interleaving(
     for kind, a_r, b_r in w.inner_pairs:
         thread += 1
         if kind == PROGRAM_ORDER:
-            ea, eb = t.the_edge(a_r), t.the_edge(b_r)
+            ea, eb = the_edge(a_r), the_edge(b_r)
             rho = _path_words(t, t.init, ea.src)
             if a_r == b_r:
                 iota = (a_r,)

@@ -53,7 +53,9 @@ class DepthExceeded(ModelError):
     The node budget that ran out names itself (`what`), its `cap` and the
     steps `used` when it ran out, which can pass the cap by more than one
     because a shuffle charges all its nodes, and a relabelling all its
-    traces, at once.
+    traces, at once.  Block expansion is charged per shuffle at once too,
+    but stops one step past the cap, as it would if each choice of block
+    words were charged in turn.
     """
 
     def __init__(self, message: str, *, what: str, cap: int, used: int):
@@ -79,9 +81,12 @@ class Bounds:
     counted, and a shuffle that loses synchronization steps to the
     projection and has relabellings has its traces built to be counted.
     Block expansion is charged one step per choice of block words for each
-    fused trace, as if each choice were tried in turn.  No search reads
-    `max_cover_states` (`bounded_coverability` has no budget); every report
-    lists it.
+    reduced trace, as if each choice were tried in turn; all the traces of
+    a shuffle, in every arrangement, have the same choices, so each
+    shuffle is charged at once, and the reduced program's traces are built
+    only projected, once per shuffle (`_expanded_plain`).  No search
+    reads `max_cover_states` (`bounded_coverability` has no budget); every
+    report lists it.
     """
 
     max_threads: int
@@ -531,10 +536,12 @@ _MoveDag = tuple[int, list[list[tuple[int, int, int]]]]
 
 # one shuffled multiset of local words: the ranked words (thread j+1 runs
 # the j-th), its move DAG (None for a synchronization-free shuffle, whose
-# DAG `_move_dag` builds when it is read), its traces when the plan had to
+# DAG `_move_dag` builds when it is read), its trace count (the accepted
+# paths, or the traces the plan built), its traces when the plan had to
 # build them, the thread permutations that relabel them into the other
-# arrangements, and whether building drops synchronization steps
-_Planned = tuple[tuple[tuple[int, ...], ...], Optional[_MoveDag], Optional[set], list, bool]
+# arrangements, and whether building drops synchronization steps; a plan
+# that keeps them is read by `_expanded_plain` one shuffle at a time
+_Planned = tuple[tuple[tuple[int, ...], ...], Optional[_MoveDag], int, Optional[set], list, bool]
 
 
 def _plan_interleavings(
@@ -592,7 +599,7 @@ def _plan_interleavings(
                 paths = len(base)
             for _ in perms:
                 budget.spend(paths)  # one step per relabelled trace
-            plan.append((assignment, dag, base, perms, project))
+            plan.append((assignment, dag, paths, base, perms, project))
     return plan
 
 
@@ -621,12 +628,24 @@ def _move_dag(codec: _Codec, entry: _Planned) -> _MoveDag:
     return dag if dag is not None else _shuffle_graph(codec, assignment, False, False)[2]
 
 
+def _arrangements(codec: _Codec, entry: _Planned) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Each arrangement of a planned shuffle's words, the base one first:
+    its key (its threads' steps, thread by thread) and the code map that
+    relabels the shuffle's traces into it."""
+    assignment, perms, width = entry[0], entry[4], codec.width
+    return [
+        # thread i runs the word of base thread perm[i-1] + 1
+        (tuple(r * width + i for i, j in enumerate(perm, 1) for r in assignment[j]), codec.relabel_table(perm))
+        for perm in (tuple(range(len(assignment))), *perms)
+    ]
+
+
 def _build_interleavings(codec: _Codec, plan: list[_Planned]) -> set[tuple[int, ...]]:
     """The traces of a plan: each shuffle built from its move DAG (unless
     the plan already built it) and relabelled into its other arrangements."""
     out: set[tuple[int, ...]] = {()}
     for entry in plan:
-        _, _, base, perms, project = entry
+        _, _, _, base, perms, project = entry
         if base is None:
             base = _shuffle_traces(codec, _move_dag(codec, entry), project)
         out |= base
@@ -651,22 +670,16 @@ def _ordered_interleavings(codec: _Codec, plan: list[_Planned]) -> _Ordered:
     collapse and its traces need not come in code order.  The walks and
     the built traces are merged, and a trace met twice is read once.
     """
-    width = codec.width
     built = _build_interleavings(codec, [entry for entry in plan if entry[-1]])  # lossy ones
     keys = set()
     # (plan entry, interleavings of each arrangement, their keys and relabellings)
     shuffles = []
     for entry in plan:
-        assignment, _, _, perms, project = entry
+        _, _, count, _, _, project = entry
         if project:
             continue
-        arranged = []
-        for perm in (tuple(range(len(assignment))), *perms):
-            # thread i runs the word of base thread perm[i-1] + 1
-            key = tuple(r * width + i for i, j in enumerate(perm, 1) for r in assignment[j])
-            keys.add(key)
-            arranged.append((key, codec.relabel_table(perm)))
-        count = _plain_charge(tuple(sorted(map(len, assignment))))[1]
+        arranged = _arrangements(codec, entry)
+        keys.update(key for key, _ in arranged)
         shuffles.append((entry, count, arranged))
 
     def minus(
@@ -718,16 +731,23 @@ def _both_interleavings(
     codec: _Codec,
     original: ParameterizedProgram,
     reduced: ParameterizedProgram,
+    blocks: Iterable[tuple[Action, ThreadTemplate]],
     keep_sync: bool,
     bounds: Bounds,
     budget: _Budget,
-) -> tuple[_Ordered, set[tuple[int, ...]]]:
+) -> tuple[_Ordered, AbstractSet[tuple[int, ...]]]:
     """The original program's interleavings (projected, in code order) and
-    the reduced program's: l2 is planned, then l1, and l1 is built only when
-    both plans fit the budget, so a check that runs out builds no trace."""
+    the reduced program's: l2 is planned, then l1, and with `keep_sync`
+    l1's block expansion is charged (`_expanded_plain`); l1 is built only
+    when all of it fits the budget, so a check that runs out builds no
+    trace."""
     plan2 = _plan_interleavings(codec, original, bounds, False, budget)
     plan1 = _plan_interleavings(codec, reduced, bounds, keep_sync, budget)
-    return _ordered_interleavings(codec, plan2), _build_interleavings(codec, plan1)
+    if keep_sync:
+        l1 = _expanded_plain(codec, plan1, blocks, bounds, budget)
+    else:
+        l1 = _build_interleavings(codec, plan1)
+    return _ordered_interleavings(codec, plan2), l1
 
 
 def _shuffle_graph(
@@ -936,34 +956,44 @@ def _expand_blocks(
 
 def _expanded_plain(
     codec: _Codec,
-    fused: Iterable[tuple[int, ...]],
+    plan: list[_Planned],
     blocks: Iterable[tuple[Action, ThreadTemplate]],
     bounds: Bounds,
     budget: _Budget,
 ) -> frozenset[tuple[int, ...]]:
-    """The plain projections of every block expansion of the fused traces
-    (`_expansions`, projected).
+    """The plain projections of every block expansion of the traces of a
+    plan that keeps synchronization steps (`_expansions` on each trace of
+    `_build_interleavings`, projected), without building those traces.
 
-    Each fused trace is charged at once the steps `_expansions` spends on
-    it one at a time, one per choice of block words, before anything is
-    expanded.  Projection commutes with substituting a body word, and
-    whether a choice fits depends only on each thread's room, so fused
-    traces with the same projection and the same room have the same
-    projected expansions: each such pair is expanded once, on projected
-    body words."""
+    Such a plan's traces are its shuffles' paths in each arrangement, all
+    distinct (a trace's steps sorted by thread name its words), and those
+    of one arrangement have the same words (its key), so the same number
+    of choices of block words, the same in every arrangement of the
+    shuffle, and the same per-thread room: each shuffle is charged at
+    once, before anything is built, what `_expansions` spends one step per
+    choice.  Projection commutes with substituting a body word and with
+    relabelling threads, so each shuffle's traces are built once,
+    projected, and relabelled into its arrangements, and each distinct
+    (projected trace, room) pair is expanded once, on projected body
+    words."""
     block_words = _block_words(codec, blocks, bounds)
-    todo = set()
-    for tr in fused:
-        choices = [len(block_words[c]) for c in tr if c in block_words]
+    width = codec.width
+    for assignment, _, paths, _, perms, _ in plan:
+        choices = [len(block_words[r * width]) for w in assignment for r in w if r * width in block_words]
         if choices:
             # as many unit steps: running out stops one step past the cap
-            budget.spend(min(math.prod(choices), budget.cap + 1 - budget.used))
-        todo.add((codec.project(tr), tuple(_room(codec, tr, block_words, bounds))))
+            budget.spend(min(paths * (1 + len(perms)) * math.prod(choices), budget.cap + 1 - budget.used))
+    todo = {((), tuple(_room(codec, (), block_words, bounds)))}
+    for entry in plan:
+        traces = _shuffle_traces(codec, _move_dag(codec, entry), True)
+        for key, relabel in _arrangements(codec, entry):
+            room = tuple(_room(codec, key, block_words, bounds))
+            todo.update((tuple(map(relabel.__getitem__, tr)), room) for tr in traces)
     projected = {c: [(codec.project(w), n) for w, n in words] for c, words in block_words.items()}
     return frozenset(
         expanded
         for tr, room in todo
-        for expanded in _substituted(codec.width, tr, room, projected, None)
+        for expanded in _substituted(width, tr, room, projected, None)
     )
 
 
@@ -980,12 +1010,13 @@ def _compare(
     `reduced`.  With `keep_sync` the reduced traces keep their
     synchronization steps for the length accounting of block expansion,
     then are expanded through `blocks` and projected.  The reduced traces
-    are built as a set; the original's are walked in code order up to the
-    first one without a representative, so the witness is the least such
-    trace.  The budget is charged as it was when l2 was built too: both
-    enumerations in full, as planned, then block expansion, each fused
-    trace its count of choices of block words, before the expansions are
-    built once per distinct projected fused trace and room."""
+    are not built one by one: each shuffle's are built once, projected,
+    relabelled into its arrangements and expanded into a set.  The
+    original's are walked in code order up to the first one without a
+    representative, so the witness is the least such trace.  The budget is
+    charged as it was when both were built trace by trace: both
+    enumerations in full, as planned, then block expansion, each reduced
+    trace its count of choices of block words, charged per shuffle."""
     templates = (original, reduced, *(body for _, body in blocks))
     codec = _Codec(itertools.chain.from_iterable(t.alphabet for t in templates), bounds.max_threads)
     budget = _Budget(bounds.max_enum_nodes, "interleaving enumeration")
@@ -994,12 +1025,11 @@ def _compare(
             codec,
             ParameterizedProgram(original, infer_sync_kind(original)),
             ParameterizedProgram(reduced, infer_sync_kind(reduced)),
+            blocks,
             keep_sync,
             bounds,
             budget,
         )
-        if keep_sync:
-            l1 = _expanded_plain(codec, l1, blocks, bounds, budget)
     except DepthExceeded as exc:
         return Verdict(INCONCLUSIVE, bounds=bounds, notes=(str(exc),))
     maz = _representative_check(codec, l1, l2, codec.relation(i))

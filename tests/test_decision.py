@@ -3,6 +3,9 @@ from __future__ import annotations
 import math
 import random
 import time
+from pathlib import Path
+
+import pytest
 
 from nredcheck import oracle
 from nredcheck.decision import (
@@ -26,6 +29,7 @@ from nredcheck.movers import lipton_check
 from nredcheck.model import (
     AtomicFusion,
     CommutativityRelation,
+    InconsistentInputs,
     NaturalReductionSpec,
     SYNC,
     ThreadTemplate,
@@ -35,6 +39,7 @@ from nredcheck.model import (
     plain,
     release,
 )
+from nredcheck.nredfile import parse_input
 
 import reference
 
@@ -423,6 +428,18 @@ def test_induced_interleaving_projections_are_real_traces():
             local = tuple(x for x, tt in tr if tt == t)
             assert local in words, (local, sorted(words))
     assert produced >= 5
+
+
+def test_induced_interleaving_names_an_erased_lock_step():
+    """On `lock_block` the atomic witness's chain runs through an `acq(m)`
+    that the lock abstraction erased into a fresh action; materializing it
+    is an input error that names that step, not a bare KeyError."""
+    parsed = parse_input((Path(__file__).resolve().parent.parent / "cases" / "lock_block.nred").read_text())
+    original, fusion = parsed.program.template, parsed.spec.fusion
+    verdict = check_atomic_fusion(original, fusion, parsed.relation)
+    assert verdict.is_unsound and FLAG_LOCK_ABSTRACTION in verdict.flags
+    with pytest.raises(InconsistentInputs, match=r"erased lock step acq\(m\)#1 \(acq\(m\) on l0 -> l1\)"):
+        induced_interleaving(original, fusion, verdict.witness)
 
 
 # -- rendezvous counting ---------------------------------------------------------
