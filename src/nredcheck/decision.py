@@ -73,10 +73,10 @@ class ChainLink:
 class FusionWitness:
     """Evidence that one block trace cannot be kept atomic.
 
+    `body_trace` is an init-to-exit trace of `block`'s body, and its steps
     `body_trace[i-1]` and `body_trace[j-1]` (1-based i < j) are linked by
     `chain`, which alternates conflict steps with program-order or in-block
-    reverse-order steps.  `scc_source`/`scc_target` are the component edges
-    the algorithm matched.
+    reverse-order steps.
     """
 
     block: Action
@@ -84,8 +84,6 @@ class FusionWitness:
     i: int
     j: int
     chain: tuple[ChainLink, ...]
-    scc_source: tuple[Edge, ...]
-    scc_target: tuple[Edge, ...]
 
     @property
     def inner_pairs(self) -> tuple[tuple[str, Action, Action], ...]:
@@ -438,16 +436,9 @@ def escape_relation(
 
 @dataclass(frozen=True)
 class _BlockSccs:
-    edges: tuple[Edge, ...]
     scc_of: dict[Edge, int]
     members: list[list[Edge]]
     nontrivial: list[bool]
-    scc_adj: dict[int, set[int]]
-
-    def reaches(self, s1: int, s2: int) -> bool:
-        if s1 == s2:
-            return True
-        return s2 in graphs.reachable(self.scc_adj.__getitem__, [s1])
 
 
 def _block_sccs(body: ThreadTemplate) -> _BlockSccs:
@@ -456,21 +447,15 @@ def _block_sccs(body: ThreadTemplate) -> _BlockSccs:
     offsets = array("i", accumulate((v.out_off[d + 1] - v.out_off[d] for d in v.dst), initial=0))
     targets = array("i", chain.from_iterable(map(v.out, v.dst)))
     comps = graphs.tarjan_scc(range(len(edges)), offsets, targets)
-    comp_of = [0] * len(edges)
+    scc_of: dict[Edge, int] = {}
     members: list[list[Edge]] = []
     nontrivial: list[bool] = []
     for idx, comp in enumerate(comps):
         members.append([edges[k] for k in comp])
         nontrivial.append(len(comp) > 1 or v.src[comp[0]] == v.dst[comp[0]])
         for k in comp:
-            comp_of[k] = idx
-    scc_adj: dict[int, set[int]] = {i: set() for i in range(len(comps))}
-    for k in range(len(edges)):
-        for k2 in targets[offsets[k] : offsets[k + 1]]:
-            if comp_of[k] != comp_of[k2]:
-                scc_adj[comp_of[k]].add(comp_of[k2])
-    scc_of = {edges[k]: comp_of[k] for k in range(len(edges))}
-    return _BlockSccs(edges, scc_of, members, nontrivial, scc_adj)
+            scc_of[edges[k]] = idx
+    return _BlockSccs(scc_of, members, nontrivial)
 
 
 def _erase_sync(t: ThreadTemplate, kinds: frozenset[ActionKind]) -> ThreadTemplate:
@@ -559,6 +544,10 @@ def check_atomic_fusion(
     conditions: list[tuple[str, Verdict]] = []
     for sym, body in fusion.blocks:
         sccs = _block_sccs(body)
+        # the edges of one component reach each other, so one edge of each
+        # tells whether a component reaches another
+        reaches = eng.body_reach[sym].reaches
+        first = [comp[0] for comp in sccs.members]
         body_actions = sorted(body.plain_alphabet, key=Action.sort_key)
         # candidate components per endpoint of the chain relation
         min_cands: dict[Action, list[int]] = {}
@@ -582,7 +571,7 @@ def check_atomic_fusion(
                 hit = None
                 for s1 in min_cands[a]:
                     for s2 in max_cands[b]:
-                        if sccs.reaches(s1, s2) and (s1 != s2 or sccs.nontrivial[s1]):
+                        if (s1 != s2 or sccs.nontrivial[s1]) and reaches(first[s1].dst, first[s2].src):
                             hit = (s1, s2)
                             break
                     if hit:
@@ -612,8 +601,6 @@ def check_atomic_fusion(
                     i=pi,
                     j=pj,
                     chain=full_chain,
-                    scc_source=tuple(sccs.members[s1]),
-                    scc_target=tuple(sccs.members[s2]),
                 )
                 break
             if found:
@@ -955,12 +942,14 @@ def verify_fusion_witness(
     if t.has_sync_actions:
         f = _erased_fusion(f)
         t = substitute_blocks(f)
-    body = f.block_map[w.block]
-    if not (1 <= w.i < w.j <= len(w.body_trace)):
+    body = f.block_map.get(w.block)
+    if body is None or not (1 <= w.i < w.j <= len(w.body_trace)):
         return False
     # the body trace must label an init-to-exit path
     loc = body.init
     for a in w.body_trace:
+        if a not in body.alphabet:
+            return False
         e = body.the_edge(a)
         if e.src != loc:
             return False
@@ -978,7 +967,10 @@ def verify_fusion_witness(
             if link.kind != CONFLICT or i.commutes(link.source, link.target):
                 return False
         else:
-            if link.kind == CONFLICT or eng.order_step(link.source, link.target) != link.kind:
+            # an order step runs between actions of the template
+            if link.kind == CONFLICT or not {link.source, link.target} <= eng.action_set:
+                return False
+            if eng.order_step(link.source, link.target) != link.kind:
                 return False
         if idx and links[idx - 1].target != link.source:
             return False

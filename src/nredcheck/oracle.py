@@ -1,6 +1,6 @@
 """Ground-truth semantics at desk scale.
 
-Exact lock and rendezvous trace predicates, bounded interleaving enumeration,
+Lock and rendezvous trace predicates, bounded interleaving enumeration,
 the exact covering test, bounded Mazurkiewicz-reduction checks, and an
 explicit-state coverability search.  Everything here is deliberately brute
 force and independent of the polynomial procedures in `decision`; bounds are
@@ -11,6 +11,9 @@ Indexed traces are tuples of (action, thread-index) pairs; every public
 function takes and returns them.  Inside, each oracle check runs on one
 coded core (`_Codec`): a step is a small int, a trace a tuple of them, and
 the relation a flat lookup table, and only a counterexample is decoded.
+The public trace predicates are views of that core: each runs the rule the
+checks run (the shuffle's lock gates and held-lock mask, its rendezvous
+step, the representative check's covering test) on one given trace.
 """
 
 from __future__ import annotations
@@ -116,14 +119,6 @@ def indexed(word: Iterable[Action], thread: int) -> IndexedTrace:
     return tuple((a, thread) for a in word)
 
 
-def thread_projection(tr: IndexedTrace, thread: int) -> tuple[Action, ...]:
-    return tuple(a for a, t in tr if t == thread)
-
-
-def thread_indices(tr: IndexedTrace) -> frozenset[int]:
-    return frozenset(t for _, t in tr)
-
-
 def project_plain(tr: IndexedTrace) -> IndexedTrace:
     return tuple((a, t) for a, t in tr if not a.is_sync)
 
@@ -141,19 +136,21 @@ def format_trace(tr: IndexedTrace) -> str:
 
 def lock_feasible(tr: IndexedTrace) -> bool:
     """Lock discipline: per lock, complete acquire/release rounds by single
-    threads, with at most one trailing unmatched acquire.  No reentrancy."""
-    holder: dict[str, int] = {}
-    for a, t in tr:
-        if a.kind is _ACQUIRE:
-            if a.lock in holder:
-                return False
-            holder[a.lock] = t
-        elif a.kind is _RELEASE:
-            if holder.get(a.lock) != t:
-                return False
-            del holder[a.lock]
-        elif a.kind is _SYNC_POINT:
-            raise ValueError("rendezvous steps are not part of the lock predicate")
+    threads, with at most one trailing unmatched acquire.  No reentrancy.
+    The shuffle's rule (`_shuffle_graph`): each thread's word has its lock
+    gates (`_Codec.gates`), and one mask holds the locks held."""
+    if any(a.kind is _SYNC_POINT for a, _ in tr):
+        raise ValueError("rendezvous steps are not part of the lock predicate")
+    codec = _Codec((a for a, _ in tr), 0)
+    threads = {t for _, t in tr}
+    # per thread, (the lock bit that must be free, the bits flipped) for each step it can run
+    gates = {t: zip(*codec.gates(codec.ranks(a for a, u in tr if u == t))[1:]) for t in threads}
+    held = 0
+    for _, t in tr:
+        step = next(gates[t], None)
+        if step is None or step[0] & held:
+            return False
+        held ^= step[1]
     return True
 
 
@@ -206,14 +203,15 @@ class _BarrierMachine:
 def barrier_feasible(tr: IndexedTrace) -> bool:
     """Rendezvous discipline: running threads pass rendezvous points together
     (in any per-round order); threads may stop participating forever between
-    rounds.  The running set starts as exactly the indices in the trace."""
-    machine = _BarrierMachine(thread_indices(tr))
-    states = machine.start
-    for a, t in tr:
-        states = machine.step(states, a.kind is _SYNC_POINT, t)
-        if not states:
+    rounds.  The running set starts as exactly the indices in the trace.
+    The shuffle's rule: `_Codec.barrier_step` from the machine's start."""
+    codec = _trace_codec([tr])
+    bid = codec.barrier_id(_BarrierMachine(frozenset(t for _, t in tr)).start)
+    for c in codec.encode(tr):
+        bid = codec.barrier_step(bid, c)
+        if not bid:
             return False
-    return machine.accepting(states)
+    return _BarrierMachine.accepting(codec.barrier_sets[bid])
 
 
 @dataclass(frozen=True)
@@ -376,18 +374,14 @@ def _covered(
 
 def covers(src: IndexedTrace, dst: IndexedTrace, i: CommutativityRelation) -> bool:
     """Whether `dst` is reachable from `src` by commuting swaps of adjacent
-    steps from different threads (the exact test of `_covered`)."""
-    if len(src) != len(dst):
-        return False
-    if any(
-        thread_projection(src, t) != thread_projection(dst, t)
-        for t in thread_indices(src) | thread_indices(dst)
-    ):
-        return False
+    steps from different threads: the traces' steps sorted by thread must
+    agree, as in `_representative_check`, and then `_covered` decides."""
     codec = _trace_codec([src, dst])
-    return _covered(
-        codec.encode(src), codec.encode(dst), codec.width, len(codec.actions), codec.relation(i)
-    )
+    width = codec.width
+    coded_src, coded_dst = codec.encode(src), codec.encode(dst)
+    if sorted(coded_src, key=width.__rmod__) != sorted(coded_dst, key=width.__rmod__):
+        return False
+    return _covered(coded_src, coded_dst, width, len(codec.actions), codec.relation(i))
 
 
 # l2 as the representative check reads it: a function that gives its
@@ -511,7 +505,6 @@ def enumerate_interleavings(
     bounds: Bounds,
     *,
     keep_sync: bool = False,
-    budget: "Optional[_Budget]" = None,
 ) -> frozenset[IndexedTrace]:
     """All bounded interleavings of the program, as plain projections.
 
@@ -523,8 +516,7 @@ def enumerate_interleavings(
     node budget, which is charged in full before any trace is built.
     """
     codec = _Codec(p.template.alphabet, bounds.max_threads)
-    if budget is None:
-        budget = _Budget(bounds.max_enum_nodes, "interleaving enumeration")
+    budget = _Budget(bounds.max_enum_nodes, "interleaving enumeration")
     plan = _plan_interleavings(codec, p, bounds, keep_sync, budget)
     return frozenset(map(codec.decode, _build_interleavings(codec, plan)))
 
@@ -901,10 +893,9 @@ def _substituted(
     tr: tuple[int, ...],
     room: Sequence[int],
     block_words: BlockWords,
-    budget: Optional[_Budget],
 ) -> Iterator[tuple[int, ...]]:
     """Every choice of words for the block slots of a coded trace that fits
-    each thread's room, substituted; one budget step per choice."""
+    each thread's room, substituted."""
     slots = [idx for idx, c in enumerate(tr) if c in block_words]
     if not slots:
         if min(room) >= 0:
@@ -914,8 +905,6 @@ def _substituted(
     pieces = [tr[lo + 1 : hi] for lo, hi in zip(cuts, cuts[1:])]
     threads = [tr[idx] % width for idx in slots]
     for choice in itertools.product(*(block_words[tr[idx]] for idx in slots)):
-        if budget is not None:
-            budget.spend()
         left = list(room)
         for t, (_, n) in zip(threads, choice):
             left[t] -= n
@@ -927,20 +916,7 @@ def _substituted(
         yield expanded
 
 
-def _expansions(
-    codec: _Codec,
-    tr: tuple[int, ...],
-    block_words: BlockWords,
-    bounds: Bounds,
-    budget: Optional[_Budget],
-) -> Iterator[tuple[int, ...]]:
-    """`_expand_blocks` on codes; one budget step per choice of expansions."""
-    return _substituted(codec.width, tr, _room(codec, tr, block_words, bounds), block_words, budget)
-
-
-def _expand_blocks(
-    tr: IndexedTrace, f: AtomicFusion, bounds: Bounds, budget: "Optional[_Budget]" = None
-) -> Iterator[IndexedTrace]:
+def _expand_blocks(tr: IndexedTrace, f: AtomicFusion, bounds: Bounds) -> Iterator[IndexedTrace]:
     """All block-symbol expansions of a fused interleaving, keeping each
     thread's expanded non-rendezvous length within the local bound.
 
@@ -950,8 +926,9 @@ def _expand_blocks(
     bodies = [a for _, body in f.blocks for a in body.alphabet]
     codec = _trace_codec([tr], itertools.chain((sym for sym, _ in f.blocks), bodies))
     block_words = _block_words(codec, f.blocks, bounds)
-    for expanded in _expansions(codec, codec.encode(tr), block_words, bounds, budget):
-        yield codec.decode(expanded)
+    coded = codec.encode(tr)
+    room = _room(codec, coded, block_words, bounds)
+    return map(codec.decode, _substituted(codec.width, coded, room, block_words))
 
 
 def _expanded_plain(
@@ -962,20 +939,20 @@ def _expanded_plain(
     budget: _Budget,
 ) -> frozenset[tuple[int, ...]]:
     """The plain projections of every block expansion of the traces of a
-    plan that keeps synchronization steps (`_expansions` on each trace of
-    `_build_interleavings`, projected), without building those traces.
+    plan that keeps synchronization steps (`_substituted` on each trace of
+    `_build_interleavings` and its `_room`, projected), without building
+    those traces.
 
     Such a plan's traces are its shuffles' paths in each arrangement, all
     distinct (a trace's steps sorted by thread name its words), and those
     of one arrangement have the same words (its key), so the same number
     of choices of block words, the same in every arrangement of the
     shuffle, and the same per-thread room: each shuffle is charged at
-    once, before anything is built, what `_expansions` spends one step per
-    choice.  Projection commutes with substituting a body word and with
-    relabelling threads, so each shuffle's traces are built once,
-    projected, and relabelled into its arrangements, and each distinct
-    (projected trace, room) pair is expanded once, on projected body
-    words."""
+    once, before anything is built, one step per trace and choice.
+    Projection commutes with substituting a body word and with relabelling
+    threads, so each shuffle's traces are built once, projected, and
+    relabelled into its arrangements, and each distinct (projected trace,
+    room) pair is expanded once, on projected body words."""
     block_words = _block_words(codec, blocks, bounds)
     width = codec.width
     for assignment, _, paths, _, perms, _ in plan:
@@ -993,7 +970,7 @@ def _expanded_plain(
     return frozenset(
         expanded
         for tr, room in todo
-        for expanded in _substituted(width, tr, room, projected, None)
+        for expanded in _substituted(width, tr, room, projected)
     )
 
 

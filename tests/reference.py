@@ -268,6 +268,18 @@ def _shuffle_ref(codec, assignment, use_locks, use_barrier, budget, keep_sync) -
     return out
 
 
+def expansions_ref(codec, tr, block_words, bounds, budget):
+    """Block expansion of one coded fused trace as it was charged before
+    the charge moved to whole shuffles: one budget step per choice of block
+    words, then the choices that fit each thread's room."""
+    slots = [block_words[c] for c in tr if c in block_words]
+    if slots:
+        for _ in itertools.product(*slots):
+            budget.spend()
+    room = oracle._room(codec, tr, block_words, bounds)
+    return oracle._substituted(codec.width, tr, room, block_words)
+
+
 # -- covering preorder ----------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import time
@@ -366,6 +367,31 @@ def test_reentry_witness_recheck_runs_the_trace():
     assert not verify_reentry_witness(None, fusion, ReentryWitness((p0, p1, p0), blocks))
     # ... and the original cannot end after p1
     assert not verify_reentry_witness(None, fusion, ReentryWitness((p0, p1), blocks))
+
+
+def test_fusion_witness_recheck_rejects_actions_it_does_not_know():
+    """A block witness that names an unknown block, or a body trace or chain
+    step through an action no edge carries, fails the re-check instead of
+    raising."""
+    parsed = parse_input((Path(__file__).resolve().parent.parent / "cases" / "fig2a_iprime.nred").read_text())
+    original, fusion, rel = parsed.program.template, parsed.spec.fusion, parsed.relation
+    w = check_atomic_fusion(original, fusion, rel).witness
+    assert verify_fusion_witness(original, fusion, rel, w)
+    zz = plain("zz")
+    first, order, last = w.chain
+    for bad in (
+        dataclasses.replace(w, block=plain("nope")),
+        dataclasses.replace(w, body_trace=(zz,) + w.body_trace[1:]),
+        dataclasses.replace(
+            w,
+            chain=(
+                dataclasses.replace(first, target=zz),
+                dataclasses.replace(order, source=zz),
+                last,
+            ),
+        ),
+    ):
+        assert verify_fusion_witness(original, fusion, rel, bad) is False, bad
 
 
 def test_loop_body_on_a_lone_block_edge_stays_sound():

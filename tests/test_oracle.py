@@ -72,8 +72,10 @@ def test_lock_predicate_examples():
 
 
 def test_lock_predicate_exhaustive_against_reference():
-    acq, rel = acquire("m"), release("m")
-    steps = [(acq, 1), (acq, 2), (rel, 1), (rel, 2)]
+    # two locks and three threads: crossed locks, a re-acquire by the
+    # holder and a release by a thread that does not hold the lock
+    ops = [acquire("m"), release("m"), acquire("k"), release("k")]
+    steps = [(op, t) for op in ops for t in (1, 2, 3)]
     for n in range(5):
         for tr in itertools.product(steps, repeat=n):
             assert lock_feasible(tr) == reference.lock_feasible_ref(tr), tr
@@ -97,8 +99,8 @@ def test_barrier_predicate_examples():
 
 
 def test_barrier_predicate_exhaustive_against_reference():
-    steps = [(a, 1), (a, 2), (SYNC, 1), (SYNC, 2)]
-    for n in range(5):
+    steps = [(x, t) for x in (a, SYNC) for t in (1, 2, 3)]
+    for n in range(6):
         for tr in itertools.product(steps, repeat=n):
             assert barrier_feasible(tr) == reference.barrier_feasible_ref(tr), tr
 
@@ -117,6 +119,11 @@ def test_covers_examples():
     assert covers(((a, 1), (b, 2)), ((b, 2), (a, 1)), i)
     assert not covers(((a, 1), (b, 1)), ((b, 1), (a, 1)), i)
     assert not covers(((b, 2), (a, 1)), ((a, 1), (b, 2)), i)
+    # equal lengths, but other thread sets or other per-thread orders
+    assert not covers(((a, 1), (b, 2)), ((a, 1), (b, 3)), i)
+    assert not covers(((a, 1), (b, 2)), ((b, 1), (a, 2)), i)
+    assert not covers(((a, 1), (b, 1), (a, 2)), ((a, 1), (a, 2), (b, 2)), i)
+    assert not covers(((a, 1), (b, 1), (b, 2)), ((b, 2), (b, 1), (a, 1)), i)
     # a full reversal of four threads' steps
     acts = [plain(f"x{k}") for k in range(4)]
     src = tuple((x, k + 1) for k, x in enumerate(acts))
@@ -365,7 +372,7 @@ def test_planned_enumeration_matches_build_as_you_go(monkeypatch):
             l1 = frozenset(
                 codec.project(x)
                 for tr in l1
-                for x in oracle._expansions(codec, tr, block_words, bounds, budget)
+                for x in reference.expansions_ref(codec, tr, block_words, bounds, budget)
             )
         # l2 as the representative check reads it, off the built set
         return (lambda skip, _bucket: sorted(l2 - skip), lambda tr, key: tr in l2), l1
@@ -714,7 +721,7 @@ def reduced_words(draw):
 )  # a room that rejects a body word
 def test_expanded_plain_matches_expansion_per_fused_trace(case, sync_kind, cut):
     """`_expanded_plain` on a plan that keeps synchronization steps gives
-    the projections of `_expansions` run on each trace the plan builds,
+    the projections of the expansions of each trace the plan builds,
     spends the same budget, and runs out of a smaller budget (cut short
     mid-expansion) with the same figures."""
     k, words, bodies, max_len = case
@@ -729,7 +736,7 @@ def test_expanded_plain_matches_expansion_per_fused_trace(case, sync_kind, cut):
         return frozenset(
             codec.project(x)
             for tr in oracle._build_interleavings(codec, plan)
-            for x in oracle._expansions(codec, tr, block_words, bounds, budget)
+            for x in reference.expansions_ref(codec, tr, block_words, bounds, budget)
         )
 
     def per_arrangement(budget):
@@ -857,6 +864,21 @@ def test_decomposition_property_on_random_languages():
         part1 = is_mazurkiewicz_reduction(l1, l2, rel).value
         part2 = is_mazurkiewicz_reduction(l2, l3, rel).value
         assert whole == (part1 and part2)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_sound_decision_never_meets_an_unsound_oracle(rng):
+    """Differential property, sound side: a natural reduction the decision
+    procedure calls sound has no counterexample within small oracle bounds."""
+    original, fusion, sync_locs, rel = reference.random_fusion_instance(rng)
+    spec = NaturalReductionSpec(fusion=fusion, instrumentation=insert_syncpoints(fusion.outer, sync_locs))
+    if not check_natural_reduction(original, spec, rel).is_sound:
+        return
+    for threads, length in ((2, 4), (1, 6)):
+        bounds = Bounds(max_threads=threads, max_local_len=length, max_enum_nodes=150_000)
+        truth = oracle_check_natural(original, spec, rel, bounds)
+        assert not truth.is_unsound, (original, fusion, sync_locs, rel, bounds, truth.witness)
 
 
 # -- coverability ---------------------------------------------------------------------
