@@ -48,7 +48,7 @@ from .model import (
     validate_template,
 )
 from .nredfile import ParsedInput, ParseError, parse_input, to_dot, to_nred_text
-from .oracle import Bounds, bounded_coverability, format_trace, oracle_check_natural
+from .oracle import Bounds, DepthExceeded, bounded_coverability, format_trace, oracle_check_natural
 
 EXIT_SOUND = 0
 EXIT_UNSOUND = 1
@@ -308,7 +308,12 @@ def _run_coverability(parsed: ParsedInput, report: dict, args, t0: float) -> int
     if args.threads is None:
         return _input_error("coverability mode needs --threads")
     bounds = _bounds_from_args(args)
-    covered, trace = bounded_coverability(parsed.program, parsed.cover, bounds)
+    try:
+        covered, trace = bounded_coverability(parsed.program, parsed.cover, bounds)
+    except DepthExceeded as exc:
+        report["verdict"] = _verdict_json(Verdict(decision.INCONCLUSIVE, bounds=bounds, notes=(str(exc),)))
+        _emit(report, args, t0)
+        return EXIT_INCONCLUSIVE
     report["verdict"] = {
         "result": "coverable" if covered else "not-coverable",
         "bounds": bounds.describe(),

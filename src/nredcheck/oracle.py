@@ -87,9 +87,8 @@ class Bounds:
     reduced trace, as if each choice were tried in turn; all the traces of
     a shuffle, in every arrangement, have the same choices, so each
     shuffle is charged at once, and the reduced program's traces are built
-    only projected, once per shuffle (`_expanded_plain`).  No search
-    reads `max_cover_states` (`bounded_coverability` has no budget); every
-    report lists it.
+    only projected, once per shuffle (`_expanded_plain`).
+    `max_cover_states` caps the states `bounded_coverability` discovers.
     """
 
     max_threads: int
@@ -1065,18 +1064,31 @@ def bounded_coverability(
 ) -> tuple[bool, Optional[IndexedTrace]]:
     """Explicit-state search for a reachable configuration covering `c`.
 
-    Runs `max_threads` threads under the lock semantics (exact over the full
-    finite state space; no length bound applies).  The witness is the full
+    Exact under the lock semantics (no length bound applies); each state
+    discovered is charged to `max_cover_states`.  The witness is the full
     synchronization-feasible indexed trace.  Rendezvous programs are out of
     scope here; the rendezvous gadgets are checked through the interleaving
-    oracle instead.  Each (location, held-locks) pair one thread reaches
-    alone (others can only block its acquires) is numbered in (location,
-    sorted locks) order.  A state is the multiset of its interchangeable
-    threads' numbers, keyed by one int whose slot k (`max_threads.bit_length()`
+    oracle instead.  Three reductions keep every answer and the length of
+    the shortest witness:
+
+    - It runs `len(c)` threads, not `max_threads`: a thread can only block
+      the others' acquires, so the threads that end on `c` in a covering
+      run cover it alone, and added idle threads leave a run covering.
+    - So every thread of a covering state sits on a location of `c`, and no
+      move enters a dead (location, held locks) pair, from which no location
+      of `c` is reachable alone.
+    - In each state the first thread off `c` whose every move is a plain
+      step, a release, or an acquire of a free lock that no other thread
+      can still acquire on its way to `c` moves alone.  It must move before
+      any covering state, and its first move commutes with every move of
+      the others before it, so it can go first in a run of the same length.
+
+    Each (location, held-locks) pair one thread reaches alone is numbered
+    in (location, sorted locks) order.  A state is the multiset of its
+    threads' numbers, keyed by one int whose slot k (`len(c).bit_length()`
     bits wide) counts the threads at pair k, so a move adds and subtracts a
     slot weight; the sorted tuple of numbers is built once per state, when
-    it is discovered and tested for the goal by per-location counts.  Only
-    the witness is decoded.
+    it is discovered and tested for the goal.  Only the witness is decoded.
     """
     t = p.template
     if t.has_sync_points:
@@ -1087,7 +1099,9 @@ def bounded_coverability(
     n = bounds.max_threads
     if len(c) > n:
         raise InconsistentInputs(f"configuration of {len(c)} locations is wider than the thread bound {n}")
+    n = len(c)
     goal = Counter(c)
+    budget = _Budget(bounds.max_cover_states, "coverability search")
 
     def solo(loc: str, locks: frozenset) -> Iterator[tuple[Action, tuple]]:
         for e in t.successors.get(loc, ()):
@@ -1120,9 +1134,24 @@ def bounded_coverability(
     moves: list[list[tuple[int, int, int]]] = [[] for _ in pairs]
     for number, (a, src, dst) in enumerate(steps):
         moves[src].append((bit[a.lock] if a.kind is _ACQUIRE else 0, dst, number))
+    # whether a pair reaches the goal alone, and the locks it can acquire on the way
+    live = [loc >= 0 for loc in at]
+    grab = [0] * len(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for k, out in enumerate(moves):
+            for free, dst, _ in out:
+                if live[dst] and (not live[k] or grab[k] | free | grab[dst] != grab[k]):
+                    live[k], grab[k], changed = True, grab[k] | free | grab[dst], True
+    moves = [[m for m in out if live[m[1]]] for out in moves]
+    own = [functools.reduce(int.__or__, (free for free, _, _ in out), 0) for out in moves]
     # a state is also one int: slot k counts the threads at pair k
     slot = n.bit_length()
     weight = [1 << (k * slot) for k in range(len(pairs))]
+    # for each pair, the key slots of the pairs that can still take a lock its moves take
+    full = (1 << slot) - 1
+    clash = [sum(full * weight[q] for q in range(len(pairs)) if grab[q] & locks) for locks in own]
     start = (ident[init],) * n
     start_key = n * weight[ident[init]]
     parents = {start_key: -1}  # state key -> the number of the step that found it
@@ -1138,8 +1167,13 @@ def bounded_coverability(
         queue = deque([(start_key, start, 0)])  # and the locks held
         while queue:
             key, state, held = queue.popleft()
-            last = -1
+            movers = enumerate(state)
             for i, k in enumerate(state):
+                if at[k] < 0 and not (own[k] & held or (key - weight[k]) & clash[k]):
+                    movers = ((i, k),)  # it moves alone
+                    break
+            last = -1
+            for i, k in movers:
                 if k == last:  # the state is sorted: a repeated pair moves alike
                     continue
                 last = k
@@ -1151,6 +1185,7 @@ def bounded_coverability(
                     if nxt_key in parents:
                         continue
                     parents[nxt_key] = number
+                    budget.spend()
                     nxt = tuple(sorted(state[:i] + state[i + 1 :] + (dst,)))
                     # the state it came from covers nothing, so only a
                     # thread entering a goal location can cover

@@ -340,23 +340,26 @@ def covers_inversion(src, dst, rel: CommutativityRelation) -> bool:
 # -- coverability ---------------------------------------------------------------
 
 
-def bounded_coverability_ref(p: ParameterizedProgram, config, threads: int) -> bool:
+def bounded_coverability_ref(p: ParameterizedProgram, config, threads: int) -> tuple[bool, int]:
     """Whether `threads` labelled threads reach a configuration covering
-    `config`: a breadth-first search over ordered tuples of per-thread
-    (location, held locks), with no symmetry reduction.  An acquire needs
-    the lock free on every thread, its own included; a release needs it
-    held by the releasing thread."""
+    `config`, and the depth the breadth-first search reached: the length of
+    a shortest covering run or, when none covers, the greatest distance of
+    a reachable state.  It searches ordered tuples of per-thread (location,
+    held locks), with no symmetry reduction.  An acquire needs the lock
+    free on every thread, its own included; a release needs it held by the
+    releasing thread."""
     t = p.template
     goal = Counter(config)
     start = tuple((t.init, frozenset()) for _ in range(threads))
     seen = {start}
     frontier = [start]
-    while frontier:
+    depth = 0
+    while True:
         nxt_frontier = []
         for state in frontier:
             have = Counter(loc for loc, _ in state)
             if all(have[loc] >= k for loc, k in goal.items()):
-                return True
+                return True, depth
             held = [lock for _, locks in state for lock in locks]
             for idx, (loc, locks) in enumerate(state):
                 for e in t.successors.get(loc, ()):
@@ -375,8 +378,10 @@ def bounded_coverability_ref(p: ParameterizedProgram, config, threads: int) -> b
                     if nxt not in seen:
                         seen.add(nxt)
                         nxt_frontier.append(nxt)
+        if not nxt_frontier:
+            return False, depth
         frontier = nxt_frontier
-    return False
+        depth += 1
 
 
 # -- relations by bounded path enumeration ---------------------------------------

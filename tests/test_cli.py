@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from nredcheck.cli import main
+from nredcheck.oracle import Bounds
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
@@ -363,6 +364,22 @@ def test_coverability_witness_in_text_mode(capsys):
     unsat = ("check", "--mode", "coverability", str(CASES / "unsat3.nred"), "--threads", "3")
     code, out, _ = run(capsys, *unsat, "--witness")
     assert (code, out) == (1, "coverability: not-coverable\n")
+
+
+def test_coverability_out_of_budget_is_inconclusive(capsys, monkeypatch):
+    def tiny(args):
+        return Bounds(max_threads=args.threads, max_local_len=1, max_cover_states=3)
+
+    monkeypatch.setattr("nredcheck.cli._bounds_from_args", tiny)
+    argv = ("check", "--mode", "coverability", str(CASES / "sat2.nred"), "--threads", "2")
+    code, out, _ = run(capsys, *argv, "--witness")
+    assert (code, out) == (
+        2, "coverability: inconclusive\n  note: coverability search exceeded 3 steps\n"
+    )
+    code, out, _ = run(capsys, *argv, "--json")
+    verdict = json.loads(out)["verdict"]
+    assert code == 2 and verdict["result"] == "inconclusive"
+    assert verdict["bounds"]["max_cover_states"] == 3
 
 
 PUMPING_LOOP = (

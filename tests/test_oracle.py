@@ -763,14 +763,31 @@ def test_expanded_plain_matches_expansion_per_fused_trace(case, sync_kind, cut):
 
 
 # SHA-256 of `(covered, format_trace(witness))`, one line per search below,
-# taken before the coverability states were packed into ints
-COVERABILITY_DIGEST = "9102fce2dd7587f0dc0fcf4dde8a93334237ab125286463ccce478de8f62c2d9"
+# taken when the search was partial-order reduced
+COVERABILITY_DIGEST = "97801518c7eb53ef6c74e404118917b04663bd26a3536ba37824a5925d3403fb"
+
+
+def _witness_covers(t: ThreadTemplate, witness, config, threads: int) -> bool:
+    """Whether `witness` is lock-feasible, replays along `t` from `init`
+    (each thread through every location its actions can lead to), and can
+    end with its `threads` threads, idle ones at `init`, covering `config`."""
+    if not lock_feasible(witness):
+        return False
+    at = {k: {t.init} for k in range(1, threads + 1)}
+    for act, k in witness:
+        if k not in at:
+            return False
+        at[k] = {e.dst for loc in at[k] for e in t.successors.get(loc, ()) if e.action == act}
+        if not at[k]:
+            return False
+    return any(not Counter(config) - Counter(final) for final in itertools.product(*at.values()))
 
 
 def test_coverability_witnesses_are_pinned():
     """Criterion 5's seed-500 formulas of at most three clauses, and 200
     lock templates at one to three threads: verdicts and witnesses are
-    byte-stable, so the search's visit order is too."""
+    byte-stable, so the search's visit order is too, and each witness
+    re-checks."""
     digest = hashlib.sha256()
     verdicts = Counter()
 
@@ -779,6 +796,7 @@ def test_coverability_witnesses_are_pinned():
         covered, witness = bounded_coverability(p, config, bounds)
         digest.update(f"{covered} {format_trace(witness) if covered else '-'}\n".encode())
         verdicts[covered, threads, bool(witness)] += 1
+        assert not covered or _witness_covers(p.template, witness, config, threads), (config, witness)
 
     rng = random.Random(500)
     for _ in range(20):
@@ -912,9 +930,8 @@ def test_coverability_extra_threads_only_impede():
         locs = sorted(t.locations)
         config = tuple(rng.choice(locs) for _ in range(2))
         b2 = Bounds(max_threads=2, max_local_len=6)
-        b3 = Bounds(max_threads=3, max_local_len=6)
         got2, _ = bounded_coverability(p, config, b2)
-        got3, _ = bounded_coverability(p, config, b3)
+        got3, _ = reference.bounded_coverability_ref(p, config, 3)
         assert got2 == got3, (t, config)
 
 
@@ -945,17 +962,50 @@ def test_coverability_witness_is_feasible():
 
 
 def test_coverability_against_labelled_reference():
-    # the reference labels its threads and sorts nothing, so it shares
-    # neither the symmetry reduction nor the numbering of thread states
+    # the reference labels its threads, sorts nothing and reduces nothing,
+    # and runs every thread it is given; its breadth-first depth pins each
+    # witness as a shortest one
     rng = random.Random(41)
     verdicts = Counter()
-    for _ in range(40):
-        t = reference.random_lock_template(rng)
+    for _ in range(300):
+        t = reference.random_lock_template(rng, max_locs=rng.choice((4, 6, 8)))
         p = ParameterizedProgram(t, SyncKind.LOCKS)
         locs = sorted(t.locations)
-        config = (rng.choice(locs), rng.choice(locs))
-        for n in (2, 3):
-            got, _ = bounded_coverability(p, config, Bounds(max_threads=n, max_local_len=1))
-            assert got == reference.bounded_coverability_ref(p, config, n), (t, config, n)
+        config = tuple(rng.choice(locs) for _ in range(rng.randint(1, 3)))
+        for n in (len(config), len(config) + 1):
+            got, witness = bounded_coverability(p, config, Bounds(max_threads=n, max_local_len=1))
+            want, depth = reference.bounded_coverability_ref(p, config, n)
+            assert got == want, (t, config, n)
+            assert not got or len(witness) == depth, (t, config, n, witness)
             verdicts[got] += 1
-    assert verdicts[True] >= 10 and verdicts[False] >= 10, verdicts
+    assert verdicts[True] >= 100 and verdicts[False] >= 100, verdicts
+
+
+def test_coverability_waits_for_a_lock_another_thread_can_still_take():
+    """The thread at l1 may not take `m` alone: the thread still at l0 can
+    yet take `m` on its way to l5, and must take and release it first."""
+    x, y, m = plain("x"), plain("y"), "m"
+    t = ThreadTemplate.make(
+        [
+            ("l0", x, "l1"),
+            ("l1", acquire(m), "l2"),
+            ("l0", y, "l3"),
+            ("l3", acquire(m), "l4"),
+            ("l4", release(m), "l5"),
+        ],
+        "l0",
+        "l5",
+    )
+    p = ParameterizedProgram(t, SyncKind.LOCKS)
+    ok, witness = bounded_coverability(p, ("l2", "l5"), Bounds(max_threads=2, max_local_len=1))
+    assert reference.bounded_coverability_ref(p, ("l2", "l5"), 2) == (True, 5)
+    assert ok and len(witness) == 5 and _witness_covers(t, witness, ("l2", "l5"), 2)
+
+
+def test_coverability_budget_runs_out():
+    prog, cover = sat_to_coverability(CnfFormula(3, ((1, 2, 3), (-1, -2, 3), (1, -2, -3))))
+    assert bounded_coverability(prog, cover, Bounds(max_threads=3, max_local_len=1))[0]
+    tight = Bounds(max_threads=3, max_local_len=1, max_cover_states=10)
+    with pytest.raises(DepthExceeded) as info:
+        bounded_coverability(prog, cover, tight)
+    assert (info.value.what, info.value.cap, info.value.used) == ("coverability search", 10, 11)
