@@ -53,8 +53,8 @@ Configuration = tuple[str, ...]
 class DepthExceeded(ModelError):
     """A bounded search ran out of budget before reaching a decision.
 
-    The node budget that ran out names itself (`what`), its `cap` and the
-    steps `used` when it ran out, which can pass the cap by more than one
+    The budget that ran out names itself (`what`), its `cap` and what it
+    had `used` when it ran out, which can pass the cap by more than one
     because a shuffle charges all its nodes, and a relabelling all its
     traces, at once.  Block expansion is charged per shuffle at once too,
     but stops one step past the cap, as it would if each choice of block
@@ -483,16 +483,19 @@ def _local_traces(
 
 
 class _Budget:
-    def __init__(self, cap: int, what: str):
+    """A cap on the work of one search, counted in `unit`s."""
+
+    def __init__(self, cap: int, what: str, unit: str = "steps"):
         self.cap = cap
         self.used = 0
         self.what = what
+        self.unit = unit
 
     def spend(self, n: int = 1) -> None:
         self.used += n
         if self.used > self.cap:
             raise DepthExceeded(
-                f"{self.what} exceeded {self.cap} steps",
+                f"{self.what} exceeded {self.cap} {self.unit}",
                 what=self.what,
                 cap=self.cap,
                 used=self.used,
@@ -973,6 +976,59 @@ def _expanded_plain(
     )
 
 
+# The last program pair's enumeration, as one (key, result) tuple that is
+# read once.  The key holds the original and reduced templates and the
+# blocks themselves, matched by identity (so a deep copy never shares an
+# enumeration, and an id is never reused while it is kept), plus
+# `keep_sync` and the bounds.  The result is (codec, l2, l1), or the
+# (what, cap, used) of the budget the enumeration ran out of.
+_last_enumeration: Optional[tuple] = None
+
+
+def _enumeration(
+    original: ThreadTemplate,
+    reduced: ThreadTemplate,
+    blocks: tuple[tuple[Action, ThreadTemplate], ...],
+    keep_sync: bool,
+    bounds: Bounds,
+) -> tuple[_Codec, _Ordered, AbstractSet[tuple[int, ...]]]:
+    """The relation-free half of `_compare`: the codec, both plans, l1
+    (built or expanded) and the l2 reader.  Raises DepthExceeded.  The
+    last pair's result is kept, so a second check of the same objects
+    under another relation reuses it; a kept over-budget result is spent
+    again through a fresh budget, so it raises with the same note, cap
+    and figure.  Nothing else that is raised is kept."""
+    global _last_enumeration
+    key = (original, reduced, blocks, keep_sync, bounds)
+    last = _last_enumeration
+    if last is not None:
+        (o, r, b, k, bd), result = last
+        if o is original and r is reduced and b is blocks and (k, bd) == (keep_sync, bounds):
+            if isinstance(result[0], str):
+                what, cap, used = result
+                _Budget(cap, what).spend(used)
+            return result
+    _last_enumeration = None  # freed before the new enumeration grows
+    templates = (original, reduced, *(body for _, body in blocks))
+    codec = _Codec(itertools.chain.from_iterable(t.alphabet for t in templates), bounds.max_threads)
+    budget = _Budget(bounds.max_enum_nodes, "interleaving enumeration")
+    try:
+        l2, l1 = _both_interleavings(
+            codec,
+            ParameterizedProgram(original, infer_sync_kind(original)),
+            ParameterizedProgram(reduced, infer_sync_kind(reduced)),
+            blocks,
+            keep_sync,
+            bounds,
+            budget,
+        )
+    except DepthExceeded as exc:
+        _last_enumeration = (key, (exc.what, exc.cap, exc.used))
+        raise
+    _last_enumeration = (key, (codec, l2, l1))
+    return codec, l2, l1
+
+
 def _compare(
     original: ThreadTemplate,
     reduced: ThreadTemplate,
@@ -992,20 +1048,12 @@ def _compare(
     representative, so the witness is the least such trace.  The budget is
     charged as it was when both were built trace by trace: both
     enumerations in full, as planned, then block expansion, each reduced
-    trace its count of choices of block words, charged per shuffle."""
-    templates = (original, reduced, *(body for _, body in blocks))
-    codec = _Codec(itertools.chain.from_iterable(t.alphabet for t in templates), bounds.max_threads)
-    budget = _Budget(bounds.max_enum_nodes, "interleaving enumeration")
+    trace its count of choices of block words, charged per shuffle.  Only
+    the representative check reads the relation: the last program pair's
+    enumeration is kept (`_enumeration`), so a second relation on the same
+    pair re-runs only the representative check."""
     try:
-        l2, l1 = _both_interleavings(
-            codec,
-            ParameterizedProgram(original, infer_sync_kind(original)),
-            ParameterizedProgram(reduced, infer_sync_kind(reduced)),
-            blocks,
-            keep_sync,
-            bounds,
-            budget,
-        )
+        codec, l2, l1 = _enumeration(original, reduced, blocks, keep_sync, bounds)
     except DepthExceeded as exc:
         return Verdict(INCONCLUSIVE, bounds=bounds, notes=(str(exc),))
     maz = _representative_check(codec, l1, l2, codec.relation(i))
@@ -1101,7 +1149,7 @@ def bounded_coverability(
         raise InconsistentInputs(f"configuration of {len(c)} locations is wider than the thread bound {n}")
     n = len(c)
     goal = Counter(c)
-    budget = _Budget(bounds.max_cover_states, "coverability search")
+    budget = _Budget(bounds.max_cover_states, "coverability search", "states")
 
     def solo(loc: str, locks: frozenset) -> Iterator[tuple[Action, tuple]]:
         for e in t.successors.get(loc, ()):

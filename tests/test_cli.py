@@ -374,7 +374,7 @@ def test_coverability_out_of_budget_is_inconclusive(capsys, monkeypatch):
     argv = ("check", "--mode", "coverability", str(CASES / "sat2.nred"), "--threads", "2")
     code, out, _ = run(capsys, *argv, "--witness")
     assert (code, out) == (
-        2, "coverability: inconclusive\n  note: coverability search exceeded 3 steps\n"
+        2, "coverability: inconclusive\n  note: coverability search exceeded 3 states\n"
     )
     code, out, _ = run(capsys, *argv, "--json")
     verdict = json.loads(out)["verdict"]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import random
@@ -388,6 +389,7 @@ def test_planned_enumeration_matches_build_as_you_go(monkeypatch):
 
     def outcome(check, *args):
         raised.clear()
+        oracle._last_enumeration = None  # each call enumerates, none reuses
         v = check(*args)
         return v.result, v.notes, v.witness, tuple(raised)
 
@@ -403,6 +405,52 @@ def test_planned_enumeration_matches_build_as_you_go(monkeypatch):
     assert results["inconclusive"] >= 10 and results["sound"] and results["unsound"]
     assert l1_ran_out, "no check ran out of budget in l1 after l2 completed"
     assert (SyncKind.LOCKS_AND_SYNC_POINTS, False) in built_in_plan
+
+
+def test_a_second_relation_reuses_the_enumeration(monkeypatch):
+    """The two relations on one rendezvous gadget enumerate once, and two
+    deep copies twice.  Each reused verdict (result, notes, witness) and
+    the budget a reused inconclusive one ran out of equal those of the
+    same check on a fresh deep copy."""
+    raised = []
+
+    class RecordingBudget(oracle._Budget):
+        def spend(self, n: int = 1) -> None:
+            try:
+                super().spend(n)
+            except DepthExceeded as exc:
+                raised.append((exc.what, exc.cap, exc.used))
+                raise
+
+    enumerations = []
+    both_interleavings = oracle._both_interleavings
+
+    def counted(*args):
+        enumerations.append(args)
+        return both_interleavings(*args)
+
+    def outcome(check, *args):
+        raised.clear()
+        enumerations.clear()
+        v = check(*args)
+        return (v.result, v.notes, v.witness, tuple(raised)), len(enumerations)
+
+    monkeypatch.setattr(oracle, "_Budget", RecordingBudget)
+    monkeypatch.setattr(oracle, "_both_interleavings", counted)
+    checks = _gadget_checks(20)
+    reused = Counter()
+    for (check, inst6, full, bounds), (_, _, empty, _) in zip(checks[1::3], checks[2::3]):
+        oracle._last_enumeration = None
+        first, ran = outcome(check, inst6, full, bounds)
+        second, ran_again = outcome(check, inst6, empty, bounds)
+        assert (ran, ran_again) == (1, 0)
+        for i, got in ((full, first), (empty, second)):
+            fresh, ran = outcome(check, copy.deepcopy(inst6), i, bounds)
+            assert ran == 1 and fresh == got, (inst6, i)
+        result, _, _, budget = second
+        assert len(budget) == (result == "inconclusive")
+        reused[result] += 1
+    assert reused["inconclusive"] and reused["sound"] and reused["unsound"], reused
 
 
 # -- oracle outcomes --------------------------------------------------------------------
@@ -947,17 +995,9 @@ def test_coverability_witness_is_feasible():
         if not ok:
             continue
         found += 1
-        assert lock_feasible(witness)
-        # replaying the witness reaches a covering configuration
-        position = {}
-        for act, thread in witness:
-            loc = position.get(thread, t.init)
-            nxt = [e.dst for e in t.successors.get(loc, ()) if e.action == act]
-            assert nxt, (witness, act, thread)
-            position[thread] = nxt[0]
-        # and the final positions, idle threads still at init, cover the target
-        final = Counter(position.get(thread, t.init) for thread in (1, 2))
-        assert not Counter(config) - final, (witness, config)
+        # lock-feasible, and replaying it (through every edge an action
+        # labels) can end covering the target
+        assert _witness_covers(t, witness, config, 2), (witness, config)
     assert found >= 5
 
 
