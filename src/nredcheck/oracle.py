@@ -87,7 +87,8 @@ class Bounds:
     reduced trace, as if each choice were tried in turn; all the traces of
     a shuffle, in every arrangement, have the same choices, so each
     shuffle is charged at once, and the reduced program's traces are built
-    only projected, once per shuffle (`_expanded_plain`).
+    and keyed once per (shuffle, choice of block words, arrangement),
+    expanded and projected (`_reduced_buckets`).
     `max_cover_states` caps the states `bounded_coverability` discovers.
     """
 
@@ -244,6 +245,9 @@ class _Codec:
         self.pairs = pairs  # code -> (action, thread)
         # kept by `project_plain`
         self.plain = [not a.is_sync for a, _ in pairs]
+        # per code, the step as a trace, and its projection
+        self.steps = [(c,) for c in range(len(pairs))]
+        self.projected = [(c,) if keep else () for c, keep in enumerate(self.plain)]
         # counted against the local length bound (all but rendezvous steps)
         self.counted = [a.kind is not _SYNC_POINT for a, _ in pairs]
         bit = {m: 1 << k for k, m in enumerate(sorted({a.lock for a in self.actions if a.lock}))}
@@ -383,45 +387,42 @@ def covers(src: IndexedTrace, dst: IndexedTrace, i: CommutativityRelation) -> bo
     return _covered(coded_src, coded_dst, width, len(codec.actions), codec.relation(i))
 
 
+# l1 as the representative check reads it: coded traces bucketed by key,
+# a trace's steps sorted by thread, which stand for its per-thread words
+_Buckets = dict[tuple[int, ...], set[tuple[int, ...]]]
+
 # l2 as the representative check reads it: a function that gives its
-# traces less those of l1, in code order (l1 comes as a set and bucketed by
-# key, a trace's steps sorted by thread), and a membership test that is
-# given a trace and its key
+# traces less those of l1, in code order, and one that gives the traces of
+# an l1 bucket that are not in l2
 _Ordered = tuple[
-    Callable[
-        [AbstractSet[tuple[int, ...]], Mapping[tuple[int, ...], list]],
-        Iterable[tuple[int, ...]],
-    ],
-    Callable[[tuple[int, ...], tuple[int, ...]], bool],
+    Callable[[Mapping[tuple[int, ...], AbstractSet[tuple[int, ...]]]], Iterable[tuple[int, ...]]],
+    Callable[[tuple[int, ...], AbstractSet[tuple[int, ...]]], AbstractSet[tuple[int, ...]]],
 ]
 
 
-def _representative_check(
-    codec: _Codec,
-    l1: AbstractSet[tuple[int, ...]],
-    l2: _Ordered,
-    comm: list[bool],
-) -> MazResult:
+def _bucketed(width: int, traces: Iterable[tuple[int, ...]]) -> _Buckets:
+    """Coded traces bucketed by key, keyed one trace at a time."""
+    by_thread = width.__rmod__
+    out: _Buckets = {}
+    for tr in traces:
+        out.setdefault(tuple(sorted(tr, key=by_thread)), set()).add(tr)
+    return out
+
+
+def _representative_check(codec: _Codec, l1: _Buckets, l2: _Ordered, comm: list[bool]) -> MazResult:
     """`is_mazurkiewicz_reduction` on coded traces; only the counterexample
     is decoded.  l2 is read in code order up to its first trace without a
     representative, which is therefore the least one."""
-    minus, in_l2 = l2
+    minus, outside = l2
     width, n = codec.width, len(codec.actions)
-    # the steps in thread order stand for the per-thread projections
-    by_thread = width.__rmod__
-    bucket: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    stray = []
-    for cand in l1:
-        key = tuple(sorted(cand, key=by_thread))
-        if not in_l2(cand, key):
-            stray.append(cand)
-        bucket.setdefault(key, []).append(cand)
+    stray = [cand for key, cands in l1.items() for cand in outside(key, cands)]
     if stray:
         return MazResult(False, codec.decode(min(stray)), "reduced set is not a subset")
-    for tr in minus(l1, bucket):
+    by_thread = width.__rmod__
+    for tr in minus(l1):
         if not any(
             _covered(tr, cand, width, n, comm)
-            for cand in bucket.get(tuple(sorted(tr, key=by_thread)), ())
+            for cand in l1.get(tuple(sorted(tr, key=by_thread)), ())
         ):
             return MazResult(False, codec.decode(tr), "trace has no representative")
     return MazResult(True)
@@ -442,13 +443,9 @@ def is_mazurkiewicz_reduction(
     """
     l1, l2 = list(l1), list(l2)
     codec = _trace_codec(itertools.chain(l1, l2))
-    coded = frozenset(map(codec.encode, l2))
-    return _representative_check(
-        codec,
-        frozenset(map(codec.encode, l1)),
-        (lambda skip, _bucket: sorted(coded - skip), lambda tr, _key: tr in coded),
-        codec.relation(i),
-    )
+    buckets, coded = _bucketed(codec.width, map(codec.encode, l1)), frozenset(map(codec.encode, l2))
+    reader = (lambda l1: sorted(coded.difference(*l1.values())), lambda _key, cands: cands - coded)
+    return _representative_check(codec, buckets, reader, codec.relation(i))
 
 
 # -- interleaving enumeration -------------------------------------------------
@@ -533,8 +530,8 @@ _MoveDag = tuple[int, list[list[tuple[int, int, int]]]]
 # DAG `_move_dag` builds when it is read), its trace count (the accepted
 # paths, or the traces the plan built), its traces when the plan had to
 # build them, the thread permutations that relabel them into the other
-# arrangements, and whether building drops synchronization steps; a plan
-# that keeps them is read by `_expanded_plain` one shuffle at a time
+# arrangements, and whether building drops synchronization steps; the
+# reduced program's plan is read by `_reduced_buckets` a shuffle at a time
 _Planned = tuple[tuple[tuple[int, ...], ...], Optional[_MoveDag], int, Optional[set], list, bool]
 
 
@@ -656,13 +653,14 @@ def _ordered_interleavings(codec: _Codec, plan: list[_Planned]) -> _Ordered:
     A shuffle that keeps all its steps has no synchronization step, so
     every interleaving of an arrangement's words is a trace: a trace is one
     of them exactly when its steps sorted by thread (its key) are the
-    words' steps.  An arrangement whose interleavings all lie in the
-    skipped set (as many skipped traces have its key) is passed over; the
-    others' traces come in code order from a depth-first walk of the move
-    DAG that takes each state's moves in ascending (relabelled) code.  A
-    shuffle that drops steps is built and sorted, since its paths can
-    collapse and its traces need not come in code order.  The walks and
-    the built traces are merged, and a trace met twice is read once.
+    words' steps.  An arrangement whose interleavings all lie in l1 (as
+    many l1 traces have its key) is passed over; the others' traces come
+    in code order from a depth-first walk of the move DAG that takes each
+    state's moves in ascending (relabelled) code, less its key's l1
+    bucket.  A shuffle that drops steps is built and sorted, since its
+    paths can collapse and its traces need not come in code order.  The
+    walks and the built traces are merged, and a trace met twice is read
+    once.
     """
     built = _build_interleavings(codec, [entry for entry in plan if entry[-1]])  # lossy ones
     keys = set()
@@ -676,23 +674,24 @@ def _ordered_interleavings(codec: _Codec, plan: list[_Planned]) -> _Ordered:
         keys.update(key for key, _ in arranged)
         shuffles.append((entry, count, arranged))
 
-    def minus(
-        skip: AbstractSet[tuple[int, ...]], bucket: Mapping[tuple[int, ...], list]
-    ) -> Iterator[tuple[int, ...]]:
+    def minus(l1: Mapping[tuple[int, ...], AbstractSet[tuple[int, ...]]]) -> Iterator[tuple[int, ...]]:
         walks = []
         for entry, count, arranged in shuffles:
-            todo = [relabel for key, relabel in arranged if len(bucket.get(key, ())) < count]
+            todo = [(relabel, have) for key, relabel in arranged if len(have := l1.get(key, ())) < count]
             if todo:
                 start, moves_by_level = _move_dag(codec, entry)
                 out: dict[int, list[tuple[int, int]]] = {}
                 for moves in moves_by_level:
                     for state, c, to in moves:
                         out.setdefault(state, []).append((c, to))
-                walks += (_walk(out, start, relabel) for relabel in todo)
-        merged = heapq.merge(sorted(built - skip), *walks)
-        return (tr for tr, _ in itertools.groupby(merged) if tr not in skip)
+                walks += (
+                    itertools.filterfalse(have.__contains__, _walk(out, start, relabel))
+                    for relabel, have in todo
+                )
+        merged = heapq.merge(sorted(built.difference(*l1.values())), *walks)
+        return (tr for tr, _ in itertools.groupby(merged))
 
-    return minus, lambda tr, key: key in keys or tr in built
+    return minus, lambda key, cands: set() if key in keys else cands - built
 
 
 def _walk(
@@ -729,19 +728,15 @@ def _both_interleavings(
     keep_sync: bool,
     bounds: Bounds,
     budget: _Budget,
-) -> tuple[_Ordered, AbstractSet[tuple[int, ...]]]:
+) -> tuple[_Ordered, _Buckets]:
     """The original program's interleavings (projected, in code order) and
-    the reduced program's: l2 is planned, then l1, and with `keep_sync`
-    l1's block expansion is charged (`_expanded_plain`); l1 is built only
-    when all of it fits the budget, so a check that runs out builds no
-    trace."""
+    the reduced program's, expanded, projected and bucketed: l2 is planned,
+    then l1, then l1's block expansion is charged (`_reduced_buckets`); l1
+    is built only when all of it fits the budget, so a check that runs out
+    builds no trace."""
     plan2 = _plan_interleavings(codec, original, bounds, False, budget)
     plan1 = _plan_interleavings(codec, reduced, bounds, keep_sync, budget)
-    if keep_sync:
-        l1 = _expanded_plain(codec, plan1, blocks, bounds, budget)
-    else:
-        l1 = _build_interleavings(codec, plan1)
-    return _ordered_interleavings(codec, plan2), l1
+    return _ordered_interleavings(codec, plan2), _reduced_buckets(codec, plan1, blocks, bounds, budget)
 
 
 def _shuffle_graph(
@@ -775,9 +770,7 @@ def _shuffle_graph(
     else:
         free = [0] * max(lengths)
         limits, needs, flips = lengths, [free] * k, [free] * k
-    radix = [1] * k
-    for j in range(1, k):
-        radix[j] = radix[j - 1] * (lengths[j - 1] + 1)
+    radix = _radix(lengths)
     size = radix[-1] * (lengths[-1] + 1)
     barrier_step = codec.barrier_step
 
@@ -829,27 +822,36 @@ def _shuffle_graph(
     return nodes, accepted, (start, moves_by_level)
 
 
+def _radix(lengths: Sequence[int]) -> list[int]:
+    """The place value of each thread's step count in a packed shuffle
+    state, for words of these lengths (see `_shuffle_graph`)."""
+    return list(itertools.accumulate((n + 1 for n in lengths[:-1]), int.__mul__, initial=1))
+
+
 def _shuffle_traces(codec: _Codec, dag: _MoveDag, project: bool) -> set[tuple[int, ...]]:
-    """The build pass: every trace along the move DAG, level by level,
-    with synchronization steps dropped when `project` is set."""
+    """The build pass: every trace along the move DAG, with synchronization
+    steps dropped when `project` is set."""
+    return _dag_traces(dag, codec.projected if project else codec.steps)
+
+
+def _dag_traces(dag: _MoveDag, labels: Sequence[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """Every path of a move DAG spelt, level by level: a move (state, x,
+    next state) spells `labels[x]`, a tuple of codes that may be empty."""
     start, moves_by_level = dag
-    keep = codec.plain
     prefixes: dict = {start: {()}}
     for moves in moves_by_level:
         grown: dict = {}
-        for state, c, to in moves:
+        for state, x, to in moves:
             before = prefixes[state]
-            longer = before if project and not keep[c] else {tr + (c,) for tr in before}
+            label = labels[x]
+            longer = {tr + label for tr in before} if label else before
             into = grown.get(to)
             if into is not None:
                 into |= longer
             else:  # a set of the level before is shared, never grown in place
                 grown[to] = set(before) if longer is before else longer
         prefixes = grown
-    out: set[tuple[int, ...]] = set()
-    for traces in prefixes.values():
-        out |= traces
-    return out
+    return set().union(*prefixes.values())
 
 
 # -- block expansion ------------------------------------------------------------
@@ -878,83 +880,22 @@ def _block_words(
     return out
 
 
-def _room(codec: _Codec, tr: tuple[int, ...], block_words: BlockWords, bounds: Bounds) -> list[int]:
-    """Per thread, the non-rendezvous steps its block expansions may still
-    take: the local bound less the steps of the fused trace outside its
-    block slots (negative when those alone pass the bound)."""
-    width, counted = codec.width, codec.counted
-    room = [bounds.max_local_len] * width
-    for c in tr:
-        if c not in block_words:
-            room[c % width] -= counted[c]
-    return room
-
-
-def _substituted(
-    width: int,
-    tr: tuple[int, ...],
-    room: Sequence[int],
-    block_words: BlockWords,
-) -> Iterator[tuple[int, ...]]:
-    """Every choice of words for the block slots of a coded trace that fits
-    each thread's room, substituted."""
-    slots = [idx for idx, c in enumerate(tr) if c in block_words]
-    if not slots:
-        if min(room) >= 0:
-            yield tr
-        return
-    cuts = [-1, *slots, len(tr)]
-    pieces = [tr[lo + 1 : hi] for lo, hi in zip(cuts, cuts[1:])]
-    threads = [tr[idx] % width for idx in slots]
-    for choice in itertools.product(*(block_words[tr[idx]] for idx in slots)):
-        left = list(room)
-        for t, (_, n) in zip(threads, choice):
-            left[t] -= n
-        if min(left) < 0:
-            continue
-        expanded = pieces[0]
-        for (word, _), piece in zip(choice, pieces[1:]):
-            expanded += word + piece
-        yield expanded
-
-
-def _expand_blocks(tr: IndexedTrace, f: AtomicFusion, bounds: Bounds) -> Iterator[IndexedTrace]:
-    """All block-symbol expansions of a fused interleaving, keeping each
-    thread's expanded non-rendezvous length within the local bound.
-
-    `tr` must still contain its synchronization steps so the length
-    accounting matches the unfused enumeration exactly.
-    """
-    bodies = [a for _, body in f.blocks for a in body.alphabet]
-    codec = _trace_codec([tr], itertools.chain((sym for sym, _ in f.blocks), bodies))
-    block_words = _block_words(codec, f.blocks, bounds)
-    coded = codec.encode(tr)
-    room = _room(codec, coded, block_words, bounds)
-    return map(codec.decode, _substituted(codec.width, coded, room, block_words))
-
-
-def _expanded_plain(
+def _reduced_buckets(
     codec: _Codec,
     plan: list[_Planned],
     blocks: Iterable[tuple[Action, ThreadTemplate]],
     bounds: Bounds,
     budget: _Budget,
-) -> frozenset[tuple[int, ...]]:
-    """The plain projections of every block expansion of the traces of a
-    plan that keeps synchronization steps (`_substituted` on each trace of
-    `_build_interleavings` and its `_room`, projected), without building
-    those traces.
-
-    Such a plan's traces are its shuffles' paths in each arrangement, all
-    distinct (a trace's steps sorted by thread name its words), and those
-    of one arrangement have the same words (its key), so the same number
-    of choices of block words, the same in every arrangement of the
-    shuffle, and the same per-thread room: each shuffle is charged at
-    once, before anything is built, one step per trace and choice.
-    Projection commutes with substituting a body word and with relabelling
-    threads, so each shuffle's traces are built once, projected, and
-    relabelled into its arrangements, and each distinct (projected trace,
-    room) pair is expanded once, on projected body words."""
+) -> _Buckets:
+    """l1, bucketed by key: the plain projections of the block expansions
+    of a plan's traces that keep each thread within the local bound,
+    without building, expanding or keying one trace at a time.  The traces
+    of a shuffle have the same words, so the same choices of block words,
+    and an arrangement only renames threads: each shuffle is charged at
+    once, before anything is built, one step per trace (paths times
+    arrangements) and choice; each choice that fits (in one arrangement,
+    so in all) has its traces built once (`_expanded_shuffle`); and each
+    arrangement's key is worked out once and its traces relabelled."""
     block_words = _block_words(codec, blocks, bounds)
     width = codec.width
     for assignment, _, paths, _, perms, _ in plan:
@@ -962,18 +903,67 @@ def _expanded_plain(
         if choices:
             # as many unit steps: running out stops one step past the cap
             budget.spend(min(paths * (1 + len(perms)) * math.prod(choices), budget.cap + 1 - budget.used))
-    todo = {((), tuple(_room(codec, (), block_words, bounds)))}
-    for entry in plan:
-        traces = _shuffle_traces(codec, _move_dag(codec, entry), True)
-        for key, relabel in _arrangements(codec, entry):
-            room = tuple(_room(codec, key, block_words, bounds))
-            todo.update((tuple(map(relabel.__getitem__, tr)), room) for tr in traces)
     projected = {c: [(codec.project(w), n) for w, n in words] for c, words in block_words.items()}
-    return frozenset(
-        expanded
-        for tr, room in todo
-        for expanded in _substituted(width, tr, room, projected)
-    )
+    by_thread = width.__rmod__
+    buckets: _Buckets = {(): {()}}
+    for entry in plan:
+        if not entry[2]:  # no trace
+            continue
+        tables = [codec.relabel_table(perm).__getitem__ for perm in entry[4]]
+        for key, traces in _expanded_shuffle(codec, entry, projected, bounds):
+            buckets.setdefault(key, set()).update(traces)
+            for relabel in tables:
+                arranged = tuple(sorted(map(relabel, key), key=by_thread))
+                buckets.setdefault(arranged, set()).update(tuple(map(relabel, tr)) for tr in traces)
+    return buckets
+
+
+def _expanded_shuffle(
+    codec: _Codec, entry: _Planned, projected: BlockWords, bounds: Bounds
+) -> Iterator[tuple[tuple[int, ...], set[tuple[int, ...]]]]:
+    """The key and projected traces of a planned shuffle's base arrangement
+    for each choice of `projected` block words that fits the local bound.
+    Without block slots, that is its projected traces (or those its plan
+    built).  Otherwise each step is labelled, projected, and a choice puts
+    its words in its slots' labels: the key is the labels in thread order,
+    the traces are spelt along the move DAG (`_dag_traces`), a move's step
+    found once per shuffle from its thread and that thread's step count,
+    read mixed-radix from its source state."""
+    assignment, _, _, base, _, _ = entry
+    width, counted = codec.width, codec.counted
+    steps = [tuple(r * width + j for r in w) for j, w in enumerate(assignment, 1)]
+    flat = list(itertools.chain.from_iterable(steps))
+    slots = [x for x, c in enumerate(flat) if c in projected]
+    if not slots:
+        traces = base if base is not None else _shuffle_traces(codec, _move_dag(codec, entry), True)
+        yield codec.project(tuple(flat)), traces
+        return
+    # per thread, the non-rendezvous steps its block words may take
+    room = [bounds.max_local_len - sum(counted[c] for c in w if c not in projected) for w in steps]
+    fits = []
+    for choice in itertools.product(*(projected[flat[x]] for x in slots)):
+        left = list(room)
+        for x, (_, n) in zip(slots, choice):
+            left[flat[x] % width - 1] -= n
+        if min(left) >= 0:
+            fits.append([word for word, _ in choice])
+    if not fits:
+        return
+    start, moves_by_level = _move_dag(codec, entry)
+    lengths = list(map(len, steps))
+    radix, offset = _radix(lengths), list(itertools.accumulate(lengths[:-1], initial=0))
+    numbered = []  # the moves with their steps' places in `flat`
+    for moves in moves_by_level:
+        row = []
+        for s, c, to in moves:
+            j = c % width - 1
+            row.append((s, offset[j] + s // radix[j] % (lengths[j] + 1), to))
+        numbered.append(row)
+    labels = [codec.projected[c] for c in flat]
+    for words in fits:
+        for x, word in zip(slots, words):
+            labels[x] = word
+        yield tuple(itertools.chain.from_iterable(labels)), _dag_traces((start, numbered), labels)
 
 
 # The last program pair's enumeration, as one (key, result) tuple that is
@@ -991,9 +981,9 @@ def _enumeration(
     blocks: tuple[tuple[Action, ThreadTemplate], ...],
     keep_sync: bool,
     bounds: Bounds,
-) -> tuple[_Codec, _Ordered, AbstractSet[tuple[int, ...]]]:
+) -> tuple[_Codec, _Ordered, _Buckets]:
     """The relation-free half of `_compare`: the codec, both plans, l1
-    (built or expanded) and the l2 reader.  Raises DepthExceeded.  The
+    (built, expanded and bucketed) and the l2 reader.  Raises DepthExceeded.  The
     last pair's result is kept, so a second check of the same objects
     under another relation reuses it; a kept over-budget result is spent
     again through a fresh budget, so it raises with the same note, cap
@@ -1042,16 +1032,18 @@ def _compare(
     `reduced`.  With `keep_sync` the reduced traces keep their
     synchronization steps for the length accounting of block expansion,
     then are expanded through `blocks` and projected.  The reduced traces
-    are not built one by one: each shuffle's are built once, projected,
-    relabelled into its arrangements and expanded into a set.  The
-    original's are walked in code order up to the first one without a
-    representative, so the witness is the least such trace.  The budget is
-    charged as it was when both were built trace by trace: both
-    enumerations in full, as planned, then block expansion, each reduced
-    trace its count of choices of block words, charged per shuffle.  Only
-    the representative check reads the relation: the last program pair's
-    enumeration is kept (`_enumeration`), so a second relation on the same
-    pair re-runs only the representative check."""
+    are not built, expanded or keyed one by one: each shuffle's are built
+    once per choice of block words that fits the local bound, expanded and
+    projected, then relabelled into each arrangement, whose key is worked
+    out once, and l1 comes bucketed by key.  The original's are walked in
+    code order up to the first one without a representative, so the
+    witness is the least such trace.  The budget is charged as it was when
+    both were built trace by trace: both enumerations in full, as planned,
+    then block expansion, each reduced trace its count of choices of block
+    words, charged per shuffle.  Only the representative check reads the
+    relation: the last program pair's enumeration is kept (`_enumeration`),
+    so a second relation on the same pair re-runs only the representative
+    check."""
     try:
         codec, l2, l1 = _enumeration(original, reduced, blocks, keep_sync, bounds)
     except DepthExceeded as exc:

@@ -276,8 +276,57 @@ def expansions_ref(codec, tr, block_words, bounds, budget):
     if slots:
         for _ in itertools.product(*slots):
             budget.spend()
-    room = oracle._room(codec, tr, block_words, bounds)
-    return oracle._substituted(codec.width, tr, room, block_words)
+    return substituted_ref(codec.width, tr, room_ref(codec, tr, block_words, bounds), block_words)
+
+
+def room_ref(codec, tr, block_words, bounds) -> list[int]:
+    """Per thread, the non-rendezvous steps its block expansions may still
+    take: the local bound less the steps of the coded fused trace outside
+    its block slots (negative when those alone pass the bound)."""
+    width, counted = codec.width, codec.counted
+    room = [bounds.max_local_len] * width
+    for c in tr:
+        if c not in block_words:
+            room[c % width] -= counted[c]
+    return room
+
+
+def substituted_ref(width, tr, room, block_words):
+    """Every choice of words for the block slots of a coded trace that fits
+    each thread's room, substituted, one trace at a time."""
+    slots = [idx for idx, c in enumerate(tr) if c in block_words]
+    if not slots:
+        if min(room) >= 0:
+            yield tr
+        return
+    cuts = [-1, *slots, len(tr)]
+    pieces = [tr[lo + 1 : hi] for lo, hi in zip(cuts, cuts[1:])]
+    threads = [tr[idx] % width for idx in slots]
+    for choice in itertools.product(*(block_words[tr[idx]] for idx in slots)):
+        left = list(room)
+        for t, (_, n) in zip(threads, choice):
+            left[t] -= n
+        if min(left) < 0:
+            continue
+        expanded = pieces[0]
+        for (word, _), piece in zip(choice, pieces[1:]):
+            expanded += word + piece
+        yield expanded
+
+
+def expand_blocks_ref(tr, f: AtomicFusion, bounds):
+    """All block-symbol expansions of a fused interleaving, keeping each
+    thread's expanded non-rendezvous length within the local bound.
+
+    `tr` must still contain its synchronization steps so the length
+    accounting matches the unfused enumeration exactly.
+    """
+    bodies = [a for _, body in f.blocks for a in body.alphabet]
+    codec = oracle._trace_codec([tr], itertools.chain((sym for sym, _ in f.blocks), bodies))
+    block_words = oracle._block_words(codec, f.blocks, bounds)
+    coded = codec.encode(tr)
+    room = room_ref(codec, coded, block_words, bounds)
+    return map(codec.decode, substituted_ref(codec.width, coded, room, block_words))
 
 
 # -- covering preorder ----------------------------------------------------------

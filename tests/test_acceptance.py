@@ -48,7 +48,6 @@ from nredcheck.model import (
 from nredcheck.movers import lipton_check
 from nredcheck.oracle import (
     Bounds,
-    _expand_blocks,
     barrier_feasible,
     bounded_coverability,
     covers,
@@ -103,7 +102,7 @@ def test_criterion_1_fig2a_goldens():
     l1 = frozenset(
         project_plain(x)
         for tr in l1_raw
-        for x in _expand_blocks(tr, parsed.spec.fusion, bounds)
+        for x in reference.expand_blocks_ref(tr, parsed.spec.fusion, bounds)
     )
     assert not any(
         covers(induced, x, parsed.relation) for x in l1

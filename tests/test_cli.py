@@ -8,6 +8,8 @@ import pytest
 from nredcheck.cli import main
 from nredcheck.oracle import Bounds
 
+import reference
+
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
 
@@ -133,12 +135,12 @@ def test_unsound_witnesses_revalidate(capsys):
     l1_raw = enumerate_interleavings(
         ParameterizedProgram(parsed.spec.fusion.outer), bounds, keep_sync=True
     )
-    from nredcheck.oracle import _expand_blocks, project_plain
+    from nredcheck.oracle import project_plain
 
     l1 = frozenset(
         project_plain(x)
         for tr in l1_raw
-        for x in _expand_blocks(tr, parsed.spec.fusion, bounds)
+        for x in reference.expand_blocks_ref(tr, parsed.spec.fusion, bounds)
     )
     assert not any(covers(v3.witness, x, parsed.relation) for x in l1)
 

@@ -375,8 +375,10 @@ def test_planned_enumeration_matches_build_as_you_go(monkeypatch):
                 for tr in l1
                 for x in reference.expansions_ref(codec, tr, block_words, bounds, budget)
             )
-        # l2 as the representative check reads it, off the built set
-        return (lambda skip, _bucket: sorted(l2 - skip), lambda tr, key: tr in l2), l1
+        # l2 as the representative check reads it, off the built set, and
+        # l1 bucketed one trace at a time
+        reader = (lambda l1: sorted(l2.difference(*l1.values())), lambda _key, cands: cands - l2)
+        return reader, oracle._bucketed(codec.width, l1)
 
     built_in_plan = []
     plan_interleavings = oracle._plan_interleavings
@@ -658,7 +660,7 @@ def test_ordered_interleavings_match_the_built_set(words_at, sync_kind, rng):
     projected = plan(False)
     l2 = oracle._build_interleavings(codec, projected)
     assert l2 == reference.interleavings_ref(codec, p, bounds, False, oracle._Budget(10**9, "ref"))
-    minus, in_l2 = oracle._ordered_interleavings(codec, projected)
+    minus, outside = oracle._ordered_interleavings(codec, projected)
     l1 = oracle._build_interleavings(codec, plan(True))
     by_thread = codec.width.__rmod__
 
@@ -669,13 +671,12 @@ def test_ordered_interleavings_match_the_built_set(words_at, sync_kind, rng):
     whole = frozenset(tr for tr in l2 if key(tr) in chosen)  # every trace of some keys
     part = frozenset(tr for tr in l2 if rng.random() < 0.3)
     for skipped in (frozenset(), part, whole, whole | part, whole - part, l1 | part, l2):
-        bucket = {}
-        for tr in skipped:
-            bucket.setdefault(key(tr), []).append(tr)
-        assert list(minus(skipped, bucket)) == sorted(l2 - skipped)
+        assert list(minus(oracle._bucketed(codec.width, skipped))) == sorted(l2 - skipped)
     near = [near for tr in sorted(l2) for near in _perturbed(tr, codec.width, rng)]
     for tr in itertools.chain(l1, l2, near):
-        assert in_l2(tr, key(tr)) == (tr in l2), tr
+        assert set(outside(key(tr), {tr})) == {tr} - l2, tr
+    for k, cands in oracle._bucketed(codec.width, itertools.chain(l1, l2, near)).items():
+        assert set(outside(k, cands)) == cands - l2, k
 
 
 # -- synchronization-free shuffles: counted, then built on demand -----------------------
@@ -717,17 +718,13 @@ def test_plain_shuffles_are_counted_and_built_on_demand(words_at, sync_kind):
     traces = oracle._build_interleavings(codec, plan)
     assert traces == oracle._build_interleavings(codec, eager)
     # skip every trace of every other key, so some shuffles are not walked
-    by_thread = codec.width.__rmod__
-    bucket = {}
-    for tr in traces:
-        bucket.setdefault(tuple(sorted(tr, key=by_thread)), []).append(tr)
+    bucket = oracle._bucketed(codec.width, traces)
     bucket = {key: bucket[key] for key in sorted(bucket)[::2]}
-    skip = frozenset(itertools.chain.from_iterable(bucket.values()))
     lazy, eager_minus = (oracle._ordered_interleavings(codec, q)[0] for q in (plan, eager))
-    assert list(lazy(skip, bucket)) == list(eager_minus(skip, bucket))
+    assert list(lazy(bucket)) == list(eager_minus(bucket))
 
 
-# -- block expansion, charged per shuffle, once per projected trace and room ----------
+# -- block expansion, charged per shuffle, built once per choice of block words ----------
 
 
 C = block_symbol("C")
@@ -767,11 +764,15 @@ def reduced_words(draw):
 @example(
     (1, ((a, B),), [(B, ((a, b), (b,))), (C, ((a,),))], 2), SyncKind.TRIVIAL, 1
 )  # a room that rejects a body word
+@example(
+    (2, ((B, a, B), (b,)), [(B, ((a,), (b, SYNC, a))), (C, ((b,),))], 4), SyncKind.LOCKS, 3
+)  # a word with two slots of one block symbol, whose body words differ in length
 def test_expanded_plain_matches_expansion_per_fused_trace(case, sync_kind, cut):
-    """`_expanded_plain` on a plan that keeps synchronization steps gives
-    the projections of the expansions of each trace the plan builds,
-    spends the same budget, and runs out of a smaller budget (cut short
-    mid-expansion) with the same figures."""
+    """`_reduced_buckets` on a plan that keeps synchronization steps gives
+    the projections of the expansions of each trace the plan builds (the
+    union of its buckets), each in the bucket of its own key (its steps
+    sorted by thread), spends the same budget, and runs out of a smaller
+    budget (cut short mid-expansion) with the same figures."""
     k, words, bodies, max_len = case
     codec = oracle._Codec(EXPANSION_STEPS, k)
     bodies = [(sym, _words_template(body)) for sym, body in bodies]
@@ -788,7 +789,11 @@ def test_expanded_plain_matches_expansion_per_fused_trace(case, sync_kind, cut):
         )
 
     def per_arrangement(budget):
-        return oracle._expanded_plain(codec, plan, bodies, bounds, budget)
+        buckets = oracle._reduced_buckets(codec, plan, bodies, bounds, budget)
+        union = frozenset().union(*buckets.values())
+        by_thread = codec.width.__rmod__
+        assert all(tuple(sorted(tr, key=by_thread)) == key for key, cands in buckets.items() for tr in cands)
+        return union
 
     def outcomes(cap):
         out = []
