@@ -645,10 +645,12 @@ def _perturbed(tr, width, rng):
 def test_ordered_interleavings_match_the_built_set(words_at, sync_kind, rng):
     """The projected l2 of a plan, read in code order less a skipped set
     (none, part of l2, all or most traces of some keys, the reduced traces
-    that keep their synchronization steps, all of l2), is the sorted built set
-    less that set; its membership test, given a trace and its steps sorted
-    by thread, is set membership on those reduced traces, on every trace of
-    l2 and on traces perturbed from them; and the set is the reference's."""
+    that keep their synchronization steps, all of l2) given bucketed by
+    key, is the sorted built set less that set; its test for the traces of
+    a bucket outside l2, given their key (steps sorted by thread), is set
+    difference on those reduced traces, on every trace of l2 and on traces
+    perturbed from them, one at a time and in buckets; and the set is the
+    reference's."""
     k, words = words_at
     p = ParameterizedProgram(_words_template(words), sync_kind)
     bounds = Bounds(max_threads=k, max_local_len=max(map(len, words)))
