@@ -46,8 +46,6 @@ from .oracle import (
     barrier_feasible,
     bounded_coverability,
     covers,
-    enumerate_interleavings,
-    is_mazurkiewicz_reduction,
     lock_feasible,
     oracle_check_atomic,
     oracle_check_natural,

@@ -63,16 +63,15 @@ def accepts(t: ThreadTemplate, word: Iterable[Action]) -> bool:
 def language_equivalent(
     left: ThreadTemplate,
     right: ThreadTemplate,
-    erase_left: Iterable[ActionKind] = (),
     erase_right: Iterable[ActionKind] = (),
 ) -> tuple[bool, Optional[Word]]:
-    """Decide T(left)|erased == T(right)|erased via lazy joint determinization.
+    """Decide T(left) == T(right)|erased via lazy joint determinization.
 
     Returns (True, None) on equality, else (False, word) where `word` is
     accepted by exactly one side.  The empty word never counts (templates
     with distinct init and exit never accept it).
     """
-    n1 = _Nfa(left, frozenset(erase_left))
+    n1 = _Nfa(left, frozenset())
     n2 = _Nfa(right, frozenset(erase_right))
 
     def successors(state: tuple[frozenset[str], frozenset[str]]):

@@ -43,9 +43,6 @@ from .model import (
     ModelError,
     SyncKind,
     ValidationError,
-    validate_fusion,
-    validate_instrumentation,
-    validate_template,
 )
 from .nredfile import ParsedInput, ParseError, parse_input, to_dot, to_nred_text
 from .oracle import Bounds, DepthExceeded, bounded_coverability, format_trace, oracle_check_natural
@@ -159,16 +156,12 @@ def _witness_text(mode: str, w: dict) -> list[str]:
 def _text(report: dict, witness: bool) -> str:
     """The text form of a report: for a check mode its result, flags,
     notes, conditions, mover classes, failing block, the witness (when
-    asked for) and the input warnings; for `validate` its violations."""
+    asked for) and the input warnings; for `validate` "valid" and the
+    warnings."""
     mode, v = report["mode"], report["verdict"]
     warnings = report.get("warnings", ())
-    if mode == "validate":
-        lines = [
-            f"invalid ({bad['check']}): {entry}"
-            for bad in v["violations"]
-            for entry in bad["violations"]
-        ] or ["valid"]
-        return "\n".join(lines + [f"warning: {w}" for w in warnings])
+    if mode == "validate":  # an invalid input has no report
+        return "\n".join(["valid"] + [f"warning: {w}" for w in warnings])
     lines = [
         f"{mode}: {v['result']}",
         *(f"  flag: {flag}" for flag in v.get("flags", ())),
@@ -357,21 +350,11 @@ def run_validate(args) -> int:
     except (ParseError, ValidationError, ModelError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    checks = [("template", validate_template(parsed.program.template))]
-    if parsed.spec.fusion is not None:
-        checks.append(("fusion", validate_fusion(parsed.spec.fusion)))
-    if parsed.spec.instrumentation is not None:
-        checks.append(("instrumentation", validate_instrumentation(parsed.spec.instrumentation)))
-    bad = [(name, rep) for name, rep in checks if not rep.ok]
+    # parse_input validated the template, fusion and instrumentation
     report = _base_report("validate", parsed, args)
-    report["verdict"] = {
-        "result": "invalid" if bad else "valid",
-        "violations": [
-            {"check": name, "violations": [str(v) for v in rep.entries]} for name, rep in bad
-        ],
-    }
+    report["verdict"] = {"result": "valid", "violations": []}
     _emit(report, args)
-    return EXIT_INPUT_ERROR if bad else EXIT_SOUND
+    return EXIT_SOUND
 
 
 def run_gen(args) -> int:

@@ -165,14 +165,6 @@ class PhaseBounds:
                 raise ValueError(f"min exceeds max for {a}")
 
 
-@dataclass(frozen=True)
-class EscapeRelation:
-    pairs: frozenset[tuple[Action, Action]]
-
-    def __contains__(self, pair: tuple[Action, Action]) -> bool:
-        return pair in self.pairs
-
-
 class _Reach:
     """Memoized forward location reachability for one template, searched on
     its numbered view."""
@@ -414,7 +406,7 @@ def escape_relation(
     t: Optional[ThreadTemplate],
     f: AtomicFusion,
     i: CommutativityRelation,
-) -> EscapeRelation:
+) -> frozenset[tuple[Action, Action]]:
     """The composed conflict/order relation between template actions.
 
     (z, z') is in the relation when z conflicts into some chain of order and
@@ -429,9 +421,7 @@ def escape_relation(
         a: {zp for k in _bits(eng.closure(a)) for zp in eng.by_source[sources[k]]}
         for a in eng._rows
     }
-    return EscapeRelation(
-        frozenset((z, zp) for z, a in eng.conflicts for zp in escapes[a])
-    )
+    return frozenset((z, zp) for z, a in eng.conflicts for zp in escapes[a])
 
 
 @dataclass(frozen=True)

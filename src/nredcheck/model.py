@@ -862,8 +862,11 @@ class NaturalReductionSpec:
                 rebuilt = insert_syncpoints(inst.base, inst.insertion_locations)
                 if rebuilt.instrumented != inst.instrumented:
                     rb.add("instrumentation-mismatch", "instrumented template does not match its insertion set")
-            else:
-                for v in validate_instrumentation(inst).entries:
-                    rb.entries.append(v)
+            # a syntactic insertion keeps the base language, and erasing its
+            # rendezvous is injective unless a lock action labels two edges
+            if inst.insertion_locations is None or any(
+                e is None and a.lock is not None for a, e in inst.base._edge_of.items()
+            ):
+                rb.entries.extend(validate_instrumentation(inst).entries)
         return rb.build()
 

@@ -1,11 +1,12 @@
 """Ground-truth semantics at desk scale.
 
-Lock and rendezvous trace predicates, bounded interleaving enumeration,
-the exact covering test, bounded Mazurkiewicz-reduction checks, and an
-explicit-state coverability search.  Everything here is deliberately brute
-force and independent of the polynomial procedures in `decision`; bounds are
-explicit and every verdict carries them.  When a search exhausts its budget
-the result is an honest "inconclusive", never a guess.
+Lock and rendezvous trace predicates, the exact covering test, the bounded
+fusion, rendezvous and natural checks (each a Mazurkiewicz-reduction check
+over enumerated interleavings), and an explicit-state coverability search.
+Everything here is deliberately brute force and independent of the
+polynomial procedures in `decision`; bounds are explicit and every verdict
+carries them.  When a search exhausts its budget the result is an honest
+"inconclusive", never a guess.
 
 Indexed traces are tuples of (action, thread-index) pairs; every public
 function takes and returns them.  Inside, each oracle check runs on one
@@ -115,18 +116,6 @@ class Bounds:
         }
 
 
-def indexed(word: Iterable[Action], thread: int) -> IndexedTrace:
-    return tuple((a, thread) for a in word)
-
-
-def project_plain(tr: IndexedTrace) -> IndexedTrace:
-    return tuple((a, t) for a, t in tr if not a.is_sync)
-
-
-def trace_key(tr: IndexedTrace) -> tuple:
-    return tuple((a.sort_key(), t) for a, t in tr)
-
-
 def format_trace(tr: IndexedTrace) -> str:
     return " ".join(f"{a.name}:{t}" for a, t in tr) if tr else "(empty)"
 
@@ -214,13 +203,6 @@ def barrier_feasible(tr: IndexedTrace) -> bool:
     return _BarrierMachine.accepting(codec.barrier_sets[bid])
 
 
-@dataclass(frozen=True)
-class MazResult:
-    value: bool
-    counterexample: Optional[IndexedTrace] = None
-    reason: str = ""
-
-
 # -- coded traces -----------------------------------------------------------------
 
 
@@ -229,12 +211,12 @@ class _Codec:
 
     The actions are ranked by `Action.sort_key`, and the step (action, t) is
     the int `rank * width + t`, where `width` exceeds every thread index.  So
-    tuples of codes hash as tuples of ints and sort exactly as `trace_key`
-    sorts the traces they stand for.  Per-code tables answer what the inner
-    loops ask of a step, and per-rank lock bits what the shuffle asks of a
-    local word (`gates`); rendezvous state sets are numbered, so a shuffle
-    state is an int; `relation` turns a commutativity relation into a flat
-    table over pairs of ranks.
+    tuples of codes hash as tuples of ints and sort exactly as the traces
+    they stand for sort by (action sort key, thread).  Per-code tables
+    answer what the inner loops ask of a step, and per-rank lock bits what
+    the shuffle asks of a local word (`gates`); rendezvous state sets are
+    numbered, so a shuffle state is an int; `relation` turns a commutativity
+    relation into a flat table over pairs of ranks.
     """
 
     def __init__(self, actions: Iterable[Action], max_thread: int):
@@ -243,7 +225,7 @@ class _Codec:
         self.width = width = max_thread + 1
         pairs = [(a, t) for a in self.actions for t in range(width)]
         self.pairs = pairs  # code -> (action, thread)
-        # kept by `project_plain`
+        # kept by the projection: all but synchronization steps
         self.plain = [not a.is_sync for a, _ in pairs]
         # per code, the step as a trace, and its projection
         self.steps = [(c,) for c in range(len(pairs))]
@@ -277,7 +259,7 @@ class _Codec:
         return tuple(map(self.pairs.__getitem__, codes))
 
     def project(self, codes: tuple[int, ...]) -> tuple[int, ...]:
-        """`project_plain` on codes."""
+        """The coded trace less its synchronization steps."""
         return tuple(itertools.compress(codes, map(self.plain.__getitem__, codes)))
 
     def relation(self, i: CommutativityRelation) -> list[bool]:
@@ -338,10 +320,9 @@ class _Codec:
         return nxt
 
 
-def _trace_codec(traces: Iterable[IndexedTrace], extra: Iterable[Action] = ()) -> _Codec:
+def _trace_codec(traces: Iterable[IndexedTrace]) -> _Codec:
     steps = [s for tr in traces for s in tr]
-    actions = itertools.chain((a for a, _ in steps), extra)
-    return _Codec(actions, max((t for _, t in steps), default=0))
+    return _Codec((a for a, _ in steps), max((t for _, t in steps), default=0))
 
 
 # -- covering test and representative check -----------------------------------
@@ -400,52 +381,27 @@ _Ordered = tuple[
 ]
 
 
-def _bucketed(width: int, traces: Iterable[tuple[int, ...]]) -> _Buckets:
-    """Coded traces bucketed by key, keyed one trace at a time."""
-    by_thread = width.__rmod__
-    out: _Buckets = {}
-    for tr in traces:
-        out.setdefault(tuple(sorted(tr, key=by_thread)), set()).add(tr)
-    return out
-
-
-def _representative_check(codec: _Codec, l1: _Buckets, l2: _Ordered, comm: list[bool]) -> MazResult:
-    """`is_mazurkiewicz_reduction` on coded traces; only the counterexample
-    is decoded.  l2 is read in code order up to its first trace without a
-    representative, which is therefore the least one."""
+def _representative_check(
+    codec: _Codec, l1: _Buckets, l2: _Ordered, comm: list[bool]
+) -> Optional[tuple[IndexedTrace, str]]:
+    """Whether every trace of l2 is covered by some member of l1 <= l2:
+    None, or the decoded counterexample and the reason.  Candidates come
+    from the trace's bucket (covering keeps each thread's steps) and pass
+    the exact pairwise test.  l2 is read in code order up to its first
+    trace without a representative, which is therefore the least one."""
     minus, outside = l2
     width, n = codec.width, len(codec.actions)
     stray = [cand for key, cands in l1.items() for cand in outside(key, cands)]
     if stray:
-        return MazResult(False, codec.decode(min(stray)), "reduced set is not a subset")
+        return codec.decode(min(stray)), "reduced set is not a subset"
     by_thread = width.__rmod__
     for tr in minus(l1):
         if not any(
             _covered(tr, cand, width, n, comm)
             for cand in l1.get(tuple(sorted(tr, key=by_thread)), ())
         ):
-            return MazResult(False, codec.decode(tr), "trace has no representative")
-    return MazResult(True)
-
-
-def is_mazurkiewicz_reduction(
-    l1: Iterable[IndexedTrace],
-    l2: Iterable[IndexedTrace],
-    i: CommutativityRelation,
-) -> MazResult:
-    """Whether every trace of `l2` is covered by some member of `l1 <= l2`.
-
-    Candidates are bucketed by per-thread projections (which covering
-    preserves) and tested with the exact pairwise criterion, so the answer
-    on the given finite sets is never inconclusive.  `l2` is sorted and
-    read in that order, so the counterexample is the least failing trace in
-    `trace_key` order.
-    """
-    l1, l2 = list(l1), list(l2)
-    codec = _trace_codec(itertools.chain(l1, l2))
-    buckets, coded = _bucketed(codec.width, map(codec.encode, l1)), frozenset(map(codec.encode, l2))
-    reader = (lambda l1: sorted(coded.difference(*l1.values())), lambda _key, cands: cands - coded)
-    return _representative_check(codec, buckets, reader, codec.relation(i))
+            return codec.decode(tr), "trace has no representative"
+    return None
 
 
 # -- interleaving enumeration -------------------------------------------------
@@ -497,27 +453,6 @@ class _Budget:
                 cap=self.cap,
                 used=self.used,
             )
-
-
-def enumerate_interleavings(
-    p: ParameterizedProgram,
-    bounds: Bounds,
-    *,
-    keep_sync: bool = False,
-) -> frozenset[IndexedTrace]:
-    """All bounded interleavings of the program, as plain projections.
-
-    Up to `max_threads` threads run complete init-to-exit paths (threads are
-    numbered 1..k with every listed thread active); the synchronization
-    predicate is enforced on the full traces and synchronization steps are
-    then projected away (kept verbatim with `keep_sync`, for callers that
-    still need to measure or expand them).  Raises DepthExceeded past the
-    node budget, which is charged in full before any trace is built.
-    """
-    codec = _Codec(p.template.alphabet, bounds.max_threads)
-    budget = _Budget(bounds.max_enum_nodes, "interleaving enumeration")
-    plan = _plan_interleavings(codec, p, bounds, keep_sync, budget)
-    return frozenset(map(codec.decode, _build_interleavings(codec, plan)))
 
 
 # the start state and, per level, the moves (state, code, next state) that
@@ -586,7 +521,7 @@ def _plan_interleavings(
             project = any(lossy[j] for j in combo)
             base = None
             if perms and project:
-                base = _shuffle_traces(codec, dag, project)
+                base = _dag_traces(dag, codec.projected)
                 paths = len(base)
             for _ in perms:
                 budget.spend(paths)  # one step per relabelled trace
@@ -638,7 +573,7 @@ def _build_interleavings(codec: _Codec, plan: list[_Planned]) -> set[tuple[int, 
     for entry in plan:
         _, _, _, base, perms, project = entry
         if base is None:
-            base = _shuffle_traces(codec, _move_dag(codec, entry), project)
+            base = _dag_traces(_move_dag(codec, entry), codec.projected if project else codec.steps)
         out |= base
         for perm in perms:
             relabel = codec.relabel_table(perm).__getitem__
@@ -828,12 +763,6 @@ def _radix(lengths: Sequence[int]) -> list[int]:
     return list(itertools.accumulate((n + 1 for n in lengths[:-1]), int.__mul__, initial=1))
 
 
-def _shuffle_traces(codec: _Codec, dag: _MoveDag, project: bool) -> set[tuple[int, ...]]:
-    """The build pass: every trace along the move DAG, with synchronization
-    steps dropped when `project` is set."""
-    return _dag_traces(dag, codec.projected if project else codec.steps)
-
-
 def _dag_traces(dag: _MoveDag, labels: Sequence[tuple[int, ...]]) -> set[tuple[int, ...]]:
     """Every path of a move DAG spelt, level by level: a move (state, x,
     next state) spells `labels[x]`, a tuple of codes that may be empty."""
@@ -935,7 +864,7 @@ def _expanded_shuffle(
     flat = list(itertools.chain.from_iterable(steps))
     slots = [x for x, c in enumerate(flat) if c in projected]
     if not slots:
-        traces = base if base is not None else _shuffle_traces(codec, _move_dag(codec, entry), True)
+        traces = base if base is not None else _dag_traces(_move_dag(codec, entry), codec.projected)
         yield codec.project(tuple(flat)), traces
         return
     # per thread, the non-rendezvous steps its block words may take
@@ -1048,10 +977,11 @@ def _compare(
         codec, l2, l1 = _enumeration(original, reduced, blocks, keep_sync, bounds)
     except DepthExceeded as exc:
         return Verdict(INCONCLUSIVE, bounds=bounds, notes=(str(exc),))
-    maz = _representative_check(codec, l1, l2, codec.relation(i))
-    if maz.value:
+    failed = _representative_check(codec, l1, l2, codec.relation(i))
+    if failed is None:
         return Verdict(SOUND, bounds=bounds, notes=("sound within bounds",))
-    return Verdict(UNSOUND, witness=maz.counterexample, bounds=bounds, notes=(maz.reason,))
+    witness, reason = failed
+    return Verdict(UNSOUND, witness=witness, bounds=bounds, notes=(reason,))
 
 
 def oracle_check_atomic(

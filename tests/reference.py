@@ -321,12 +321,29 @@ def expand_blocks_ref(tr, f: AtomicFusion, bounds):
     `tr` must still contain its synchronization steps so the length
     accounting matches the unfused enumeration exactly.
     """
-    bodies = [a for _, body in f.blocks for a in body.alphabet]
-    codec = oracle._trace_codec([tr], itertools.chain((sym for sym, _ in f.blocks), bodies))
+    actions = [a for a, _ in tr] + [a for sym, body in f.blocks for a in (sym, *body.alphabet)]
+    codec = oracle._Codec(actions, max((t for _, t in tr), default=0))
     block_words = oracle._block_words(codec, f.blocks, bounds)
     coded = codec.encode(tr)
     room = room_ref(codec, coded, block_words, bounds)
     return map(codec.decode, substituted_ref(codec.width, coded, room, block_words))
+
+
+def bucketed(width: int, traces) -> dict:
+    """Coded traces bucketed by key (their steps sorted by thread), as the
+    representative check reads l1, keyed one trace at a time."""
+    by_thread = width.__rmod__
+    out: dict = {}
+    for tr in traces:
+        out.setdefault(tuple(sorted(tr, key=by_thread)), set()).add(tr)
+    return out
+
+
+def set_reader(l2: frozenset):
+    """A built set of coded traces as the representative check reads l2:
+    its traces less l1's in code order, and an l1 bucket's traces outside
+    it."""
+    return (lambda l1: sorted(l2.difference(*l1.values())), lambda _key, cands: cands - l2)
 
 
 # -- covering preorder ----------------------------------------------------------

@@ -51,12 +51,10 @@ from nredcheck.oracle import (
     barrier_feasible,
     bounded_coverability,
     covers,
-    enumerate_interleavings,
     lock_feasible,
     oracle_check_atomic,
     oracle_check_natural,
     oracle_check_sync,
-    project_plain,
 )
 
 import reference
@@ -96,11 +94,11 @@ def test_criterion_1_fig2a_goldens():
         parsed.program.template, parsed.spec.fusion, verdict.witness
     )
     bounds = Bounds(max_threads=2, max_local_len=2)
-    l1_raw = enumerate_interleavings(
+    l1_raw = reference.enumerate_interleavings_ref(
         ParameterizedProgram(parsed.spec.fusion.outer), bounds, keep_sync=True
     )
     l1 = frozenset(
-        project_plain(x)
+        tuple((a, t) for a, t in x if not a.is_sync)
         for tr in l1_raw
         for x in reference.expand_blocks_ref(tr, parsed.spec.fusion, bounds)
     )

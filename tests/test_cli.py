@@ -77,6 +77,41 @@ def test_validate_subcommand(capsys, tmp_path):
     assert code == 3
 
 
+def test_validate_and_check_reject_a_non_injective_insertion(capsys, tmp_path):
+    """A rendezvous after one of two edges that share a lock action gives
+    two instrumented traces one erased form: `validate` and `check` both
+    reject the input, and the library check raises on it."""
+    from nredcheck.decision import check_natural_reduction
+    from nredcheck.model import (
+        CommutativityRelation,
+        NaturalReductionSpec,
+        ThreadTemplate,
+        ValidationError,
+        acquire,
+        insert_syncpoints,
+        release,
+    )
+
+    path = tmp_path / "shared_lock.nred"
+    path.write_text(
+        "init l0\nexit l3\n"
+        "lock-edge l0 acq m l1\nlock-edge l0 acq m l2\n"
+        "lock-edge l1 rel m l3\nlock-edge l2 rel m l3\n"
+        "syncpoint at l1\n",
+        encoding="utf-8",
+    )
+    for argv in (("validate",), ("check", "--mode", "sync")):
+        code, _, err = run(capsys, *argv, str(path))
+        assert code == 3 and "projection-not-injective" in err, argv
+    acq, rel = acquire("m"), release("m")
+    base = ThreadTemplate.make(
+        [("l0", acq, "l1"), ("l0", acq, "l2"), ("l1", rel, "l3"), ("l2", rel, "l3")], "l0", "l3"
+    )
+    spec = NaturalReductionSpec(instrumentation=insert_syncpoints(base, ["l1"]))
+    with pytest.raises(ValidationError, match="projection-not-injective"):
+        check_natural_reduction(base, spec, CommutativityRelation([], conflicts=[]))
+
+
 def test_json_report_is_deterministic_up_to_walltime(capsys):
     def once():
         code, out, _ = run(
@@ -124,7 +159,7 @@ def test_unsound_witnesses_revalidate(capsys):
     assert v2.is_unsound
     assert verify_sync_witness(parsed2.spec.instrumentation, parsed2.relation, v2.witness)
     # oracle counterexample: re-checked with the covering test
-    from nredcheck.oracle import Bounds, covers, enumerate_interleavings, oracle_check_natural
+    from nredcheck.oracle import Bounds, covers, oracle_check_natural
     from nredcheck.model import ParameterizedProgram
 
     bounds = Bounds(max_threads=2, max_local_len=2)
@@ -132,13 +167,11 @@ def test_unsound_witnesses_revalidate(capsys):
         parsed.program.template, parsed.spec, parsed.relation, bounds
     )
     assert v3.is_unsound
-    l1_raw = enumerate_interleavings(
+    l1_raw = reference.enumerate_interleavings_ref(
         ParameterizedProgram(parsed.spec.fusion.outer), bounds, keep_sync=True
     )
-    from nredcheck.oracle import project_plain
-
     l1 = frozenset(
-        project_plain(x)
+        tuple((a, t) for a, t in x if not a.is_sync)
         for tr in l1_raw
         for x in reference.expand_blocks_ref(tr, parsed.spec.fusion, bounds)
     )

@@ -99,7 +99,7 @@ def test_bitsets_match_the_pairwise_engine(case):
     assert got == want
     if got.is_unsound:
         assert verify_fusion_witness(t, fusion, rel, got.witness)
-    assert escape_relation(t, fusion, rel).pairs == reference.escape_relation_pairwise(t, fusion, rel)
+    assert escape_relation(t, fusion, rel) == reference.escape_relation_pairwise(t, fusion, rel)
     # every row bit is one pairwise order step, with its kind, every chain
     # the search can be asked for is the pairwise engine's, and the closure
     # holds a source exactly when there is a chain to it

@@ -218,9 +218,7 @@ def test_bounded_to_parameterized_branch_exclusivity():
     combined = bounded_to_parameterized([tA, tB])
     assert validate_template(combined).ok
     p = ParameterizedProgram(combined, SyncKind.LOCKS)
-    from nredcheck.oracle import enumerate_interleavings
-
-    got = enumerate_interleavings(p, Bounds(max_threads=3, max_local_len=4))
+    got = reference.enumerate_interleavings_ref(p, Bounds(max_threads=3, max_local_len=4))
     pa, pb = plain("pa"), plain("pb")
     # no interleaving runs the same branch twice (guards are never released)
     for tr in got:

@@ -40,15 +40,11 @@ from nredcheck.oracle import (
     barrier_feasible,
     bounded_coverability,
     covers,
-    enumerate_interleavings,
     format_trace,
-    indexed,
-    is_mazurkiewicz_reduction,
     lock_feasible,
     oracle_check_atomic,
     oracle_check_natural,
     oracle_check_sync,
-    trace_key,
     _local_traces,
 )
 from nredcheck.nredfile import parse_input
@@ -95,7 +91,7 @@ def test_lock_predicate_per_lock_independence():
 def test_barrier_predicate_examples():
     assert barrier_feasible(((a, 1), (SYNC, 1), (SYNC, 2), (b, 2)))
     assert not barrier_feasible(((SYNC, 1), (a, 2), (SYNC, 2)))
-    assert barrier_feasible(indexed([a, b], 1))
+    assert barrier_feasible(((a, 1), (b, 1)))
     assert barrier_feasible(())
 
 
@@ -191,12 +187,21 @@ def fig2a_parts():
     return original, fusion, i, i_prime, (a_, b1, b2, c)
 
 
+def enumerate_interleavings(p, bounds, *, keep_sync=False):
+    """The program's bounded interleavings as the checks enumerate them:
+    planned (the whole budget charged first), built and decoded."""
+    codec = oracle._Codec(p.template.alphabet, bounds.max_threads)
+    budget = oracle._Budget(bounds.max_enum_nodes, "interleaving enumeration")
+    plan = oracle._plan_interleavings(codec, p, bounds, keep_sync, budget)
+    return frozenset(map(codec.decode, oracle._build_interleavings(codec, plan)))
+
+
 def test_enumerate_single_thread_is_trace_language():
     original, _, _, _, _ = fig2a_parts()
     got = enumerate_interleavings(
         ParameterizedProgram(original), Bounds(max_threads=1, max_local_len=2)
     )
-    words = {indexed(w, 1) for w in original.traces(2)} | {()}
+    words = {tuple((x, 1) for x in w) for w in original.traces(2)} | {()}
     assert got == frozenset(words)
 
 
@@ -375,10 +380,8 @@ def test_planned_enumeration_matches_build_as_you_go(monkeypatch):
                 for tr in l1
                 for x in reference.expansions_ref(codec, tr, block_words, bounds, budget)
             )
-        # l2 as the representative check reads it, off the built set, and
-        # l1 bucketed one trace at a time
-        reader = (lambda l1: sorted(l2.difference(*l1.values())), lambda _key, cands: cands - l2)
-        return reader, oracle._bucketed(codec.width, l1)
+        # l2 read off the built set, and l1 bucketed one trace at a time
+        return reference.set_reader(l2), reference.bucketed(codec.width, l1)
 
     built_in_plan = []
     plan_interleavings = oracle._plan_interleavings
@@ -589,8 +592,8 @@ def test_shuffle_graph_matches_reference(words, semantics):
     nodes, paths, dag = oracle._shuffle_graph(codec, assignment, use_locks, use_barrier)
     assert charged == [nodes, nodes]
     assert paths == len(full)
-    assert oracle._shuffle_traces(codec, dag, False) == full
-    assert oracle._shuffle_traces(codec, dag, True) == projected
+    assert oracle._dag_traces(dag, codec.steps) == full
+    assert oracle._dag_traces(dag, codec.projected) == projected
 
 
 # -- l2 in code order against the built set ----------------------------------------
@@ -673,11 +676,11 @@ def test_ordered_interleavings_match_the_built_set(words_at, sync_kind, rng):
     whole = frozenset(tr for tr in l2 if key(tr) in chosen)  # every trace of some keys
     part = frozenset(tr for tr in l2 if rng.random() < 0.3)
     for skipped in (frozenset(), part, whole, whole | part, whole - part, l1 | part, l2):
-        assert list(minus(oracle._bucketed(codec.width, skipped))) == sorted(l2 - skipped)
+        assert list(minus(reference.bucketed(codec.width, skipped))) == sorted(l2 - skipped)
     near = [near for tr in sorted(l2) for near in _perturbed(tr, codec.width, rng)]
     for tr in itertools.chain(l1, l2, near):
         assert set(outside(key(tr), {tr})) == {tr} - l2, tr
-    for k, cands in oracle._bucketed(codec.width, itertools.chain(l1, l2, near)).items():
+    for k, cands in reference.bucketed(codec.width, itertools.chain(l1, l2, near)).items():
         assert set(outside(k, cands)) == cands - l2, k
 
 
@@ -720,7 +723,7 @@ def test_plain_shuffles_are_counted_and_built_on_demand(words_at, sync_kind):
     traces = oracle._build_interleavings(codec, plan)
     assert traces == oracle._build_interleavings(codec, eager)
     # skip every trace of every other key, so some shuffles are not walked
-    bucket = oracle._bucketed(codec.width, traces)
+    bucket = reference.bucketed(codec.width, traces)
     bucket = {key: bucket[key] for key in sorted(bucket)[::2]}
     lazy, eager_minus = (oracle._ordered_interleavings(codec, q)[0] for q in (plan, eager))
     assert list(lazy(bucket)) == list(eager_minus(bucket))
@@ -877,16 +880,25 @@ def test_coverability_witnesses_are_pinned():
 # -- reduction check --------------------------------------------------------------------
 
 
+def representative_check(l1, l2, i):
+    """The checks' representative check on two given trace sets: None, or
+    the least failing trace and the reason."""
+    codec = oracle._trace_codec([*l1, *l2])
+    buckets = reference.bucketed(codec.width, map(codec.encode, l1))
+    reader = reference.set_reader(frozenset(map(codec.encode, l2)))
+    return oracle._representative_check(codec, buckets, reader, codec.relation(i))
+
+
 def test_is_maz_reflexive_and_subset_violation():
     original, _, i, _, _ = fig2a_parts()
     l2 = enumerate_interleavings(
         ParameterizedProgram(original), Bounds(max_threads=2, max_local_len=2)
     )
-    assert is_mazurkiewicz_reduction(l2, l2, i).value is True
+    assert representative_check(l2, l2, i) is None
     extra = (((plain("zz"), 1),), ((plain("zz"), 2), (a, 1)), ((a, 1), (plain("zz"), 1)))
-    res = is_mazurkiewicz_reduction(set(l2) | set(extra), l2, i)
-    assert res.value is False and res.reason == "reduced set is not a subset"
-    assert res.counterexample == min(extra, key=trace_key)
+    res = representative_check(set(l2) | set(extra), l2, i)
+    assert res is not None and res[1] == "reduced set is not a subset"
+    assert res[0] == min(extra, key=lambda tr: [(x.sort_key(), t) for x, t in tr])
 
 
 def test_oracle_check_atomic_fig2a():
@@ -933,9 +945,13 @@ def test_decomposition_property_on_random_languages():
         l3 = sorted(universe, key=lambda tr: [(x.name, t) for x, t in tr])
         l2 = [tr for tr in l3 if rng.random() < 0.7]
         l1 = [tr for tr in l2 if rng.random() < 0.7]
-        whole = is_mazurkiewicz_reduction(l1, l3, rel).value
-        part1 = is_mazurkiewicz_reduction(l1, l2, rel).value
-        part2 = is_mazurkiewicz_reduction(l2, l3, rel).value
+
+        def reduces(lo, hi):  # every trace of hi is covered by one of lo
+            return all(any(covers(tr, x, rel) for x in lo) for tr in hi)
+
+        whole = reduces(l1, l3)
+        part1 = reduces(l1, l2)
+        part2 = reduces(l2, l3)
         assert whole == (part1 and part2)
 
 
