@@ -57,9 +57,10 @@ MODES = ("natural", "atomic", "sync", "movers", "oracle", "coverability")
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # an input error like a missing file
+        raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def _witness_json(w: object) -> object:
@@ -240,14 +241,13 @@ def run_check(args) -> int:
     mode = args.mode
     try:
         parsed = parse_input(_read_input(args.input))
+        if args.dot:
+            Path(args.dot).write_text(to_dot(parsed.program.template), encoding="utf-8")
     except (ParseError, ValidationError, ModelError, OSError) as exc:
         return _input_error(str(exc))
     t0 = time.perf_counter()
     report = _base_report(mode, parsed, args)
     program = parsed.program
-
-    if args.dot:
-        Path(args.dot).write_text(to_dot(program.template), encoding="utf-8")
 
     has_locks = program.sync_kind is not SyncKind.TRIVIAL
     if args.strict_locks and has_locks and mode in ("atomic", "sync", "natural"):
@@ -409,12 +409,12 @@ def run_gen(args) -> int:
             )
         else:  # pragma: no cover
             raise AssertionError(args.generator)
+        if args.output and args.output != "-":
+            Path(args.output).write_text(out, encoding="utf-8")
+            return EXIT_SOUND
     except (ParseError, ValidationError, ModelError, OSError, ValueError) as exc:
         return _input_error(str(exc))
-    if args.output and args.output != "-":
-        Path(args.output).write_text(out, encoding="utf-8")
-    else:
-        sys.stdout.write(out)
+    sys.stdout.write(out)
     return EXIT_SOUND
 
 

@@ -301,22 +301,21 @@ class _EscapeAnalysis:
         starting = [0] * len(view.names)  # sources whose edge starts at a location
         for u, b in bit.items():
             starting[view.index[t.the_edge(u).src]] |= b
-        # sources whose edge starts at a location reachable from each one,
-        # folded over the components in Tarjan's reverse topological order
-        # (a successor in another component has its mask already)
+        # sources whose edge starts at a location reachable from each
+        # component, folded over the components in Tarjan's reverse
+        # topological order (a successor in another component has its mask
+        # already, and one in the same component only a part of it)
         below = [0] * len(view.names)
         off, nxt = view.out_off, view.out_next
-        for comp in graphs.tarjan_scc(range(len(view.names)), off, nxt):
-            mask = 0
-            for loc in comp:
-                mask |= starting[loc]
-                for succ in nxt[off[loc] : off[loc + 1]]:
-                    mask |= below[succ]
-            for loc in comp:
-                below[loc] = mask
+        comp, order = graphs.tarjan_scc(range(len(view.names)), off, nxt)
+        for loc in order:
+            mask = starting[loc]
+            for succ in nxt[off[loc] : off[loc + 1]]:
+                mask |= below[comp[succ]]
+            below[comp[loc]] |= mask
         rows: dict[Action, tuple[int, int]] = {}
         for v in {y for _, y in self.conflicts}:
-            program = below[view.index[t.the_edge(v).dst]] | bit.get(v, 0)
+            program = below[comp[view.index[t.the_edge(v).dst]]] | bit.get(v, 0)
             steps = program
             if v in self.body_of:  # bodies are tiny: test them pairwise
                 sym, body = self.body_of[v]
@@ -436,15 +435,15 @@ def _block_sccs(body: ThreadTemplate) -> _BlockSccs:
     # the edge graph: edge k leads to each edge leaving its target, in edge order
     offsets = array("i", accumulate((v.out_off[d + 1] - v.out_off[d] for d in v.dst), initial=0))
     targets = array("i", chain.from_iterable(map(v.out, v.dst)))
-    comps = graphs.tarjan_scc(range(len(edges)), offsets, targets)
+    comp, order = graphs.tarjan_scc(range(len(edges)), offsets, targets)
     scc_of: dict[Edge, int] = {}
     members: list[list[Edge]] = []
-    nontrivial: list[bool] = []
-    for idx, comp in enumerate(comps):
-        members.append([edges[k] for k in comp])
-        nontrivial.append(len(comp) > 1 or v.src[comp[0]] == v.dst[comp[0]])
-        for k in comp:
-            scc_of[edges[k]] = idx
+    for k in order:
+        if comp[k] == len(members):
+            members.append([])
+        members[-1].append(edges[k])
+        scc_of[edges[k]] = comp[k]
+    nontrivial = [len(m) > 1 or m[0].src == m[0].dst for m in members]
     return _BlockSccs(scc_of, members, nontrivial)
 
 
@@ -692,34 +691,29 @@ def _sync_counts(g: ThreadTemplate) -> _SyncCounts:
     # with it the choice between equally long greatest-count paths, off
     # set order
     by_target = sorted(sorted(range(len(g.edges)), key=dst.__getitem__), key=src.__getitem__)
-    comps = graphs.tarjan_scc(sorted(least), v.out_off, array("i", map(dst.__getitem__, by_target)))
-    n_comps = len(comps)
-    comp_of = [n_comps] * len(v.names)  # unreachable locations: one extra row
-    for idx, comp in enumerate(comps):
-        for u in comp:
-            comp_of[u] = idx
-    pumping = {
-        comp_of[src[k]] for k, w in enumerate(weight) if w and comp_of[src[k]] == comp_of[dst[k]]
-    }
-    rows, row_edges = graphs.csr(n_comps + 1, [comp_of[u] for u in src])
-    value: list[Optional[float]] = [None] * n_comps
-    value[comp_of[v.index[g.init]]] = 0.0
+    comp, _ = graphs.tarjan_scc(sorted(least), v.out_off, array("i", map(dst.__getitem__, by_target)))
+    src_comp = list(map(comp.__getitem__, src))
+    pumping = {src_comp[k] for k, w in enumerate(weight) if w and src_comp[k] == comp[dst[k]]}
+    value: list[Optional[float]] = [None] * len(v.names)
+    value[comp[v.index[g.init]]] = 0.0
     parent: dict[int, int] = {}
-    for idx in reversed(range(n_comps)):  # Tarjan emits reverse topological order
-        base = value[idx]
-        if base is None:
-            continue
-        if idx in pumping:
-            base = value[idx] = math.inf
-        for k in row_edges[rows[idx] : rows[idx + 1]]:
-            d = comp_of[dst[k]]
-            if d != idx:
-                cand = base + weight[k]
-                if value[d] is None or value[d] < cand:  # type: ignore[operator]
-                    value[d] = cand
-                    parent[d] = k
-    greatest = {u: value[comp_of[u]] for u in least}
-    greatest_parent = {u: parent[comp_of[u]] for u in least if comp_of[u] in parent}
+    # the edges by source component, in Tarjan's reverse topological order,
+    # and by id within one: every edge into a component comes before those
+    # leaving it
+    for k in sorted(range(len(src)), key=src_comp.__getitem__, reverse=True):
+        s = src_comp[k]
+        if s < 0:
+            break  # the rest leave locations init does not reach
+        if s in pumping:
+            value[s] = math.inf
+        d = comp[dst[k]]
+        if d != s:
+            cand = value[s] + weight[k]  # type: ignore[operator]
+            if value[d] is None or value[d] < cand:  # type: ignore[operator]
+                value[d] = cand
+                parent[d] = k
+    greatest = {u: value[comp[u]] for u in least}
+    greatest_parent = {u: parent[comp[u]] for u in least if comp[u] in parent}
     return _SyncCounts(least, least_parent, greatest, greatest_parent)  # type: ignore[arg-type]
 
 
@@ -834,10 +828,18 @@ def check_sync_instrumentation(inst: SyncPointInstrumentation, i: CommutativityR
         g = _erase_sync(g, _LOCK_KINDS)
         flags = (FLAG_SYNC_NOT_APPLICABLE,)
     counts = _sync_counts(g)
-    pb = _phase_bounds(g, counts)
-    for b, a in i.conflicts_over(pb.min_count):
+    index, edge_of = g.numbered.index, g._edge_of
+    # (least, greatest) rendezvous counts before each conflict endpoint
+    bounds: dict[Action, tuple[int, float]] = {}
+    for b, a in i.conflicts_over(_on_path_actions(g)):
+        for x in (a, b):
+            if x not in bounds:
+                u = index[edge_of[x].src]  # type: ignore[union-attr]
+                lo, hi = bounds[x] = counts.least[u], counts.greatest[u]
+                if lo > hi:
+                    raise ValueError(f"min exceeds max for {x}")
         # (b, a) does not commute; unsound if a can be phase-later than b
-        if pb.min_count[a] < pb.max_count[b]:
+        if bounds[a][0] < bounds[b][1]:
             path_a = _min_sync_path(g, a, counts)
             path_b = _max_sync_path(g, b, path_a.sync_count, counts)
             witness = SyncWitness(pair=(a, b), path_a=path_a, path_b=path_b)
@@ -987,15 +989,24 @@ def verify_sync_witness(inst: SyncPointInstrumentation, i: CommutativityRelation
     if i.commutes(b, a):
         return False
 
+    edges, edge_of, index = g.edges, g._edge_of, v.index
+
     def walk(pw: PathWitness) -> bool:
-        loc: Optional[int] = v.index[g.init]
+        here = {index[g.init]}  # a location may have several rendezvous edges
         for act in pw.prefix + (pw.action,):
-            loc = next((v.dst[k] for k in v.out(loc) if g.edges[k].action == act), None)
-            if loc is None:
+            if act.kind is _SYNC_POINT:
+                here = {v.dst[k] for u in here for k in v.out(u) if edges[k].action == act}
+                continue
+            # a plain or block action labels one edge, which must be one of
+            # the template's edges and leave where the walk is
+            e = edge_of.get(act)
+            u = index.get(e.src) if e is not None else None
+            if u not in here or e not in map(edges.__getitem__, v.out(u)):
                 return False
+            here = {index[e.dst]}
         # searched on the walked edges, not read off reach sets a
         # derivation may have handed the template
-        return v.index[g.exit] in v.reach([loc])
+        return index[g.exit] in v.reach(here)
 
     if not walk(w.path_a) or not walk(w.path_b):
         return False

@@ -45,25 +45,31 @@ def reachable(successors: Callable[[N], Iterable[N]], starts: Iterable[N]) -> se
     return seen
 
 
-def tarjan_scc(roots: Iterable[int], offsets: Sequence[int], targets: Sequence[int]) -> list[list[int]]:
+def tarjan_scc(
+    roots: Iterable[int], offsets: Sequence[int], targets: Sequence[int]
+) -> tuple[list[int], list[int]]:
     """Strongly connected components of the int graph whose node u has the
     successors `targets[offsets[u]:offsets[u + 1]]`, searched from `roots`
-    in order and children in row order; components come in reverse
-    topological order (iterative)."""
+    in order and children in row order (iterative).
+
+    Returns each node's component number, -1 for a node no root reaches,
+    with components numbered in reverse topological order; and the reached
+    nodes in the order their components were closed, so each component's
+    nodes stand together, in the order they left the stack.
+    """
     n = len(offsets) - 1
     index = [-1] * n
     low = [0] * n
-    on_stack = bytearray(n)
     stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
+    comp = [-1] * n  # a visited node is on the stack until its component closes
+    order: list[int] = []
+    counter = closed = 0
     for root in roots:
         if index[root] >= 0:
             continue
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = 1
         path = [root]  # the search path, with the next row slot of each node
         slots = [offsets[root]]
         while path:
@@ -74,7 +80,7 @@ def tarjan_scc(roots: Iterable[int], offsets: Sequence[int], targets: Sequence[i
                 slot += 1
                 if index[child] < 0:
                     break
-                if on_stack[child] and index[child] < low[node]:
+                if comp[child] < 0 and index[child] < low[node]:
                     low[node] = index[child]
             else:
                 path.pop()
@@ -82,23 +88,21 @@ def tarjan_scc(roots: Iterable[int], offsets: Sequence[int], targets: Sequence[i
                 if path and low[node] < low[path[-1]]:
                     low[path[-1]] = low[node]
                 if low[node] == index[node]:
-                    comp = []
                     while True:
                         w = stack.pop()
-                        on_stack[w] = 0
-                        comp.append(w)
+                        comp[w] = closed
+                        order.append(w)
                         if w == node:
                             break
-                    sccs.append(comp)
+                    closed += 1
                 continue
             slots[-1] = slot
             index[child] = low[child] = counter
             counter += 1
             stack.append(child)
-            on_stack[child] = 1
             path.append(child)
             slots.append(offsets[child])
-    return sccs
+    return comp, order
 
 
 def bfs_path(

@@ -154,11 +154,12 @@ class NumberedView:
     ones too, so validation can run on it.  Edge k is `template.edges[k]`;
     `src` and `dst` hold its endpoints.  The edges leaving each location
     are compressed sparse rows (`graphs.csr`) of edge ids, in edge order,
-    with their targets in `out_next`; `in_prev` holds the sources of the
-    edges entering each location, in rows of the same kind.
+    with their targets in `out_next`.  The sources of the edges entering
+    each location, in rows of the same kind, are built on the first
+    backward search.
     """
 
-    __slots__ = ("names", "index", "src", "dst", "out_off", "out_edges", "out_next", "in_off", "in_prev")
+    __slots__ = ("names", "index", "src", "dst", "out_off", "out_edges", "out_next", "_in_rows")
 
     def __init__(self, t: "ThreadTemplate") -> None:
         names = set(t.locations)
@@ -171,8 +172,7 @@ class NumberedView:
         self.dst = dst = array("i", map(index.__getitem__, map(itemgetter(2), t.edges)))
         self.out_off, self.out_edges = graphs.csr(len(self.names), src)
         self.out_next = array("i", map(dst.__getitem__, self.out_edges))
-        self.in_off, in_edges = graphs.csr(len(self.names), dst)
-        self.in_prev = array("i", map(src.__getitem__, in_edges))
+        self._in_rows: Optional[tuple[array, array]] = None
 
     def out(self, u: int) -> array:
         """Ids of the edges leaving location `u`."""
@@ -180,7 +180,10 @@ class NumberedView:
 
     def reach(self, starts: Iterable[int], forward: bool = True) -> set[int]:
         """Ids reachable from `starts` (that reach them when not forward)."""
-        off, nxt = (self.out_off, self.out_next) if forward else (self.in_off, self.in_prev)
+        if not forward and self._in_rows is None:
+            in_off, in_edges = graphs.csr(len(self.names), self.dst)
+            self._in_rows = (in_off, array("i", map(self.src.__getitem__, in_edges)))
+        off, nxt = (self.out_off, self.out_next) if forward else self._in_rows
         return graphs.reachable(lambda u: nxt[off[u] : off[u + 1]], starts)
 
     def reach_names(self, starts: Iterable[str], forward: bool) -> frozenset[str]:

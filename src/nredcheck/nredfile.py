@@ -256,6 +256,8 @@ def _from_json(text: str) -> ParsedInput:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("bad JSON: nested too deeply") from exc
 
     def names(obj: dict, key: str, where: str, size: Optional[int] = None) -> list:
         """`obj[key]` as a list of names (or of `size`-lists of names)."""

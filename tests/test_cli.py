@@ -341,6 +341,36 @@ def test_input_error_paths(capsys, tmp_path):
     assert code == 3 and "line 1" in err
 
 
+def _not_utf8(tmp_path: Path) -> list[str]:
+    path = tmp_path / "binary.nred"
+    path.write_bytes(b"init l0\n\xff\xfe\x00edge\n")
+    return ["check", str(path)]
+
+
+def _deep_json(tmp_path: Path) -> list[str]:
+    path = tmp_path / "deep.json"
+    path.write_text('{"a": ' * 100_000 + "1" + "}" * 100_000, encoding="utf-8")
+    return ["check", str(path)]
+
+
+def _dot_in_missing_dir(tmp_path: Path) -> list[str]:
+    return ["check", str(CASES / "fig2a.nred"), "--dot", str(tmp_path / "no-such-dir" / "out.dot")]
+
+
+def _gen_into_missing_dir(tmp_path: Path) -> list[str]:
+    return ["gen", "3sat", "--dimacs", str(CASES / "sat2.cnf"), "-o", str(tmp_path / "no-such-dir" / "out.nred")]
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [_not_utf8, _deep_json, _dot_in_missing_dir, _gen_into_missing_dir],
+    ids=["not-utf8", "deep-json", "dot-in-missing-dir", "gen-into-missing-dir"],
+)
+def test_unreadable_input_and_unwritable_output_are_input_errors(capsys, tmp_path, make_argv):
+    code, _, err = run(capsys, *make_argv(tmp_path))
+    assert code == 3 and err.startswith("error: "), (code, err)
+
+
 @pytest.mark.parametrize(
     "argv",
     [["check", "--mode", "bogus"], ["check", "--threads", "x"], []],

@@ -11,7 +11,9 @@ import pytest
 from nredcheck import oracle
 from nredcheck.decision import (
     FLAG_LOCK_ABSTRACTION,
+    PathWitness,
     ReentryWitness,
+    SyncWitness,
     at_relation,
     check_atomic_fusion,
     check_natural_reduction,
@@ -30,6 +32,7 @@ from nredcheck.movers import lipton_check
 from nredcheck.model import (
     AtomicFusion,
     CommutativityRelation,
+    Edge,
     InconsistentInputs,
     NaturalReductionSpec,
     SYNC,
@@ -560,6 +563,41 @@ def test_sync_witness_pumped_case():
     assert verdict.result == "unsound"
     assert verdict.witness.path_b.pumped or verdict.witness.path_b.sync_count > 0
     assert verify_sync_witness(inst, rel, verdict.witness)
+
+
+def _four_step_instrumentation():
+    """m0 -a-> m1 -b-> m2 -c-> m3 -d-> m4 with a rendezvous after m1 and m2,
+    so a runs before both rendezvous, b after one, and c and d after two;
+    c and d conflict, and d conflicts into b."""
+    aa, bb, cc, dd = (plain(x) for x in "abcd")
+    base = ThreadTemplate.make(
+        [("m0", aa, "m1"), ("m1", bb, "m2"), ("m2", cc, "m3"), ("m3", dd, "m4")], "m0", "m4"
+    )
+    rel = CommutativityRelation([aa, bb, cc, dd], conflicts=[(cc, dd), (dd, cc), (dd, bb)])
+    return insert_syncpoints(base, ["m1", "m2"]), rel, (aa, bb, cc, dd)
+
+
+def test_sync_witness_steps_follow_their_own_edges():
+    inst, rel, (aa, bb, cc, dd) = _four_step_instrumentation()
+    verdict = check_sync_instrumentation(inst, rel)
+    assert verdict.is_unsound and verify_sync_witness(inst, rel, verdict.witness)
+    to_d = PathWitness((aa, SYNC, bb, SYNC, cc), dd, 2)
+    # c's edge leaves m2^, not m1 where a ends
+    assert not verify_sync_witness(inst, rel, SyncWitness((cc, dd), PathWitness((aa,), cc, 0), to_d))
+    # z labels no edge of the template
+    zz = plain("z")
+    assert not verify_sync_witness(inst, rel, SyncWitness((zz, dd), PathWitness((aa,), zz, 0), to_d))
+
+
+def test_sync_witness_edges_must_be_the_templates_own():
+    inst, rel, (aa, bb, cc, dd) = _four_step_instrumentation()
+    g = inst.instrumented
+    # d's edge index now names an edge that leaves m1^ straight for exit, one
+    # the template does not have: d would run after one rendezvous, not two
+    g.__dict__["_edge_of"] = {**g._edge_of, dd: Edge("m1^", dd, "m4")}
+    assert Edge("m1^", dd, "m4") not in g.edges
+    w = SyncWitness((dd, cc), PathWitness((aa, SYNC), dd, 1), PathWitness((aa, SYNC, bb, SYNC), cc, 2))
+    assert not verify_sync_witness(inst, rel, w)
 
 
 # -- lifting and the combined check ----------------------------------------------

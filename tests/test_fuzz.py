@@ -15,11 +15,18 @@ import json
 import random
 import sys
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nredcheck.cli import main
-from nredcheck.model import CommutativityRelation, ModelError, ValidationError
+from nredcheck.model import (
+    CommutativityRelation,
+    ModelError,
+    ValidationError,
+    insert_syncpoints,
+    validate_instrumentation,
+)
 from nredcheck.nredfile import ParseError, parse_input, to_nred_text
 
 import reference
@@ -164,6 +171,7 @@ def test_random_input_parses_or_is_an_input_error(text):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32))
+@example(5038466)  # acq(mb) labels three edges, and two rendezvous make the erasure non-injective
 def test_serialized_input_parses_back(seed):
     rng = random.Random(seed)
     if rng.random() < 0.5:
@@ -174,7 +182,17 @@ def test_serialized_input_parses_back(seed):
         alphabet = sorted(fused.plain_alphabet, key=lambda a: a.sort_key())
         rel = CommutativityRelation(alphabet, conflicts=[(x, y) for x in alphabet for y in alphabet if rng.random() < 0.3])
         sync_locs = rng.sample(sorted(fused.locations), rng.randint(0, 2))
-    parsed = parse_input(to_nred_text(fused, relation=rel, blocks=blocks, syncpoints=list(sync_locs)))
+    text = to_nred_text(fused, relation=rel, blocks=blocks, syncpoints=list(sync_locs))
+    # a lock action on several edges makes the parser check that erasing the
+    # rendezvous is injective, and such a draw may fail that check
+    if any(a.lock is not None and len(fused.edges_labeled(a)) > 1 for a in fused.alphabet):
+        report = validate_instrumentation(insert_syncpoints(fused, sync_locs))
+        if "projection-not-injective" in [v.code for v in report.entries]:
+            with pytest.raises(ValidationError) as rejected:
+                parse_input(text)
+            assert [v.code for v in rejected.value.report.entries] == ["projection-not-injective"]
+            return
+    parsed = parse_input(text)
 
     def shape(t):
         return set(t.edges), t.locations, t.init, t.exit

@@ -11,7 +11,7 @@ from __future__ import annotations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nredcheck import decision
+from nredcheck import decision, graphs
 from nredcheck.model import (
     SYNC,
     Action,
@@ -116,6 +116,71 @@ def test_sync_counts_and_phase_bounds_match_the_reference(t):
     assert by_name == reference.sync_counts_ref(t)
     pb = decision._phase_bounds(t, counts)
     assert (pb.min_count, pb.max_count) == reference.phase_bounds_ref(t)
+
+
+@st.composite
+def templates_and_relations(draw) -> tuple[ThreadTemplate, CommutativityRelation]:
+    """A made template and a relation that declares some of its plain
+    actions, leaving the rest to conflict with everything, with up to 40
+    conflicts among them, so an action may be in many."""
+    t = draw(made_templates())
+    actions = sorted(t.plain_alphabet, key=Action.sort_key)
+    alphabet = draw(st.lists(st.sampled_from(actions), unique=True)) if actions else []
+    pair = st.tuples(st.sampled_from(alphabet), st.sampled_from(alphabet))
+    conflicts = draw(st.lists(pair, max_size=40)) if alphabet else []
+    return t, CommutativityRelation(alphabet, conflicts=conflicts)
+
+
+def _sync_verdict_ref(t: ThreadTemplate, rel: CommutativityRelation) -> tuple:
+    """The first conflict (b, a) whose a runs past fewer rendezvous than b
+    can, by the reference phase bounds, with the check's path witnesses."""
+    min_count, max_count = reference.phase_bounds_ref(t)
+    counts = decision._sync_counts(t)
+    for b, a in rel.conflicts_over(min_count):
+        if min_count[a] < max_count[b]:
+            path_a = decision._min_sync_path(t, a, counts)
+            path_b = decision._max_sync_path(t, b, path_a.sync_count, counts)
+            return decision.UNSOUND, decision.SyncWitness((a, b), path_a, path_b)
+    return decision.SOUND, None
+
+
+# two rendezvous edges leave x2, and only the second one leads on to p2: the
+# witness re-check must follow both
+TWO_RENDEZVOUS = ThreadTemplate.make([("x2", SYNC, "x2"), ("x2", SYNC, "x10"), ("x10", plain("p2"), "x2")], "x2", "x2")
+
+
+@settings(max_examples=300, deadline=None)
+@given(templates_and_relations())
+@example((TWO_RENDEZVOUS, CommutativityRelation([], conflicts=[])))
+def test_sync_check_matches_the_reference_phase_bounds(drawn):
+    t, rel = drawn
+    inst = SyncPointInstrumentation(t, t)
+    verdict = _outcome(decision.check_sync_instrumentation, inst, rel)
+    want = _outcome(_sync_verdict_ref, t, rel)
+    if isinstance(want, tuple) and want[0] != "raised":
+        assert (verdict.result, verdict.witness) == want
+        if verdict.is_unsound:
+            assert decision.verify_sync_witness(inst, rel, verdict.witness)
+    else:
+        assert verdict == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(made_templates())
+def test_tarjan_components_match_the_reference(t):
+    v = t.numbered
+    n = len(v.names)
+    adj = {u: list(v.out_next[v.out_off[u] : v.out_off[u + 1]]) for u in range(n)}
+    # from every location, and from those init reaches (the rest stay -1)
+    for roots in (range(n), sorted(v.index[x] for x in t.from_init)):
+        want = reference._tarjan_ref(roots, adj)
+        comp, order = graphs.tarjan_scc(roots, v.out_off, v.out_next)
+        want_comp = [-1] * n
+        for idx, members in enumerate(want):
+            for u in members:
+                want_comp[u] = idx
+        assert comp == want_comp
+        assert order == [u for members in want for u in members]
 
 
 @settings(max_examples=200, deadline=None)
