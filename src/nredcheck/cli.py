@@ -58,8 +58,10 @@ MODES = ("natural", "atomic", "sync", "movers", "oracle", "coverability")
 
 def _read_input(path: str) -> str:
     try:
-        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:  # an input error like a missing file
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        # stdin under the C locale decodes bytes that are not UTF-8 to lone surrogates
+        return text.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeError as exc:  # an input error like a missing file
         raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 

@@ -79,11 +79,14 @@ class Bounds:
     size; running out surfaces as an inconclusive result.  The interleaving
     enumeration of both programs is charged in full, from the node and path
     counts of each shuffle, before any trace is built, so a check that runs
-    out builds none: a shuffle of words without lock or rendezvous steps is
-    counted from its word lengths alone and its state graph is built only
-    when its traces are read, the others' state graphs are searched to be
-    counted, and a shuffle that loses synchronization steps to the
-    projection and has relabellings has its traces built to be counted.
+    out builds none.  A shuffle's nodes are the prefixes that its lock and
+    rendezvous rules let run (`_shuffle_graph`), where every thread with a
+    step left takes part in each round.  A shuffle of words without lock
+    or rendezvous steps is counted from its word lengths alone and its
+    state graph is built only when its traces are read, the others' state
+    graphs are searched to be counted, and a shuffle that loses
+    synchronization steps to the projection and has relabellings has its
+    traces built to be counted.
     Block expansion is charged one step per choice of block words for each
     reduced trace, as if each choice were tried in turn; all the traces of
     a shuffle, in every arrangement, have the same choices, so each
@@ -143,64 +146,36 @@ def lock_feasible(tr: IndexedTrace) -> bool:
     return True
 
 
-class _BarrierMachine:
-    """Subset simulation of the rendezvous predicate.
-
-    States are (running set T, partial rendezvous R); threads may be dropped
-    whenever no rendezvous is in progress, a rendezvous consumes one step per
-    running thread in any order, and any other step needs its thread running
-    and no rendezvous underway.  That last clause makes a rendezvous atomic
-    in the full trace: lock operations cannot sneak between its steps, which
-    is what lets rendezvous points interact with lock blocking at all.
-    """
-
-    def __init__(self, threads: frozenset[int]):
-        self.start: frozenset = self._closure(frozenset({(threads, frozenset())}))
-
-    @staticmethod
-    def _closure(states: frozenset) -> frozenset:
-        out = set(states)
-        stack = [s for s in states if not s[1]]
-        while stack:
-            team, _ = stack.pop()
-            for t in team:
-                smaller = (team - {t}, frozenset())
-                if smaller not in out:
-                    out.add(smaller)
-                    stack.append(smaller)
-        return frozenset(out)
-
-    @staticmethod
-    def step(states: frozenset, rendezvous: bool, thread: int) -> frozenset:
-        out = set()
-        if rendezvous:
-            for team, part in states:
-                if thread in team and thread not in part:
-                    grown = part | {thread}
-                    out.add((team, frozenset()) if grown == team else (team, grown))
-        else:
-            for team, part in states:
-                if not part and thread in team:
-                    out.add((team, part))
-        return _BarrierMachine._closure(frozenset(out))
-
-    @staticmethod
-    def accepting(states: frozenset) -> bool:
-        return any(not part for _, part in states)
+def _rendezvous_step(joined: int, running: int, bit: int, rendezvous: bool) -> Optional[int]:
+    """The rendezvous rule for one step of the thread whose bit is `bit`:
+    the current round's thread mask after the step, or None when it cannot
+    run.  `running` masks the threads with a step of their word left before
+    this one (a finished thread kept running could only block a round).  A
+    rendezvous step needs its thread outside the round and joins it, and
+    the round closes once every running thread is in it; any other step
+    needs no round underway, so no lock step falls between a round's steps."""
+    if rendezvous and not joined & bit:
+        joined |= bit
+        return joined if running & ~joined else 0
+    return None if joined else 0
 
 
 def barrier_feasible(tr: IndexedTrace) -> bool:
     """Rendezvous discipline: running threads pass rendezvous points together
     (in any per-round order); threads may stop participating forever between
     rounds.  The running set starts as exactly the indices in the trace.
-    The shuffle's rule: `_Codec.barrier_step` from the machine's start."""
-    codec = _trace_codec([tr])
-    bid = codec.barrier_id(_BarrierMachine(frozenset(t for _, t in tr)).start)
-    for c in codec.encode(tr):
-        bid = codec.barrier_step(bid, c)
-        if not bid:
+    The shuffle's rule (`_rendezvous_step`), with a thread running up to
+    its last step in the trace."""
+    last = {t: n for n, (_, t) in enumerate(tr)}
+    running = sum(1 << t for t in last)
+    joined: Optional[int] = 0
+    for n, (a, t) in enumerate(tr):
+        joined = _rendezvous_step(joined, running, 1 << t, a.kind is _SYNC_POINT)
+        if joined is None:
             return False
-    return _BarrierMachine.accepting(codec.barrier_sets[bid])
+        if last[t] == n:
+            running ^= 1 << t
+    return True
 
 
 # -- coded traces -----------------------------------------------------------------
@@ -214,9 +189,8 @@ class _Codec:
     tuples of codes hash as tuples of ints and sort exactly as the traces
     they stand for sort by (action sort key, thread).  Per-code tables
     answer what the inner loops ask of a step, and per-rank lock bits what
-    the shuffle asks of a local word (`gates`); rendezvous state sets are
-    numbered, so a shuffle state is an int; `relation` turns a commutativity
-    relation into a flat table over pairs of ranks.
+    the shuffle asks of a local word (`gates`); `relation` turns a
+    commutativity relation into a flat table over pairs of ranks.
     """
 
     def __init__(self, actions: Iterable[Action], max_thread: int):
@@ -238,10 +212,6 @@ class _Codec:
         self.releases = [bit[a.lock] if a.kind is _RELEASE else 0 for a in self.actions]
         self._gates: dict[tuple[int, ...], tuple[int, list[int], list[int]]] = {}
         self._tables: dict[tuple[int, ...], list[int]] = {}
-        # rendezvous state sets, named by small ints; 0 names the empty set
-        self.barrier_sets: list[frozenset] = [frozenset()]
-        self._barrier_ids: dict[frozenset, int] = {frozenset(): 0}
-        self._barrier_next: list[dict[int, int]] = [{}]
 
     def ranks(self, word: Iterable[Action]) -> tuple[int, ...]:
         return tuple(map(self.rank.__getitem__, word))
@@ -298,26 +268,6 @@ class _Codec:
                 held ^= flip[-1]
             out = self._gates[word] = (len(need), need, flip)
         return out
-
-    def barrier_id(self, states: frozenset) -> int:
-        """The int that names a set of rendezvous states."""
-        bid = self._barrier_ids.get(states)
-        if bid is None:
-            bid = self._barrier_ids[states] = len(self.barrier_sets)
-            self.barrier_sets.append(states)
-            self._barrier_next.append({})
-        return bid
-
-    def barrier_step(self, bid: int, code: int) -> int:
-        """`_BarrierMachine.step` on named state sets, remembered per set
-        and step; 0 when the step is infeasible."""
-        row = self._barrier_next[bid]
-        nxt = row.get(code)
-        if nxt is None:
-            rendezvous = not self.counted[code]
-            states = _BarrierMachine.step(self.barrier_sets[bid], rendezvous, code % self.width)
-            nxt = row[code] = self.barrier_id(states)
-        return nxt
 
 
 def _trace_codec(traces: Iterable[IndexedTrace]) -> _Codec:
@@ -456,13 +406,13 @@ class _Budget:
 
 
 # the start state and, per level, the moves (state, code, next state) that
-# lie on an accepted path; a state is an int (see `_shuffle_graph`)
+# lie on a complete path; a state is an int (see `_shuffle_graph`)
 _MoveDag = tuple[int, list[list[tuple[int, int, int]]]]
 
 
 # one shuffled multiset of local words: the ranked words (thread j+1 runs
 # the j-th), its move DAG (None for a synchronization-free shuffle, whose
-# DAG `_move_dag` builds when it is read), its trace count (the accepted
+# DAG `_move_dag` builds when it is read), its trace count (the complete
 # paths, or the traces the plan built), its traces when the plan had to
 # build them, the thread permutations that relabel them into the other
 # arrangements, and whether building drops synchronization steps; the
@@ -482,7 +432,7 @@ def _plan_interleavings(
     The charges come in the order of a build-as-you-go enumeration: the
     path enumeration of the local words, then per multiset of words the
     node count of its shuffle, then one step per trace for each distinct
-    relabelling.  A trace's code names its thread, so two accepted paths
+    relabelling.  A trace's code names its thread, so two complete paths
     through a shuffle (which first differ in the thread they step) are two
     traces, and the trace count is the path count.  A multiset of words
     without lock or rendezvous steps has every interleaving feasible, so
@@ -682,22 +632,24 @@ def _shuffle_graph(
 ) -> tuple[int, int, _MoveDag]:
     """The graph pass over every synchronization-feasible interleaving of
     the ranked local words, thread j+1 running `assignment[j]`: returns the
-    node charge, the number of accepted paths and the pruned move DAG.
+    node charge, the number of complete paths and the pruned move DAG.
 
     The search runs level by level over states: the steps each thread has
-    taken, and the rendezvous state set.  A state is keyed by one int, the
-    step counts packed mixed-radix plus the rendezvous set's number
-    (`_Codec.barrier_id`) times the radix product; its step counts and held
-    locks are worked out once, when it is first reached.  A thread holds
-    what its own prefix acquired and did not release, so each word's lock
-    gates (`_Codec.gates`) say how far it can ever run and which lock each
-    step needs free, and a state keeps one mask of the locks its threads
-    hold.  The node charge is one step per feasible prefix (the node count
-    of a depth-first search over them), counted as the number of paths
-    into each state; no trace is built.
+    taken, and the mask of the threads in the current rendezvous round
+    (bit j for thread j+1, `_rendezvous_step`).  A state is keyed by one
+    int, the step counts packed mixed-radix plus the round's mask times the
+    radix product; its step counts, held locks and running threads (a
+    mask that changes only when a thread takes its last step) are worked
+    out once, when it is first reached.  A thread holds what its own prefix
+    acquired and did not release, so each word's lock gates
+    (`_Codec.gates`) say how far it can ever run and which lock each step
+    needs free, and a state keeps one mask of the locks its threads hold.
+    The node charge is one step per feasible prefix (the node count of a
+    depth-first search over them), counted as the number of paths into
+    each state; no trace is built.
     """
     k = len(assignment)
-    width = codec.width
+    width, counted = codec.width, codec.counted
     steps = [tuple(r * width + j for r in w) for j, w in enumerate(assignment, 1)]
     lengths = [len(w) for w in steps]
     if use_locks:
@@ -707,14 +659,11 @@ def _shuffle_graph(
         limits, needs, flips = lengths, [free] * k, [free] * k
     radix = _radix(lengths)
     size = radix[-1] * (lengths[-1] + 1)
-    barrier_step = codec.barrier_step
 
-    bid = codec.barrier_id(_BarrierMachine(frozenset(range(1, k + 1))).start) if use_barrier else 0
-    start = bid * size
-    level = {start: 1}
+    level = {0: 1}
     # per state of the level: the steps each thread has taken, the locks
-    # held and the rendezvous set's number (0 without rendezvous)
-    facts = {start: ((0,) * k, 0, bid)}
+    # held, the round's mask and the running threads' mask
+    facts = {0: ((0,) * k, 0, 0, sum(1 << j for j, n in enumerate(lengths) if n))}
     nodes = 1
     moves_by_level = []
     for _ in range(sum(lengths)):
@@ -722,39 +671,38 @@ def _shuffle_graph(
         nxt_facts = {}
         moves = []
         for state, paths in level.items():
-            pos, held, bid = facts[state]
+            pos, held, joined, running = facts[state]
             for j in range(k):
                 p = pos[j]
                 if p == limits[j] or needs[j][p] & held:
                     continue
                 c = steps[j][p]
                 to = state + radix[j]
-                after = 0
-                if bid:
-                    after = barrier_step(bid, c)
-                    if not after:
+                after = joined
+                if use_barrier:
+                    after = _rendezvous_step(joined, running, 1 << j, not counted[c])
+                    if after is None:
                         continue
-                    to += (after - bid) * size
+                    to += (after - joined) * size
                 if to in nxt:
                     nxt[to] += paths
                 else:
                     nxt[to] = paths
                     # threads hold disjoint locks, so the step flips its own bit
-                    nxt_facts[to] = (pos[:j] + (p + 1,) + pos[j + 1 :], held ^ flips[j][p], after)
+                    left = running ^ 1 << j if p + 1 == lengths[j] else running
+                    nxt_facts[to] = (pos[:j] + (p + 1,) + pos[j + 1 :], held ^ flips[j][p], after, left)
                 moves.append((state, c, to))
         moves_by_level.append(moves)
         level, facts = nxt, nxt_facts
         nodes += sum(nxt.values())
 
-    # every state of the last level has taken every step; keep only the
-    # moves that lead to an accepted one
-    sets = codec.barrier_sets
-    alive = {s for s in level if not facts[s][2] or _BarrierMachine.accepting(sets[facts[s][2]])}
-    accepted = sum(level[s] for s in alive)
+    # every state of the last level has taken every step, so it has no
+    # round open; keep only the moves that lead to one
+    alive = set(level)
     for moves in reversed(moves_by_level):
         moves[:] = [m for m in moves if m[2] in alive]
         alive = {m[0] for m in moves}
-    return nodes, accepted, (start, moves_by_level)
+    return nodes, sum(level.values()), (0, moves_by_level)
 
 
 def _radix(lengths: Sequence[int]) -> list[int]:

@@ -133,6 +133,18 @@ def enumerate_interleavings_ref(
     right counts, kept when the whole trace meets the synchronization
     predicate; no pruning, no thread symmetry."""
     words = oracle._local_traces(p.template, bounds)
+    out = {()}
+    for k in range(1, bounds.max_threads + 1):
+        for assignment in itertools.product(words, repeat=k):
+            for tr in all_interleavings(assignment):
+                if sync_feasible_ref(tr, p.sync_kind):
+                    out.add(tr if keep_sync else tuple((a, t) for a, t in tr if not a.is_sync))
+    return frozenset(out)
+
+
+def all_interleavings(assignment):
+    """Every interleaving of the words, thread t running `assignment[t - 1]`,
+    with no synchronization predicate applied."""
 
     def label_sequences(left: list[int]):
         if not any(left):
@@ -145,15 +157,9 @@ def enumerate_interleavings_ref(
                     yield (t + 1,) + rest
                 left[t] += 1
 
-    out = {()}
-    for k in range(1, bounds.max_threads + 1):
-        for assignment in itertools.product(words, repeat=k):
-            for labels in label_sequences([len(w) for w in assignment]):
-                steps = [iter(w) for w in assignment]
-                tr = tuple((next(steps[t - 1]), t) for t in labels)
-                if sync_feasible_ref(tr, p.sync_kind):
-                    out.add(tr if keep_sync else tuple((a, t) for a, t in tr if not a.is_sync))
-    return frozenset(out)
+    for labels in label_sequences([len(w) for w in assignment]):
+        steps = [iter(w) for w in assignment]
+        yield tuple((next(steps[t - 1]), t) for t in labels)
 
 
 def interleavings_ref(codec, p: ParameterizedProgram, bounds, keep_sync: bool, budget) -> set:
@@ -190,7 +196,9 @@ def interleavings_ref(codec, p: ParameterizedProgram, bounds, keep_sync: bool, b
 def _shuffle_ref(codec, assignment, use_locks, use_barrier, budget, keep_sync) -> set:
     """One multiset's shuffle, searched level by level (the budget charged
     the paths into each state), then built at once along the moves that
-    reach an accepted state."""
+    reach an accepted state.  The current rendezvous round is the set of
+    threads that joined it; it closes once every thread with a step of its
+    word left has joined, and a state is accepted when no round is open."""
     k = len(assignment)
     width = codec.width
     steps = [tuple(r * width + j for r in w) for j, w in enumerate(assignment, 1)]
@@ -209,8 +217,7 @@ def _shuffle_ref(codec, assignment, use_locks, use_barrier, budget, keep_sync) -
             row.append(now)
         held.append(row)
 
-    barrier = oracle._BarrierMachine(frozenset(range(1, k + 1))).start if use_barrier else None
-    start = ((0,) * k, barrier)
+    start = ((0,) * k, frozenset() if use_barrier else None)
     level = {start: 1}
     nodes = 1
     moves_by_level = []
@@ -218,7 +225,7 @@ def _shuffle_ref(codec, assignment, use_locks, use_barrier, budget, keep_sync) -
         nxt = {}
         moves = []
         for state, paths in level.items():
-            pos, barrier = state
+            pos, joined = state
             for j in range(k):
                 p = pos[j]
                 if p == lengths[j]:
@@ -231,11 +238,15 @@ def _shuffle_ref(codec, assignment, use_locks, use_barrier, budget, keep_sync) -
                 elif op is ActionKind.RELEASE:
                     if lock[c] not in held[j][p]:
                         continue
-                after = None
-                if barrier is not None:
-                    after = codec.barrier_sets[codec.barrier_step(codec.barrier_id(barrier), c)]
-                    if not after:
+                after = joined
+                if joined is not None and kind[c] is ActionKind.SYNC_POINT:
+                    if j + 1 in joined:
                         continue
+                    after = joined | {j + 1}
+                    if {i + 1 for i in range(k) if pos[i] < lengths[i]} <= after:
+                        after = frozenset()
+                elif joined:
+                    continue
                 to = (pos[:j] + (p + 1,) + pos[j + 1 :], after)
                 nxt[to] = nxt.get(to, 0) + paths
                 moves.append((state, c, to))
@@ -244,7 +255,7 @@ def _shuffle_ref(codec, assignment, use_locks, use_barrier, budget, keep_sync) -
         nodes += sum(nxt.values())
     budget.spend(nodes)
 
-    alive = {s for s in level if s[1] is None or oracle._BarrierMachine.accepting(s[1])}
+    alive = {s for s in level if not s[1]}
     for moves in reversed(moves_by_level):
         moves[:] = [m for m in moves if m[2] in alive]
         alive = {m[0] for m in moves}

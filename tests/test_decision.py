@@ -28,6 +28,7 @@ from nredcheck.decision import (
     verify_reentry_witness,
     verify_sync_witness,
 )
+from nredcheck.gadgets import coverability_to_fusion
 from nredcheck.movers import lipton_check
 from nredcheck.model import (
     AtomicFusion,
@@ -35,7 +36,9 @@ from nredcheck.model import (
     Edge,
     InconsistentInputs,
     NaturalReductionSpec,
+    ParameterizedProgram,
     SYNC,
+    SyncKind,
     ThreadTemplate,
     acquire,
     block_symbol,
@@ -320,6 +323,28 @@ def test_lock_abstraction_certificate_never_meets_an_unsound_oracle():
             assert not truth.is_unsound, (fusion, rel, bounds, truth.witness)
             checked += truth.is_sound
     assert checked >= 150, checked
+
+
+@pytest.mark.parametrize("seed", [607, 608])
+def test_no_sound_fusion_answer_on_a_coverable_gadget(seed):
+    # criterion 6's generator at other seeds: the block `coverability_to_fusion`
+    # builds is unsound exactly when the cover is coverable, and a lock
+    # program's coverability is exact at `|cover|` threads, so
+    # `bounded_coverability` is the truth for every thread count
+    rng = random.Random(seed)
+    coverable = 0
+    for _ in range(150):
+        t = reference.random_lock_template(rng, max_locs=4, visible_start=True)
+        p = ParameterizedProgram(t, SyncKind.LOCKS)
+        locs = sorted(set(t.locations) - {t.init})
+        config = (rng.choice(locs), rng.choice(locs))
+        if not oracle.bounded_coverability(p, config, oracle.Bounds(max_threads=2, max_local_len=8))[0]:
+            continue
+        coverable += 1
+        prog, fusion, rel = coverability_to_fusion(p, config)
+        verdict = check_atomic_fusion(prog.template, fusion, rel)
+        assert not verdict.is_sound, (t, config)
+    assert coverable >= 100, coverable
 
 
 # -- bodies that re-enter their init or leave their exit --------------------------

@@ -1,10 +1,12 @@
 """Fuzzed inputs at the input edge.
 
-Random `.nred` text and random JSON shapes either parse or raise an input
-error (`ParseError`, `ValidationError`, `ModelError`); `nredcheck check`
-answers them with a verdict or with exit 3 and a message, never with an
-internal error; and what `to_nred_text` writes parses back to the fused
-template, relation, blocks and rendezvous locations it was written from.
+Random `.nred` text, random JSON shapes and random bytes on stdin either
+parse or raise an input error (`ParseError`, `ValidationError`,
+`ModelError`, or bytes that are not UTF-8); `nredcheck check` answers them
+with a verdict or with exit 3 and a message, never with an internal error;
+what `to_nred_text` writes parses back to the fused template, relation,
+blocks and rendezvous locations it was written from; and criterion 3's
+instances, written out, reach exit 1 with witnesses that re-check.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import contextlib
 import io
 import json
 import random
+import re
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -136,30 +140,60 @@ def _json_programs(draw) -> str:
 json_texts = st.one_of(_json_programs(), st.fixed_dictionaries({}, optional=_json_fields).map(json.dumps))
 
 
-def _check(text: str) -> tuple[int, str]:
-    """`nredcheck check -` on `text`: the exit code and stderr."""
+@st.composite
+def _truncated_utf8(draw) -> bytes:
+    """A program's UTF-8 bytes with the first bytes of a multi-byte
+    character put in anywhere, cut off inside one at the end, or added to
+    every occurrence of one name (so that the program may still parse)."""
+    data = draw(_programs()).encode()
+    cut = "•".encode()[: draw(st.integers(1, 2))]
+    how = draw(st.sampled_from(["end", "anywhere", "name"]))
+    if how == "end":
+        return data + cut
+    if how == "name":
+        name = draw(st.sampled_from([b"a", b"b", b"l0", b"l1", b"l2"]))
+        return re.sub(rb"(?<![\w^:])" + name + rb"(?![\w^:])", name + cut, data)
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + cut + data[at:]
+
+
+# bytes on stdin, decoded as under a UTF-8 locale (strict) or under the C
+# locale (lone surrogates for bytes that are not UTF-8)
+stdin_bytes = st.tuples(
+    st.one_of(st.binary(max_size=60), _truncated_utf8()), st.sampled_from(["strict", "surrogateescape"])
+)
+
+
+def _check(text, argv=("check", "-")) -> tuple[int, str]:
+    """`nredcheck check -` on `text`, or on (bytes, decoding errors): the
+    exit code and stderr."""
     err = io.StringIO()
-    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    if isinstance(text, str):
+        stream = io.StringIO(text)
+    else:
+        stream = io.TextIOWrapper(io.BytesIO(text[0]), encoding="utf-8", errors=text[1])
+    stdin, sys.stdin = sys.stdin, stream
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["check", "-"])
+            code = main(list(argv))
     finally:
         sys.stdin = stdin
     return code, err.getvalue()
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(texts, json_texts))
+@given(st.one_of(texts, json_texts, stdin_bytes))
 @example('{"template": {"init": "a", "exit": "b", "edges": [["a", "", "b"]]}}')
 @example('{"template": {"init": "a", "exit": "b", "lock_edges": [["a", "acq", "", "b"]]}}')
 @example('{"template": {"init": "a", "exit": "b", "edges": [["a", "", "b"]]}, "blocks": {"": {}}}')
 @example("init l0\nexit l1\nedge l0 a l1\nsyncpoint at l0\nactions a\nconflicts { (a,a) }")
 @example("conflicts }")
+@example((b"actions a\xe2\x80\ninit l0\nexit l1\nedge l0 a\xe2\x80 l1", "surrogateescape"))
 def test_random_input_parses_or_is_an_input_error(text):
     try:
-        parse_input(text)
+        parse_input(text if isinstance(text, str) else text[0].decode("utf-8"))
         parsed = True
-    except (ParseError, ValidationError, ModelError):
+    except (ParseError, ValidationError, ModelError, UnicodeDecodeError):
         parsed = False
     code, err = _check(text)
     assert "internal error" not in err, err
@@ -203,3 +237,22 @@ def test_serialized_input_parses_back(seed):
     assert {sym: shape(body) for sym, body in got_blocks.items()} == {sym: shape(body) for sym, body in blocks.items()}
     inst = parsed.spec.instrumentation
     assert (inst.insertion_locations if inst else frozenset()) == frozenset(sync_locs)
+
+
+def test_fusion_instances_reach_exit_1():
+    """Criterion 3's instances, written out: `check --mode natural
+    --witness` answers each with a verdict whose witness re-checks (never
+    exit 4), and a tenth of them at least are unsound."""
+    codes = Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32))
+    def check(seed):
+        _, fusion, sync_locs, rel = reference.random_fusion_instance(random.Random(seed))
+        text = to_nred_text(fusion.outer, relation=rel, blocks=fusion.block_map, syncpoints=list(sync_locs))
+        code, err = _check(text, ("check", "--mode", "natural", "--witness", "-"))
+        assert code != 4, err
+        codes[code] += 1
+
+    check()
+    assert codes[1] * 10 >= sum(codes.values()), codes
