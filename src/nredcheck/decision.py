@@ -27,8 +27,9 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
-from typing import Iterator, Mapping, NamedTuple, Optional
+from itertools import accumulate, chain, compress, repeat
+from operator import attrgetter, gt, is_, is_not, itemgetter, sub
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from . import graphs
 from .model import (
@@ -185,16 +186,16 @@ class _Reach:
 def _on_path_actions(t: ThreadTemplate) -> list[Action]:
     """Plain/block actions whose unique edge lies on some init-to-exit path,
     in edge order."""
-    fwd, bwd, edge_of = t.from_init, t.to_exit, t._edge_of
-    out = []
-    for e in t.edges:
-        a = e.action
-        if not a.is_sync:
-            if edge_of[a] is None:
-                t.the_edge(a)  # raises: the label is not unique
-            if e.src in fwd and e.dst in bwd:
-                out.append(a)
-    return out
+    edge_of = t._edge_of
+    unsynced = [e for e in t.edges if not e.action.is_sync]
+    if None in map(edge_of.__getitem__, map(itemgetter(1), unsynced)):
+        t.the_edge(next(e.action for e in unsynced if edge_of[e.action] is None))  # raises: not unique
+    fwd, bwd = t.from_init, t.to_exit
+    if fwd is bwd is t.locations:
+        # seeded by validation or a derivation, which number exactly the
+        # locations: every edge lies on a path
+        return list(map(itemgetter(1), unsynced))
+    return [e.action for e in unsynced if e.src in fwd and e.dst in bwd]
 
 
 def program_order(t: ThreadTemplate) -> frozenset[tuple[Action, Action]]:
@@ -451,7 +452,7 @@ def _erase_sync(t: ThreadTemplate, kinds: frozenset[ActionKind]) -> ThreadTempla
     """Replace edges whose action is of one of `kinds` with fresh,
     pairwise-distinct plain actions (which then commute with nothing).
     The erased template is cached on `t` per set of kinds."""
-    if not any(a.kind in kinds for a in t.alphabet):
+    if t.kinds.isdisjoint(kinds):
         return t
     return _memo(t, ("erased", kinds), lambda: _erased_template(t, kinds))
 
@@ -476,7 +477,11 @@ def _erased_template(t: ThreadTemplate, kinds: frozenset[ActionKind]) -> ThreadT
             edges.append((e.src, plain(name), e.dst))
         else:
             edges.append(e)
-    return ThreadTemplate.make(edges, t.init, t.exit, extra_locations=t.locations)
+    erased = ThreadTemplate.make(edges, t.init, t.exit, extra_locations=t.locations)
+    if len(erased.edges) == len(t.edges):
+        # every endpoint, and the edge order, is `t`'s: so is the view
+        erased.__dict__["_numbering"] = (t, None)
+    return erased
 
 
 def _body_trace_through(
@@ -656,51 +661,50 @@ def reentry_witness(t: Optional[ThreadTemplate], f: AtomicFusion) -> Optional[Re
 # -- rendezvous counting ----------------------------------------------------
 
 
-def _sync_weight(a: Action) -> int:
-    return 1 if a.kind is _SYNC_POINT else 0
-
-
 class _SyncCounts(NamedTuple):
-    """Fewest and greatest rendezvous counts from init to each reachable
-    location, by id in the template's numbered view (greatest is inf when a
-    rendezvous loop can pump the count).
+    """Fewest and greatest rendezvous counts from init to each location, as
+    lists indexed by id in the template's numbered view, None where init
+    does not reach (greatest is inf when a rendezvous loop can pump the
+    count).
 
-    `least_parent` maps a location to the id of the edge that ends a
-    fewest-rendezvous path to it; `greatest_parent` maps it to the id of the
-    edge that enters its strongly connected component on a greatest-count
-    path.
+    `least_parent[u]` is the id of the edge that ends a fewest-rendezvous
+    path to u; `greatest_parent[u]` that of the edge that enters u's
+    strongly connected component on a greatest-count path; -1 for none.
     """
 
-    least: dict[int, int]
-    least_parent: dict[int, int]
-    greatest: dict[int, float]
-    greatest_parent: dict[int, int]
+    least: list[Optional[int]]
+    least_parent: list[int]
+    greatest: list[Optional[float]]
+    greatest_parent: list[int]
 
 
 def _sync_counts(g: ThreadTemplate) -> _SyncCounts:
     v = g.numbered
-    src, dst = v.src, v.dst
-    weight = bytes(e.action.kind is _SYNC_POINT for e in g.edges)
+    src, dst, n, m = v.src, v.dst, len(v.names), len(g.edges)
+    weight = bytes(map(is_, map(attrgetter("kind"), map(itemgetter(1), g.edges)), repeat(_SYNC_POINT)))
     least, least_slot = graphs.zero_one_shortest(
         v.index[g.init], v.out_off, v.out_next, bytes(map(weight.__getitem__, v.out_edges))
     )
-    least_parent = {u: v.out_edges[j] for u, j in least_slot.items()}
+    least_parent = list(map((v.out_edges + [-1]).__getitem__, least_slot))  # slot -1: no edge
     # greatest counts: longest paths over the condensation of the part
-    # reachable from init, which is the key set of `least`; roots and
-    # successor rows sorted by id (by name) keep the component order, and
-    # with it the choice between equally long greatest-count paths, off
-    # set order
-    by_target = sorted(sorted(range(len(g.edges)), key=dst.__getitem__), key=src.__getitem__)
-    comp, _ = graphs.tarjan_scc(sorted(least), v.out_off, array("i", map(dst.__getitem__, by_target)))
+    # reachable from init; roots and successor rows sorted by id (by name)
+    # keep the component order, and with it the choice between equally
+    # long greatest-count paths, off set order (only rows of two or more
+    # edges need sorting)
+    off, by_target = v.out_off, list(v.out_next)
+    for u in compress(range(n), map(gt, map(sub, off[1:], off), repeat(1))):
+        by_target[off[u] : off[u + 1]] = sorted(by_target[off[u] : off[u + 1]])
+    roots = compress(range(n), map(is_not, least, repeat(None)))
+    comp, _ = graphs.tarjan_scc(roots, off, by_target)
     src_comp = list(map(comp.__getitem__, src))
-    pumping = {src_comp[k] for k, w in enumerate(weight) if w and src_comp[k] == comp[dst[k]]}
-    value: list[Optional[float]] = [None] * len(v.names)
+    pumping = {src_comp[k] for k in compress(range(m), weight) if src_comp[k] == comp[dst[k]]}
+    value: list[Optional[float]] = [None] * (n + 1)  # component -1 reads the last, None
     value[comp[v.index[g.init]]] = 0.0
-    parent: dict[int, int] = {}
+    parent = [-1] * (n + 1)
     # the edges by source component, in Tarjan's reverse topological order,
     # and by id within one: every edge into a component comes before those
     # leaving it
-    for k in sorted(range(len(src)), key=src_comp.__getitem__, reverse=True):
+    for k in sorted(range(m), key=src_comp.__getitem__, reverse=True):
         s = src_comp[k]
         if s < 0:
             break  # the rest leave locations init does not reach
@@ -712,9 +716,9 @@ def _sync_counts(g: ThreadTemplate) -> _SyncCounts:
             if value[d] is None or value[d] < cand:  # type: ignore[operator]
                 value[d] = cand
                 parent[d] = k
-    greatest = {u: value[comp[u]] for u in least}
-    greatest_parent = {u: parent[comp[u]] for u in least if comp[u] in parent}
-    return _SyncCounts(least, least_parent, greatest, greatest_parent)  # type: ignore[arg-type]
+    greatest = list(map(value.__getitem__, comp))
+    greatest_parent = list(map(parent.__getitem__, comp))
+    return _SyncCounts(least, least_parent, greatest, greatest_parent)
 
 
 def _phase_bounds(g: ThreadTemplate, counts: _SyncCounts) -> PhaseBounds:
@@ -723,8 +727,8 @@ def _phase_bounds(g: ThreadTemplate, counts: _SyncCounts) -> PhaseBounds:
     max_count: dict[Action, float] = {}
     for a in _on_path_actions(g):  # each labels one edge
         src = index[edge_of[a].src]
-        min_count[a] = counts.least[src]
-        max_count[a] = counts.greatest[src]
+        min_count[a] = counts.least[src]  # type: ignore[assignment]
+        max_count[a] = counts.greatest[src]  # type: ignore[assignment]
     return PhaseBounds(min_count, max_count)
 
 
@@ -744,16 +748,25 @@ def phase_order(g: ThreadTemplate) -> frozenset[tuple[Action, Action]]:
     )
 
 
+def _sync_steps(word: Iterable[Action]) -> int:
+    """How many rendezvous steps `word` takes."""
+    return sum(a.kind is _SYNC_POINT for a in word)
+
+
 def _min_sync_path(g: ThreadTemplate, a: Action, counts: _SyncCounts) -> PathWitness:
     v = g.numbered
+    edges, parent, src = g.edges, counts.least_parent, v.src
     word: list[Action] = []
+    steps = 0
     loc, init = v.index[g.the_edge(a).src], v.index[g.init]
     while loc != init:
-        k = counts.least_parent[loc]
-        word.append(g.edges[k].action)
-        loc = v.src[k]
-    prefix = tuple(reversed(word))
-    return PathWitness(prefix, a, sum(_sync_weight(x) for x in prefix))
+        k = parent[loc]
+        x = edges[k][1]
+        word.append(x)
+        steps += x.kind is _SYNC_POINT
+        loc = src[k]
+    word.reverse()
+    return PathWitness(tuple(word), a, steps)
 
 
 def _path_words(g: ThreadTemplate, src: str, dst: str, min_len: int = 0) -> tuple[Action, ...]:
@@ -779,25 +792,30 @@ def _max_sync_path(g: ThreadTemplate, b: Action, needed: int, counts: _SyncCount
     unbounded, a loop is pumped just past `needed`."""
     v = g.numbered
     target = g.the_edge(b).src
-    if not math.isinf(counts.greatest[v.index[target]]):
+    if not math.isinf(counts.greatest[v.index[target]]):  # type: ignore[arg-type]
         # walk the condensation parents back; connect inside components by
-        # plain BFS (finite components never contain a rendezvous edge)
-        hops: list[Edge] = []
+        # plain BFS where a hop does not start where the walk stands (finite
+        # components never contain a rendezvous edge)
+        edges, parent, src, dst = g.edges, counts.greatest_parent, v.src, v.dst
+        hops: list[int] = []
         cur = v.index[target]
-        while cur in counts.greatest_parent:
-            k = counts.greatest_parent[cur]
-            hops.append(g.edges[k])
-            cur = v.src[k]
+        while parent[cur] >= 0:
+            k = parent[cur]
+            hops.append(k)
+            cur = src[k]
         hops.reverse()
         word: list[Action] = []
-        loc = g.init
-        for e in hops:
-            word.extend(_path_words(g, loc, e.src))
-            word.append(e.action)
-            loc = e.dst
-        word.extend(_path_words(g, loc, target))
-        prefix = tuple(word)
-        return PathWitness(prefix, b, sum(_sync_weight(x) for x in prefix))
+        steps = 0
+        loc = v.index[g.init]
+        for k in hops:
+            if src[k] != loc:
+                word += _path_words(g, v.names[loc], edges[k][0])
+            x = edges[k][1]
+            word.append(x)
+            steps += x.kind is _SYNC_POINT
+            loc = dst[k]
+        word += _path_words(g, v.names[loc], target)
+        return PathWitness(tuple(word), b, steps)
     # pumped case: find a rendezvous edge on a cycle that the start reaches
     # and that reaches the target
     reach = _Reach(g)
@@ -807,11 +825,11 @@ def _max_sync_path(g: ThreadTemplate, b: Action, needed: int, counts: _SyncCount
             around = (e.action,) + _path_words(g, e.dst, e.src)
             out = _path_words(g, e.dst, target)
             pumps = 1
-            base = sum(map(_sync_weight, into)) + sum(map(_sync_weight, out))
-            while base + pumps * sum(map(_sync_weight, around)) <= needed:
+            base, per_pump = _sync_steps(into) + _sync_steps(out), _sync_steps(around)
+            while base + pumps * per_pump <= needed:
                 pumps += 1
             prefix = into + around * pumps + (e.action,) + out
-            return PathWitness(prefix, b, sum(map(_sync_weight, prefix)), pumped=True)
+            return PathWitness(prefix, b, base + pumps * per_pump + 1, pumped=True)
     raise InconsistentInputs("pumping rendezvous loop vanished during reconstruction")
 
 
@@ -824,7 +842,7 @@ def check_sync_instrumentation(inst: SyncPointInstrumentation, i: CommutativityR
     """
     flags: tuple[str, ...] = ()
     g = inst.instrumented
-    if any(a.kind in _LOCK_KINDS for a in g.alphabet):
+    if not g.kinds.isdisjoint(_LOCK_KINDS):
         g = _erase_sync(g, _LOCK_KINDS)
         flags = (FLAG_SYNC_NOT_APPLICABLE,)
     counts = _sync_counts(g)
@@ -989,29 +1007,32 @@ def verify_sync_witness(inst: SyncPointInstrumentation, i: CommutativityRelation
     if i.commutes(b, a):
         return False
 
-    edges, edge_of, index = g.edges, g._edge_of, v.index
+    edges, off, out_edges, dst = g.edges, v.out_off, v.out_edges, v.dst
 
-    def walk(pw: PathWitness) -> bool:
-        here = {index[g.init]}  # a location may have several rendezvous edges
-        for act in pw.prefix + (pw.action,):
-            if act.kind is _SYNC_POINT:
-                here = {v.dst[k] for u in here for k in v.out(u) if edges[k].action == act}
-                continue
-            # a plain or block action labels one edge, which must be one of
-            # the template's edges and leave where the walk is
-            e = edge_of.get(act)
-            u = index.get(e.src) if e is not None else None
-            if u not in here or e not in map(edges.__getitem__, v.out(u)):
-                return False
-            here = {index[e.dst]}
+    def walk(pw: PathWitness) -> Optional[int]:
+        """The rendezvous steps of the path labeled by `pw`'s prefix and
+        action, walked by edge id from init along the out rows, or None
+        when there is no such path or its end cannot reach exit."""
+        here = [v.index[g.init]]  # a location may have several rendezvous edges
+        steps = 0
+        for act in (*pw.prefix, pw.action):
+            steps += act.kind is _SYNC_POINT
+            ends = []
+            for u in here:
+                for k in out_edges[off[u] : off[u + 1]]:
+                    x = edges[k][1]
+                    if x is act or x == act:
+                        ends.append(dst[k])
+            if not ends:
+                return None
+            here = ends if len(ends) == 1 else list(set(ends))
         # searched on the walked edges, not read off reach sets a
         # derivation may have handed the template
-        return index[g.exit] in v.reach(here)
+        return steps if v.index[g.exit] in v.reach(here) else None
 
-    if not walk(w.path_a) or not walk(w.path_b):
+    ca, cb = walk(w.path_a), walk(w.path_b)
+    if ca is None or cb is None:
         return False
-    ca = sum(_sync_weight(x) for x in w.path_a.prefix)
-    cb = sum(_sync_weight(x) for x in w.path_b.prefix)
     return ca == w.path_a.sync_count and cb == w.path_b.sync_count and ca < cb
 
 

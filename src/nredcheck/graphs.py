@@ -13,7 +13,6 @@ limit.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from itertools import accumulate
 from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
@@ -22,16 +21,14 @@ N = TypeVar("N", bound=Hashable)
 L = TypeVar("L")
 
 
-def csr(n: int, keys: Sequence[int]) -> tuple[array, array]:
+def csr(n: int, keys: Sequence[int]) -> tuple[list[int], list[int]]:
     """Compressed sparse rows grouping the items 0..len(keys)-1 by their key
     in range(n): row r is `items[offsets[r]:offsets[r + 1]]`, in increasing
-    item order."""
+    item order.  Both are lists, which a search reads faster than arrays."""
     counts = [0] * n
     for k in keys:
         counts[k] += 1
-    offsets = array("i", accumulate(counts, initial=0))
-    items = array("i", sorted(range(len(keys)), key=keys.__getitem__))
-    return offsets, items
+    return list(accumulate(counts, initial=0)), sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def reachable(successors: Callable[[N], Iterable[N]], starts: Iterable[N]) -> set[N]:
@@ -144,17 +141,19 @@ def bfs_path(
 
 def zero_one_shortest(
     source: int, offsets: Sequence[int], targets: Sequence[int], weights: Sequence[int]
-) -> tuple[dict[int, int], dict[int, int]]:
+) -> tuple[list[Optional[int]], list[int]]:
     """Single-source shortest distances for edge weights in {0, 1} (deque
     BFS) on the int graph whose node u has the out-slots
     `offsets[u]..offsets[u + 1] - 1`, slot j leading to `targets[j]` at
     weight `weights[j]`.
 
-    Also returns, for every node but the source, the slot that last lowered
-    its distance, so shortest paths can be walked back.
+    Returns each node's distance, None where the source does not reach, and
+    the slot that last lowered it, -1 for the source and the nodes it does
+    not reach, so shortest paths can be walked back.
     """
-    dist: dict[int, int] = {source: 0}
-    parent: dict[int, int] = {}
+    dist: list[Optional[int]] = [None] * (len(offsets) - 1)
+    parent = [-1] * len(dist)
+    dist[source] = 0
     dq: deque[int] = deque([source])
     while dq:
         n = dq.popleft()
@@ -162,8 +161,9 @@ def zero_one_shortest(
         for j in range(offsets[n], offsets[n + 1]):
             m = targets[j]
             w = weights[j]
-            nd = d + w
-            if m not in dist or nd < dist[m]:
+            nd = d + w  # type: ignore[operator]
+            old = dist[m]
+            if old is None or nd < old:
                 dist[m] = nd
                 parent[m] = j
                 if w == 0:

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import product, repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, TypeVar
 
 from . import graphs
@@ -58,26 +58,25 @@ class ActionKind(Enum):
 
 
 _PLAIN, _ACQUIRE, _RELEASE, _SYNC_POINT, _BLOCK = ActionKind  # Enum attribute lookups are slow
+_UNSYNCED = frozenset((_PLAIN, _BLOCK))
 
 
-@dataclass(frozen=True, slots=True)
 class Action:
     """An abstract program action, identified by name.
 
     Lock operations are structured (kind + lock name) so the lock semantics
     never has to parse names.  Block symbols stand for whole atomic blocks.
+    An action is immutable, and equals only an action with the same three
+    fields; its hash is theirs, and it orders by `sort_key()`.
     """
 
+    __slots__ = ("name", "kind", "lock", "_hash", "is_sync", "_sort_key")
     name: str
-    kind: ActionKind = ActionKind.PLAIN
-    lock: Optional[str] = None
-    # derived from the three fields above when the action is made
-    _hash: int = field(init=False, repr=False, compare=False)
-    is_sync: bool = field(init=False, repr=False, compare=False)
-    _sort_key: tuple = field(init=False, repr=False, compare=False)
+    kind: ActionKind
+    lock: Optional[str]
+    is_sync: bool  # True for synchronization actions (lock ops and the rendezvous)
 
-    def __post_init__(self) -> None:
-        name, kind, lock = self.name, self.kind, self.lock
+    def __init__(self, name: str, kind: ActionKind = ActionKind.PLAIN, lock: Optional[str] = None) -> None:
         if not name:
             raise ValueError("action name must be non-empty")
         if kind is _ACQUIRE or kind is _RELEASE:
@@ -88,13 +87,25 @@ class Action:
         elif kind is _SYNC_POINT and name != SYNC_POINT_NAME:
             raise ValueError("the rendezvous symbol is unique")
         # actions are hashed and sorted in every inner loop, and a parse
-        # makes one per name, so the derived values are computed once and
-        # cheaply; the hash is the generated dataclass's value
-        put = object.__setattr__
-        put(self, "_hash", hash((name, kind, lock)))
-        # True for synchronization actions (lock ops and the rendezvous)
-        put(self, "is_sync", kind is not _PLAIN and kind is not _BLOCK)
-        put(self, "_sort_key", (kind._value_, name, lock or ""))  # `.value` is a slow property
+        # makes one per name, so the derived values are computed once; the
+        # slots are filled through their descriptors, past `__setattr__`
+        _set_name(self, name)
+        _set_kind(self, kind)
+        _set_lock(self, lock)
+        _set_hash(self, hash((name, kind, lock)))
+        _set_is_sync(self, kind is not _PLAIN and kind is not _BLOCK)
+        _set_sort_key(self, (kind._value_, name, lock or ""))  # `.value` is a slow property
+
+    def __setattr__(self, key: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {key!r} of an Action")
+
+    def __delattr__(self, key: str) -> None:
+        raise AttributeError(f"cannot delete field {key!r} of an Action")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Action:
+            return NotImplemented
+        return self.name == other.name and self.kind is other.kind and self.lock == other.lock  # type: ignore[attr-defined]
 
     def __hash__(self) -> int:
         return self._hash
@@ -109,7 +120,7 @@ class Action:
     def __lt__(self, other: "Action") -> bool:
         if not isinstance(other, Action):
             return NotImplemented
-        return self.sort_key() < other.sort_key()
+        return self._sort_key < other._sort_key
 
     def __str__(self) -> str:
         return self.name
@@ -120,12 +131,17 @@ class Action:
         return f"Action({self.name!r}, {self.kind.value})"
 
 
+_set_name, _set_kind, _set_lock, _set_hash, _set_is_sync, _set_sort_key = (
+    Action.__dict__[slot].__set__ for slot in Action.__slots__
+)
+
+
 def plain(name: str) -> Action:
-    return Action(name, ActionKind.PLAIN)
+    return Action(name, _PLAIN)
 
 
 def block_symbol(name: str) -> Action:
-    return Action(name, ActionKind.BLOCK)
+    return Action(name, _BLOCK)
 
 
 def acquire(lock: str) -> Action:
@@ -157,6 +173,16 @@ class NumberedView:
     with their targets in `out_next`.  The sources of the edges entering
     each location, in rows of the same kind, are built on the first
     backward search.
+
+    A template derived from a valid one (`substitute_blocks`,
+    `insert_syncpoints`) gets its view from its parent's by `derive`: the
+    few new names are merged into the parent's sorted names, which spares
+    collecting and sorting every name, and the edges are numbered and
+    their rows built once.  The lock-erased copy of a template (see
+    `decision`), which keeps every endpoint and the edge order, shares its
+    parent's view outright.  A derived view equals a fresh `NumberedView`
+    of the same template field for field, so every id, and every tie-break
+    read off ids, is the same either way.
     """
 
     __slots__ = ("names", "index", "src", "dst", "out_off", "out_edges", "out_next", "_in_rows")
@@ -167,14 +193,31 @@ class NumberedView:
         names.update(map(itemgetter(0), t.edges))
         names.update(map(itemgetter(2), t.edges))
         self.names = sorted(names)
-        index = self.index = {name: k for k, name in enumerate(self.names)}
-        self.src = src = array("i", map(index.__getitem__, map(itemgetter(0), t.edges)))
-        self.dst = dst = array("i", map(index.__getitem__, map(itemgetter(2), t.edges)))
-        self.out_off, self.out_edges = graphs.csr(len(self.names), src)
-        self.out_next = array("i", map(dst.__getitem__, self.out_edges))
-        self._in_rows: Optional[tuple[array, array]] = None
+        self.index = dict(zip(self.names, range(len(self.names))))
+        self._number_edges(t.edges)
 
-    def out(self, u: int) -> array:
+    def _number_edges(self, edges: tuple["Edge", ...]) -> None:
+        index = self.index
+        self.src = src = array("i", map(index.__getitem__, map(itemgetter(0), edges)))
+        self.dst = dst = array("i", map(index.__getitem__, map(itemgetter(2), edges)))
+        self.out_off, self.out_edges = graphs.csr(len(self.names), src)
+        self.out_next = list(map(dst.__getitem__, self.out_edges))
+        self._in_rows: Optional[tuple[list[int], list[int]]] = None
+
+    def derive(self, t: "ThreadTemplate", added: Optional[Iterable[str]]) -> "NumberedView":
+        """The view of `t`, which mentions this view's names and `added`; this
+        view itself when `added` is None, which says that `t` has this
+        view's edge endpoints, in order."""
+        if added is None:
+            return self
+        view = object.__new__(type(self))
+        # one merge: the parent's names are one sorted run
+        view.names = sorted([*self.names, *added])
+        view.index = dict(zip(view.names, range(len(view.names))))
+        view._number_edges(t.edges)
+        return view
+
+    def out(self, u: int) -> list[int]:
         """Ids of the edges leaving location `u`."""
         return self.out_edges[self.out_off[u] : self.out_off[u + 1]]
 
@@ -182,7 +225,7 @@ class NumberedView:
         """Ids reachable from `starts` (that reach them when not forward)."""
         if not forward and self._in_rows is None:
             in_off, in_edges = graphs.csr(len(self.names), self.dst)
-            self._in_rows = (in_off, array("i", map(self.src.__getitem__, in_edges)))
+            self._in_rows = (in_off, list(map(self.src.__getitem__, in_edges)))
         off, nxt = (self.out_off, self.out_next) if forward else self._in_rows
         return graphs.reachable(lambda u: nxt[off[u] : off[u + 1]], starts)
 
@@ -306,8 +349,15 @@ class ThreadTemplate:
         return frozenset(self._edge_of)
 
     @cached_property
+    def kinds(self) -> frozenset[ActionKind]:
+        """The kinds of the actions that label an edge."""
+        return frozenset(map(attrgetter("kind"), self.alphabet))
+
+    @cached_property
     def plain_alphabet(self) -> frozenset[Action]:
         """Plain and block-symbol actions (everything but synchronization)."""
+        if self.kinds <= _UNSYNCED:
+            return self.alphabet
         return self.alphabet - {a for a in self.alphabet if a.is_sync}
 
     @cached_property
@@ -319,8 +369,14 @@ class ThreadTemplate:
 
     @cached_property
     def numbered(self) -> "NumberedView":
-        """The template's graph on ints (see `NumberedView`)."""
-        return NumberedView(self)
+        """The template's graph on ints (see `NumberedView`), derived from
+        its parent's when a derivation left `(parent, added names)` as
+        `_numbering`."""
+        numbering = self.__dict__.get("_numbering")
+        if numbering is None:
+            return NumberedView(self)
+        parent, added = numbering
+        return parent.numbered.derive(self, added)
 
     @cached_property
     def from_init(self) -> frozenset[str]:
@@ -350,7 +406,7 @@ class ThreadTemplate:
 
     @property
     def has_sync_actions(self) -> bool:
-        return any(a.is_sync for a in self.alphabet)
+        return not self.kinds <= _UNSYNCED
 
     @property
     def has_sync_points(self) -> bool:
@@ -415,11 +471,24 @@ def _validate_template(t: ThreadTemplate) -> ValidationReport:
             if loc not in t.locations:
                 rb.add("unknown-location", f"edge {e} uses undeclared location {loc!r}", (loc,))
 
-    for loc in sorted(t.locations - t.from_init):
-        rb.add("unreachable", f"{loc!r} unreachable from init", (loc,))
-    for loc in sorted(t.locations - t.to_exit):
-        rb.add("not-co-reachable", f"exit unreachable from {loc!r}", (loc,))
+    # reachability on ids; the name sets are built only when asked for,
+    # except that a template whose every location is reached keeps its
+    # location set as that reach set
+    v = t.numbered
+    for start, forward, code, message in (
+        (t.init, True, "unreachable", "{!r} unreachable from init"),
+        (t.exit, False, "not-co-reachable", "exit unreachable from {!r}"),
+    ):
+        reached = v.reach([v.index[start]], forward)
+        if len(reached) == len(v.names) == len(t.locations):
+            t.__dict__.setdefault("from_init" if forward else "to_exit", t.locations)
+            continue
+        for u, loc in enumerate(v.names):
+            if u not in reached and loc in t.locations:
+                rb.add(code, message.format(loc), (loc,))
 
+    if None not in t._edge_of.values():
+        return rb.build()
     dups = {a for a, e in t._edge_of.items() if e is None and not a.is_sync}
     if dups:
         _duplicate_labels(rb, Counter(e.action for e in t.edges if e.action in dups))
@@ -432,12 +501,15 @@ def _duplicate_labels(rb: _ReportBuilder, counts: Mapping[Action, int]) -> None:
         rb.add("duplicate-label", f"action {a} labels {counts[a]} edges", (a.name,))
 
 
-def _derived_from_valid(t: ThreadTemplate, report: ValidationReport) -> None:
+def _derived_from_valid(t: ThreadTemplate, report: ValidationReport, numbering: tuple) -> None:
     """Seed `t`, derived from valid templates, with its validation report,
-    which can only list duplicate labels, and its reach sets: every location
-    is reachable from init and reaches exit."""
+    which can only list duplicate labels, its reach sets (every location is
+    reachable from init and reaches exit) and, as `(parent, *derive
+    arguments)`, how to derive its numbered view from its parent's: a
+    valid parent numbers exactly its locations."""
     t.__dict__.setdefault("_memo", {})["validation"] = report
     t.__dict__["from_init"] = t.__dict__["to_exit"] = t.locations
+    t.__dict__["_numbering"] = numbering
 
 
 class SyncKind(Enum):
@@ -466,7 +538,7 @@ class ParameterizedProgram:
 
 
 def infer_sync_kind(t: ThreadTemplate) -> SyncKind:
-    has_locks = any(a.kind is _ACQUIRE or a.kind is _RELEASE for a in t.alphabet)
+    has_locks = not t.kinds.isdisjoint((_ACQUIRE, _RELEASE))
     if t.has_sync_points:
         return SyncKind.LOCKS_AND_SYNC_POINTS
     return SyncKind.LOCKS if has_locks else SyncKind.TRIVIAL
@@ -496,9 +568,9 @@ class CommutativityRelation:
         if (conflicts is None) == (pairs is None):
             raise ValueError("give exactly one of conflicts= or pairs=")
         self.alphabet: frozenset[Action] = frozenset(alphabet)
-        for a in self.alphabet:
-            if a.is_sync:
-                raise ValueError(f"synchronization action {a} cannot be in the alphabet")
+        if any(map(attrgetter("is_sync"), self.alphabet)):
+            a = next(a for a in self.alphabet if a.is_sync)
+            raise ValueError(f"synchronization action {a} cannot be in the alphabet")
         side = conflicts if conflicts is not None else pairs
         declared = frozenset((x, y) for x, y in side)  # type: ignore[union-attr]
         for x, y in declared:
@@ -674,7 +746,7 @@ def _substitute_blocks(fusion: AtomicFusion) -> ThreadTemplate:
             counts[a] += a in outer._edge_of and a not in block_syms
         rb = _ReportBuilder()
         _duplicate_labels(rb, counts)
-        _derived_from_valid(t, rb.build())
+        _derived_from_valid(t, rb.build(), (outer, inner))
     return t
 
 
@@ -792,7 +864,7 @@ def _insert_syncpoints(t: ThreadTemplate, m: frozenset[str]) -> Optional[ThreadT
     inst = ThreadTemplate(t.locations.union(copies.values()), tuple(edges), t.init, t.exit)
     inst.__dict__["_edge_of"] = edge_of
     if validate_template(t).ok:
-        _derived_from_valid(inst, ValidationReport())
+        _derived_from_valid(inst, ValidationReport(), (t, tuple(copies.values())))
     return inst
 
 
@@ -867,8 +939,9 @@ class NaturalReductionSpec:
                     rb.add("instrumentation-mismatch", "instrumented template does not match its insertion set")
             # a syntactic insertion keeps the base language, and erasing its
             # rendezvous is injective unless a lock action labels two edges
-            if inst.insertion_locations is None or any(
-                e is None and a.lock is not None for a, e in inst.base._edge_of.items()
+            if inst.insertion_locations is None or (
+                not inst.base.kinds.isdisjoint((_ACQUIRE, _RELEASE))
+                and any(e is None and a.lock is not None for a, e in inst.base._edge_of.items())
             ):
                 rb.entries.extend(validate_instrumentation(inst).entries)
         return rb.build()

@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from sys import intern
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -118,16 +119,20 @@ class _RawTemplate:
             raise ParseError(f"{where}: missing init")
         if self.exit is None:
             raise ParseError(f"{where}: missing exit")
+        # each location name is interned, so the templates hold one string
+        # per name however often the input repeats it
         edges: list[tuple[str, Action, str]] = []
         for src, name, dst in self.edges:
             if name == SYNC_POINT_NAME:
                 raise ParseError(f"{where}: rendezvous edges are declared via 'syncpoint at'")
             act = actions[block_symbol if name in block_names else plain, name]
-            edges.append((src, act, dst))
+            edges.append((intern(src), act, intern(dst)))
         for src, op, lock, dst in self.lock_edges:
             act = actions[acquire if op == "acq" else release, lock]
-            edges.append((src, act, dst))
-        return ThreadTemplate.make(edges, self.init, self.exit, extra_locations=self.locations)
+            edges.append((intern(src), act, intern(dst)))
+        return ThreadTemplate.make(
+            edges, intern(self.init), intern(self.exit), extra_locations=map(intern, self.locations)
+        )
 
 
 def parse_input(text: str) -> ParsedInput:
@@ -151,7 +156,7 @@ def parse_input(text: str) -> ParsedInput:
     idx = 0
 
     def strip(line: str) -> str:
-        return line.split("#", 1)[0].strip()
+        return line.partition("#")[0].strip()
 
     def read_paired_section(first_line: str, start_line: int) -> tuple[list[tuple[str, str]], int]:
         buf = first_line
@@ -177,7 +182,7 @@ def parse_input(text: str) -> ParsedInput:
     current: _RawTemplate = top
     in_block: Optional[str] = None
     while idx < n:
-        line = strip(lines[idx])
+        line = lines[idx].partition("#")[0].strip()
         lineno = idx + 1
         if not line:
             idx += 1
@@ -185,7 +190,11 @@ def parse_input(text: str) -> ParsedInput:
         parts = line.split()
         kw = parts[0]
         try:
-            if kw == "}":
+            if kw == "edge":
+                if len(parts) != 4:
+                    raise ParseError("expected: edge <src> <action> <dst>", lineno)
+                current.edges.append((parts[1], parts[2], parts[3]))
+            elif kw == "}":
                 if in_block is None:
                     raise ParseError("unexpected '}'", lineno)
                 in_block = None
@@ -215,10 +224,6 @@ def parse_input(text: str) -> ParsedInput:
                 if len(parts) != 2:
                     raise ParseError("expected: exit <location>", lineno)
                 current.exit = parts[1]
-            elif kw == "edge":
-                if len(parts) != 4:
-                    raise ParseError("expected: edge <src> <action> <dst>", lineno)
-                current.edges.append((parts[1], parts[2], parts[3]))
             elif kw == "lock-edge":
                 if len(parts) != 5 or parts[2] not in ("acq", "rel"):
                     raise ParseError("expected: lock-edge <src> acq|rel <lock> <dst>", lineno)
@@ -378,7 +383,7 @@ def _assemble(
             "template actions not in the declared alphabet (treated as "
             f"non-commuting): {', '.join(undeclared)}"
         )
-    unknown_cover = sorted(set(cover) - set(original.locations))
+    unknown_cover = sorted(set(cover) - original.locations)
     if unknown_cover:
         raise ParseError(f"cover uses unknown locations: {unknown_cover}")
 

@@ -30,6 +30,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ORACLE = "src/nredcheck/oracle.py"
+MODEL = "src/nredcheck/model.py"
+DECISION = "src/nredcheck/decision.py"
 
 # (name, file, source text, replacement, test ids that must fail)
 MUTANTS = [
@@ -113,6 +115,20 @@ MUTANTS = [
         "row.append((s, offset[j] + s // radix[j] % (lengths[j] + 1), to))",
         "row.append((s, flat.index(c), to))",
         ["tests/test_oracle.py::test_expanded_plain_matches_expansion_per_fused_trace"],
+    ),
+    (
+        "derived view: new names appended, not merged in sorted order",
+        MODEL,
+        "view.names = sorted([*self.names, *added])",
+        "view.names = [*self.names, *sorted(added)]",
+        ["tests/test_numbered.py::test_derived_templates_match_fresh_copies"],
+    ),
+    (
+        "rendezvous counts: successor rows in edge order, not by target",
+        DECISION,
+        "by_target[off[u] : off[u + 1]] = sorted(by_target[off[u] : off[u + 1]])",
+        "by_target[off[u] : off[u + 1]] = by_target[off[u] : off[u + 1]]",
+        ["tests/test_numbered.py::test_sync_counts_and_phase_bounds_match_the_reference"],
     ),
 ]
 

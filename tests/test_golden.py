@@ -142,17 +142,28 @@ def test_dense_fusion_report_does_not_follow_the_hash_seed():
     _assert_golden_under_hash_seeds("dense_fusion", "atomic")
 
 
-# the criterion-7 chain at n = 10^4 with --witness, too big for a golden
-# file: its report, minus the wall time, pinned by digest, so derived
+# the criterion-7 chain at n = 10^4 and 10^5 with --witness, too big for a
+# golden file: its report, minus the wall time, pinned by digest, so derived
 # templates and the passes over them keep every byte at scale
 CHAIN_1E4_SHA256 = "f2b372e3f8d6f52ba10e30c189e986e42848be1448d66f36dffae9048ce2830b"
+CHAIN_1E5_SHA256 = "348b536af6c9b9cda2a7d5449dfc470a42d28ed8ec0c888a3684f95bbfa9ffca"
+
+
+def _chain_witness_report_digest(n: int, name: str, capsys) -> str:
+    from test_acceptance import _chain_text
+
+    Path(name).write_text(_chain_text(n), encoding="utf-8")
+    assert main(["check", "--mode", "natural", "--json", "--witness", name]) == 1
+    out = re.sub(r',"wall_time_ms":[0-9.e+-]+', "", capsys.readouterr().out)
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
 
 
 def test_chain_1e4_witness_report_digest(tmp_path, monkeypatch, capsys):
-    from test_acceptance import _chain_text
-
     monkeypatch.chdir(tmp_path)  # the report echoes the input path
-    Path("chain1e4.nred").write_text(_chain_text(10_000), encoding="utf-8")
-    assert main(["check", "--mode", "natural", "--json", "--witness", "chain1e4.nred"]) == 1
-    out = re.sub(r',"wall_time_ms":[0-9.e+-]+', "", capsys.readouterr().out)
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHAIN_1E4_SHA256
+    assert _chain_witness_report_digest(10_000, "chain1e4.nred", capsys) == CHAIN_1E4_SHA256
+
+
+@pytest.mark.slow
+def test_chain_1e5_witness_report_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the report echoes the input path
+    assert _chain_witness_report_digest(100_000, "chain1e5.nred", capsys) == CHAIN_1E5_SHA256

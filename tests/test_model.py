@@ -247,6 +247,37 @@ def test_action_hash_is_the_field_tuple_hash():
     assert acquire("m") == acquire("m") and acquire("m") != acquire("n")
 
 
+def test_action_is_an_immutable_value_of_its_three_fields():
+    import copy
+    import pickle
+
+    for act in (a, B, SYNC, acquire("m"), release("m")):
+        fields = (act.name, act.kind, act.lock)
+        twin = Action(*fields)
+        assert twin == act and not twin != act and hash(twin) == hash(fields)
+        # never equal to its fields as a tuple, in either order of comparison
+        assert act != fields and fields != act and act.__eq__(fields) is NotImplemented
+        assert copy.deepcopy(act) == act and pickle.loads(pickle.dumps(act)) == act
+        for key in ("name", "kind", "lock", "is_sync"):
+            with pytest.raises(AttributeError):
+                setattr(act, key, None)
+            with pytest.raises(AttributeError):
+                delattr(act, key)
+        assert (act.name, act.kind, act.lock) == fields
+    # one field apart is another action
+    assert Action("acq(m)", ActionKind.ACQUIRE, "m") == acquire("m")
+    assert Action("acq(m)", ActionKind.ACQUIRE, "n") != acquire("m")
+    assert Action("acq(m)", ActionKind.RELEASE, "m") != acquire("m")
+    assert block_symbol("a") != a
+    # `<` is the sort-key order: by kind, then name, then lock
+    acts = [plain("b"), acquire("m"), a, B, SYNC, release("m"), block_symbol("A"), acquire("l")]
+    assert sorted(acts) == sorted(acts, key=Action.sort_key)
+    assert B < a and a < plain("b") and not plain("b") < a and acquire("l") < acquire("m")
+    assert [repr(x) for x in (a, B, SYNC, acquire("m"))] == [
+        "Action('a')", "Action('B', block)", "Action('•', syncpoint)", "Action('acq(m)', acquire)",
+    ]
+
+
 def test_is_sync_for_every_kind():
     kinds = {a: False, B: False, SYNC: True, acquire("m"): True, release("m"): True}
     assert {act.kind for act in kinds} == set(ActionKind)
@@ -315,7 +346,8 @@ def test_natural_check_builds_each_template_once(monkeypatch, capsys, case):
     from nredcheck.cli import main
 
     runs: Counter = Counter()
-    views: Counter = Counter()
+    views: Counter = Counter()  # full builds
+    derived: Counter = Counter()  # views derived from a parent's
     validated: Counter = Counter()
     parsed = []
     insert, lift, view = model._insert_syncpoints, decision._lift_commutativity, model.NumberedView
@@ -326,6 +358,10 @@ def test_natural_check_builds_each_template_once(monkeypatch, capsys, case):
             views[id(t)] += 1
             super().__init__(t)
 
+        def derive(self, t, *how):
+            derived[id(t)] += 1
+            return super().derive(t, *how)
+
     monkeypatch.setattr(model, "_insert_syncpoints", lambda t, m: runs.update(["insert"]) or insert(t, m))
     monkeypatch.setattr(decision, "_lift_commutativity", lambda i, f: runs.update(["lift"]) or lift(i, f))
     monkeypatch.setattr(model, "NumberedView", CountingView)
@@ -334,19 +370,21 @@ def test_natural_check_builds_each_template_once(monkeypatch, capsys, case):
     path = Path(__file__).resolve().parent.parent / "cases" / f"{case}.nred"
     assert main(["check", "--mode", "natural", str(path)]) == 1
     assert runs == {"insert": 1, "lift": 1}
-    assert views and set(views.values()) == {1}
+    assert views and set((views + derived).values()) == {1}
     assert set(validated.values()) == {1}
     if case == "chain200":
         # the substituted and the instrumented templates take their
         # validation and reach sets from the fused template and the body;
-        # only the rendezvous count needs the instrumented template numbered
+        # only the rendezvous count needs the instrumented template
+        # numbered, and it derives its view from the fused template's
         p = parsed[0]
         (_, body), = p.spec.fusion.blocks
         name = {
             id(p.fused): "fused", id(body): "body", id(p.program.template): "substituted",
             id(p.spec.instrumentation.instrumented): "instrumented",
         }
-        assert sorted(name.get(k, "other") for k in views) == ["body", "fused", "instrumented"]
+        assert sorted(name.get(k, "other") for k in views) == ["body", "fused"]
+        assert [name.get(k, "other") for k in derived] == ["instrumented"]
         assert sorted(name.get(k, "other") for k in validated) == ["body", "fused"]
 
 

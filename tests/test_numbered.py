@@ -20,11 +20,14 @@ from nredcheck.model import (
     CommutativityRelation,
     Edge,
     InconsistentInputs,
+    NumberedView,
     SyncPointInstrumentation,
     ThreadTemplate,
+    acquire,
     block_symbol,
     insert_syncpoints,
     plain,
+    release,
     substitute_blocks,
     validate_template,
 )
@@ -101,18 +104,25 @@ TIE = ThreadTemplate.make(
 )
 
 
+def _counts_by_name(t: ThreadTemplate, counts: decision._SyncCounts) -> tuple[dict, ...]:
+    """`counts` by location name, with edge ids replaced by edges, and the
+    locations init does not reach left out."""
+    names, edges = t.numbered.names, t.edges
+    return (
+        {names[u]: d for u, d in enumerate(counts.least) if d is not None},
+        {names[u]: edges[k] for u, k in enumerate(counts.least_parent) if k >= 0},
+        {names[u]: d for u, d in enumerate(counts.greatest) if d is not None},
+        {names[u]: edges[k] for u, k in enumerate(counts.greatest_parent) if k >= 0},
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(made_templates())
 @example(TIE)
 def test_sync_counts_and_phase_bounds_match_the_reference(t):
     counts = decision._sync_counts(t)
-    names, edges = t.numbered.names, t.edges
-    by_name = (
-        {names[u]: d for u, d in counts.least.items()},
-        {names[u]: (edges[k].src, edges[k].action) for u, k in counts.least_parent.items()},
-        {names[u]: d for u, d in counts.greatest.items()},
-        {names[u]: edges[k] for u, k in counts.greatest_parent.items()},
-    )
+    least, least_parent, greatest, greatest_parent = _counts_by_name(t, counts)
+    by_name = (least, {u: (e.src, e.action) for u, e in least_parent.items()}, greatest, greatest_parent)
     assert by_name == reference.sync_counts_ref(t)
     pb = decision._phase_bounds(t, counts)
     assert (pb.min_count, pb.max_count) == reference.phase_bounds_ref(t)
@@ -192,13 +202,17 @@ def test_block_components_match_the_reference(t):
 # -- derived templates ---------------------------------------------------------
 #
 # `substitute_blocks` and `insert_syncpoints` hand their template the edges,
-# action index, validation report and reach sets that follow from the outer
-# template and the bodies.  Everything a check reads off a derived template
+# action index, validation report, reach sets and numbered view that follow
+# from the outer template and the bodies, and the lock-erased copy of a
+# template shares its view.  Everything a check reads off a derived template
 # must be what a copy built by `make`, with nothing cached, gives.
 
 LABELS = ["p", "q", "r", "s"]  # shared by the outer template and the bodies
-OUTER = ["o0", "o1", "o2", "o3", "B1::u1"]  # the last one meets a renamed body location
+# a rendezvous copy of x1, x1^, sorts between x10 and x2, and renamed body
+# locations before every outer one; B1::u1 meets a renamed body location
+OUTER = ["o0", "x1", "x10", "x2", "B1::u1"]
 BODY = ["u0", "u1", "u2", "u3"]
+LOCKS = [acquire("m"), release("m")]
 
 
 @st.composite
@@ -231,6 +245,7 @@ def fusions(draw) -> tuple[AtomicFusion, frozenset[str], CommutativityRelation]:
         labels = [plain(x) for x in draw(some_labels)] + [plain(f"b{k}")]
         blocks[block_symbol(f"B{k}")] = draw(drawn_templates(BODY, labels, valid))
     labels = list(blocks) + [plain(x) for x in draw(some_labels)] + [SYNC] * draw(st.integers(0, 2))
+    labels += LOCKS[: draw(st.integers(0, 2))]
     outer = draw(drawn_templates(OUTER, draw(st.permutations(labels)), valid))
     m = frozenset(draw(st.lists(st.sampled_from(sorted(outer.locations)), min_size=1, max_size=3)))
     alphabet = sorted(
@@ -250,24 +265,29 @@ def _outcome(fn, *args):
 
 def _decision_views(base: ThreadTemplate, t: ThreadTemplate, rel: CommutativityRelation) -> tuple:
     """What the checks read off `t`, with ids replaced by names and edges."""
-    names, edges = t.numbered.names, t.edges
-    counts = decision._sync_counts(t)
     witness = _outcome(decision.check_sync_instrumentation, SyncPointInstrumentation(base, t), rel)
     return (
         [(v.code, v.message, v.subject) for v in validate_template(t).entries],
         t.from_init,
         t.to_exit,
         _outcome(decision._on_path_actions, t),
-        {names[u]: d for u, d in counts.least.items()},
-        {names[u]: edges[k] for u, k in counts.least_parent.items()},
-        {names[u]: d for u, d in counts.greatest.items()},
-        {names[u]: edges[k] for u, k in counts.greatest_parent.items()},
+        *_counts_by_name(t, decision._sync_counts(t)),
         witness,
     )
 
 
 def _fresh(t: ThreadTemplate) -> ThreadTemplate:
     return ThreadTemplate.make(t.edges, t.init, t.exit, t.locations)
+
+
+def _view_fields(v: NumberedView) -> tuple:
+    """Every field of a numbered view, the rows of a backward search too."""
+    v.reach([], forward=False)
+    return (v.names, v.index, v.src, v.dst, v.out_off, v.out_edges, v.out_next, v._in_rows)
+
+
+def _assert_numbered_as_fresh(t: ThreadTemplate) -> None:
+    assert _view_fields(t.numbered) == _view_fields(NumberedView(t))
 
 
 def _renamed_duplicates() -> tuple[AtomicFusion, frozenset[str], CommutativityRelation]:
@@ -293,10 +313,20 @@ def test_derived_templates_match_fresh_copies(drawn):
     reference_s = reference.substitute_blocks_ref(fusion)
     assert (substituted.edges, substituted.locations) == (reference_s.edges, reference_s.locations)
     assert dict(substituted._edge_of) == dict(_fresh(substituted)._edge_of)
+    _assert_numbered_as_fresh(substituted)
     assert _decision_views(outer, substituted, rel) == _decision_views(outer, _fresh(substituted), rel)
 
     instrumented = insert_syncpoints(outer, m).instrumented
     reference_i = reference.insert_syncpoints_ref(outer, m)
     assert (instrumented.edges, instrumented.locations) == (reference_i.edges, reference_i.locations)
     assert dict(instrumented._edge_of) == dict(_fresh(instrumented)._edge_of)
+    _assert_numbered_as_fresh(instrumented)
     assert _decision_views(outer, instrumented, rel) == _decision_views(outer, _fresh(instrumented), rel)
+    if validate_template(outer).ok and instrumented is not outer:
+        assert "_numbering" in instrumented.__dict__  # derived, not built afresh
+
+    for t in (outer, substituted, instrumented):
+        erased = decision._erase_sync(t, decision._SYNC_KINDS)
+        _assert_numbered_as_fresh(erased)
+        if erased is not t and len(erased.edges) == len(t.edges):
+            assert erased.numbered is t.numbered
