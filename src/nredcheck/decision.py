@@ -188,7 +188,7 @@ def _on_path_actions(t: ThreadTemplate) -> list[Action]:
     in edge order."""
     edge_of = t._edge_of
     unsynced = [e for e in t.edges if not e.action.is_sync]
-    if None in map(edge_of.__getitem__, map(itemgetter(1), unsynced)):
+    if None in edge_of.values() and None in map(edge_of.__getitem__, map(itemgetter(1), unsynced)):
         t.the_edge(next(e.action for e in unsynced if edge_of[e.action] is None))  # raises: not unique
     fwd, bwd = t.from_init, t.to_exit
     if fwd is bwd is t.locations:
@@ -793,28 +793,23 @@ def _max_sync_path(g: ThreadTemplate, b: Action, needed: int, counts: _SyncCount
     v = g.numbered
     target = g.the_edge(b).src
     if not math.isinf(counts.greatest[v.index[target]]):  # type: ignore[arg-type]
-        # walk the condensation parents back; connect inside components by
-        # plain BFS where a hop does not start where the walk stands (finite
-        # components never contain a rendezvous edge)
-        edges, parent, src, dst = g.edges, counts.greatest_parent, v.src, v.dst
-        hops: list[int] = []
+        # walk the condensation parents back, the word reversed; connect
+        # inside components by plain BFS where a hop does not end where the
+        # walk stands (finite components never contain a rendezvous edge)
+        edges, parent, src, dst, names = g.edges, counts.greatest_parent, v.src, v.dst, v.names
+        word: list[Action] = []
+        steps = 0
         cur = v.index[target]
         while parent[cur] >= 0:
             k = parent[cur]
-            hops.append(k)
-            cur = src[k]
-        hops.reverse()
-        word: list[Action] = []
-        steps = 0
-        loc = v.index[g.init]
-        for k in hops:
-            if src[k] != loc:
-                word += _path_words(g, v.names[loc], edges[k][0])
+            if dst[k] != cur:
+                word += reversed(_path_words(g, edges[k][2], names[cur]))
             x = edges[k][1]
             word.append(x)
             steps += x.kind is _SYNC_POINT
-            loc = dst[k]
-        word += _path_words(g, v.names[loc], target)
+            cur = src[k]
+        word += reversed(_path_words(g, g.init, names[cur]))
+        word.reverse()
         return PathWitness(tuple(word), b, steps)
     # pumped case: find a rendezvous edge on a cycle that the start reaches
     # and that reaches the target

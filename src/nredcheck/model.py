@@ -726,7 +726,7 @@ def _substitute_blocks(fusion: AtomicFusion) -> ThreadTemplate:
             if a in block_syms or e not in outer.edges_labeled(a):
                 added.setdefault(e)
         inner += [rename(loc) for loc in body.locations - {body.init, body.exit}]
-    edges = [e for e in outer.edges if e.action not in block_syms]
+    edges = [e for e in outer.edges if e.action.kind is not _BLOCK or e.action not in block_syms]
     t = ThreadTemplate(outer.locations.union(inner), (*edges, *added), outer.init, outer.exit)
     edge_of = t.__dict__["_edge_of"] = dict(outer._edge_of)
     for sym in block_syms:

@@ -38,9 +38,9 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from sys import intern
 from dataclasses import dataclass, field
-from typing import Optional
+from sys import intern
+from typing import Callable, Iterator, Optional
 
 from .model import (
     Action,
@@ -92,15 +92,26 @@ _PAIR_RE = re.compile(r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
 
 
 class _Actions(dict):
-    """`actions[maker, name]` is `maker(name)` (`plain`, `block_symbol`,
+    """`actions[maker][name]` is `maker(name)` (`plain`, `block_symbol`,
     `acquire` or `release`), made once per parse, so the templates and the
     relation share their action objects.  A name no action can have (the
     JSON mirror can give an empty one) is a ParseError."""
 
-    def __missing__(self, key: tuple) -> Action:
-        maker, name = key
+    def __missing__(self, maker: Callable[[str], Action]) -> "_Made":
+        made = self[maker] = _Made(maker)
+        return made
+
+
+class _Made(dict):
+    """The actions one maker made, by name."""
+
+    def __init__(self, maker: Callable[[str], Action]) -> None:
+        super().__init__()
+        self.maker = maker
+
+    def __missing__(self, name: str) -> Action:
         try:
-            act = self[key] = maker(name)
+            act = self[name] = self.maker(name)
         except ValueError as exc:
             raise ParseError(f"bad action name {name!r}: {exc}") from exc
         return act
@@ -119,20 +130,23 @@ class _RawTemplate:
             raise ParseError(f"{where}: missing init")
         if self.exit is None:
             raise ParseError(f"{where}: missing exit")
-        # each location name is interned, so the templates hold one string
-        # per name however often the input repeats it
-        edges: list[tuple[str, Action, str]] = []
+        return ThreadTemplate.make(
+            self._edges(block_names, where, actions),
+            intern(self.init),
+            intern(self.exit),
+            extra_locations=map(intern, self.locations),
+        )
+
+    def _edges(self, block_names: set[str], where: str, actions: _Actions) -> Iterator[tuple[str, Action, str]]:
+        """The edges, made one at a time, so that `make` holds only its own
+        copies; each location name is interned, so the templates hold one
+        string per name however often the input repeats it."""
         for src, name, dst in self.edges:
             if name == SYNC_POINT_NAME:
                 raise ParseError(f"{where}: rendezvous edges are declared via 'syncpoint at'")
-            act = actions[block_symbol if name in block_names else plain, name]
-            edges.append((intern(src), act, intern(dst)))
+            yield intern(src), actions[block_symbol if name in block_names else plain][name], intern(dst)
         for src, op, lock, dst in self.lock_edges:
-            act = actions[acquire if op == "acq" else release, lock]
-            edges.append((intern(src), act, intern(dst)))
-        return ThreadTemplate.make(
-            edges, intern(self.init), intern(self.exit), extra_locations=map(intern, self.locations)
-        )
+            yield intern(src), actions[acquire if op == "acq" else release][lock], intern(dst)
 
 
 def parse_input(text: str) -> ParsedInput:
@@ -336,11 +350,11 @@ def _assemble(
     made = _Actions()
     fused = top.build(block_names, "template", made)
     bodies = {
-        made[block_symbol, name]: raw.build(set(), f"block {name}", made)
+        made[block_symbol][name]: raw.build(set(), f"block {name}", made)
         for name, raw in sorted(raw_blocks.items())
     }
     for name in sorted(block_names):
-        if not fused.edges_labeled(made[block_symbol, name]):
+        if not fused.edges_labeled(made[block_symbol][name]):
             raise ParseError(f"block {name!r} is never used by an edge")
 
     report = validate_template(fused)
@@ -357,15 +371,15 @@ def _assemble(
     if syncpoints:
         instrumentation = insert_syncpoints(fused, syncpoints)
 
-    declared = [made[plain, a] for a in actions]
+    declared = [made[plain][a] for a in actions]
     try:
         if commutes is not None:
             relation = CommutativityRelation(
-                declared, pairs=[(made[plain, a], made[plain, b]) for a, b in commutes]
+                declared, pairs=[(made[plain][a], made[plain][b]) for a, b in commutes]
             )
         else:
             relation = CommutativityRelation(
-                declared, conflicts=[(made[plain, a], made[plain, b]) for a, b in (conflicts or [])]
+                declared, conflicts=[(made[plain][a], made[plain][b]) for a, b in (conflicts or [])]
             )
     except ValueError as exc:
         raise ValidationError(
