@@ -1021,6 +1021,7 @@ def verify_sync_witness(inst: SyncPointInstrumentation, i: CommutativityRelation
             if not ends:
                 return None
             here = ends if len(ends) == 1 else list(set(ends))
+        steps -= pw.action.kind is _SYNC_POINT  # the count is the prefix's
         # searched on the walked edges, not read off reach sets a
         # derivation may have handed the template
         return steps if v.index[g.exit] in v.reach(here) else None

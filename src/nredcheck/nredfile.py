@@ -122,7 +122,7 @@ class _RawTemplate:
     init: Optional[str] = None
     exit: Optional[str] = None
     locations: list[str] = field(default_factory=list)
-    edges: list[tuple[str, str, str]] = field(default_factory=list)
+    edges: list[str] = field(default_factory=list)  # src, action and dst of each edge in turn
     lock_edges: list[tuple[str, str, str, str]] = field(default_factory=list)
 
     def build(self, block_names: set[str], where: str, actions: _Actions) -> ThreadTemplate:
@@ -139,9 +139,12 @@ class _RawTemplate:
 
     def _edges(self, block_names: set[str], where: str, actions: _Actions) -> Iterator[tuple[str, Action, str]]:
         """The edges, made one at a time, so that `make` holds only its own
-        copies; each location name is interned, so the templates hold one
-        string per name however often the input repeats it."""
-        for src, name, dst in self.edges:
+        copies (the raw names are kept flat for the same reason: fewer live
+        objects for the collector to visit); each location name is interned,
+        so the templates hold one string per name however often the input
+        repeats it."""
+        flat = iter(self.edges)
+        for src, name, dst in zip(flat, flat, flat):
             if name == SYNC_POINT_NAME:
                 raise ParseError(f"{where}: rendezvous edges are declared via 'syncpoint at'")
             yield intern(src), actions[block_symbol if name in block_names else plain][name], intern(dst)
@@ -170,7 +173,7 @@ def parse_input(text: str) -> ParsedInput:
     idx = 0
 
     def strip(line: str) -> str:
-        return line.partition("#")[0].strip()
+        return line.split("#", 1)[0].strip()
 
     def read_paired_section(first_line: str, start_line: int) -> tuple[list[tuple[str, str]], int]:
         buf = first_line
@@ -196,7 +199,7 @@ def parse_input(text: str) -> ParsedInput:
     current: _RawTemplate = top
     in_block: Optional[str] = None
     while idx < n:
-        line = lines[idx].partition("#")[0].strip()
+        line = strip(lines[idx])
         lineno = idx + 1
         if not line:
             idx += 1
@@ -207,7 +210,7 @@ def parse_input(text: str) -> ParsedInput:
             if kw == "edge":
                 if len(parts) != 4:
                     raise ParseError("expected: edge <src> <action> <dst>", lineno)
-                current.edges.append((parts[1], parts[2], parts[3]))
+                current.edges += parts[1:]
             elif kw == "}":
                 if in_block is None:
                     raise ParseError("unexpected '}'", lineno)
@@ -300,7 +303,7 @@ def _from_json(text: str) -> ParsedInput:
         raw.init = obj.get("init")
         raw.exit = obj.get("exit")
         raw.locations = names(obj, "locations", where)
-        raw.edges = [tuple(e) for e in names(obj, "edges", where, 3)]
+        raw.edges = [x for e in names(obj, "edges", where, 3) for x in e]
         for e in names(obj, "lock_edges", where, 4):
             if e[1] not in ("acq", "rel"):
                 raise ParseError(f"{where}: bad lock edge {e!r}")
