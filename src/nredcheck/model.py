@@ -13,8 +13,8 @@ numbered graph of a template and its reach sets, the substituted template
 of a fusion, the instrumented template at a location set) and validation
 reports are computed on first use and cached on the object they describe,
 so a structure handed from the parser to the checks is built and validated
-once.  An `Action` computes its hash and `is_sync` when it is made, and
-its `sort_key()` on first use.
+once.  An `Action` computes its hash, `is_sync` and `sort_key()` when it is
+made.
 """
 
 from __future__ import annotations
@@ -86,14 +86,15 @@ class Action:
             raise ValueError(f"{kind.value} action must not carry a lock")
         elif kind is _SYNC_POINT and name != SYNC_POINT_NAME:
             raise ValueError("the rendezvous symbol is unique")
-        # actions are hashed in every inner loop, and a parse makes one per
-        # name, so the derived values are computed once; the slots are
-        # filled through their descriptors, past `__setattr__`
+        # actions are hashed and sorted in every inner loop, and a parse
+        # makes one per name, so the derived values are computed once; the
+        # slots are filled through their descriptors, past `__setattr__`
         _set_name(self, name)
         _set_kind(self, kind)
         _set_lock(self, lock)
         _set_hash(self, hash((name, kind, lock)))
         _set_is_sync(self, kind is not _PLAIN and kind is not _BLOCK)
+        _set_sort_key(self, (kind._value_, name, lock or ""))  # `.value` is a slow property
 
     def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {key!r} of an Action")
@@ -114,17 +115,12 @@ class Action:
         return Action, (self.name, self.kind, self.lock)
 
     def sort_key(self) -> tuple:
-        try:
-            return self._sort_key
-        except AttributeError:  # made on first use: most actions of a big parse are never sorted
-            key = (self.kind._value_, self.name, self.lock or "")  # `.value` is a slow property
-            _set_sort_key(self, key)
-            return key
+        return self._sort_key
 
     def __lt__(self, other: "Action") -> bool:
         if not isinstance(other, Action):
             return NotImplemented
-        return self.sort_key() < other.sort_key()
+        return self._sort_key < other._sort_key
 
     def __str__(self) -> str:
         return self.name
