@@ -506,9 +506,9 @@ def _duplicate_labels(rb: _ReportBuilder, counts: Mapping[Action, int]) -> None:
 def _derived_from_valid(t: ThreadTemplate, report: ValidationReport, numbering: tuple) -> None:
     """Seed `t`, derived from valid templates, with its validation report,
     which can only list duplicate labels, its reach sets (every location is
-    reachable from init and reaches exit) and, as `(parent, *derive
-    arguments)`, how to derive its numbered view from its parent's: a
-    valid parent numbers exactly its locations."""
+    reachable from init and reaches exit) and, as `(parent, added names)`,
+    how to derive its numbered view from its parent's: a valid parent
+    numbers exactly its locations."""
     t.__dict__.setdefault("_memo", {})["validation"] = report
     t.__dict__["from_init"] = t.__dict__["to_exit"] = t.locations
     t.__dict__["_numbering"] = numbering
